@@ -17,6 +17,7 @@ import (
 
 	"assignmentmotion/internal/aht"
 	"assignmentmotion/internal/am"
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/cfggen"
@@ -33,6 +34,7 @@ import (
 	"assignmentmotion/internal/metrics"
 	"assignmentmotion/internal/mr"
 	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/pde"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/rae"
@@ -128,35 +130,49 @@ func BenchmarkAdversarialChain(b *testing.B) {
 }
 
 // BenchmarkPhases is experiment C2: the three phases of the global
-// algorithm, measured separately on a medium random program.
+// algorithm, measured separately through the session path the engine
+// runs — each phase is its registered pass's RunWith against a fresh
+// analysis.Session, on the output of the phases before it. The 200-block
+// programs are the size class that sets the service's cold tail; the
+// 1000-block one shows how the phases scale past it.
 func BenchmarkPhases(b *testing.B) {
-	base := cfggen.Structured(2, cfggen.Config{Size: 40})
-	base.SplitCriticalEdges()
-
-	b.Run("initialize", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.Initialize(base.Clone())
+	programs := []struct {
+		name string
+		g    *ir.Graph
+	}{
+		{"structured40", cfggen.Structured(2, cfggen.Config{Size: 40})},
+		{"structured200", cfggen.Structured(2, cfggen.Config{Size: 200})},
+		{"unstructured200", cfggen.Unstructured(2, cfggen.Config{Size: 200})},
+		{"structured1000", cfggen.Structured(2, cfggen.Config{Size: 1000})},
+	}
+	run := func(p pass.Pass, g *ir.Graph) {
+		s := analysis.NewSession()
+		defer s.Close()
+		if _, err := p.RunWith(g, s); err != nil {
+			b.Fatal(err)
 		}
-	})
-
-	initialized := base.Clone()
-	core.Initialize(initialized)
-	b.Run("am", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			am.Run(initialized.Clone())
+	}
+	for _, prog := range programs {
+		in := prog.g
+		for _, name := range []string{"init", "am", "flush"} {
+			p, ok := pass.Lookup(name)
+			if !ok {
+				b.Fatalf("pass %s not registered", name)
+			}
+			b.Run(prog.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					g := in.Clone()
+					b.StartTimer()
+					run(p, g)
+				}
+			})
+			next := in.Clone()
+			run(p, next)
+			in = next
 		}
-	})
-
-	moved := initialized.Clone()
-	am.Run(moved)
-	b.Run("flush", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			flush.Run(moved.Clone())
-		}
-	})
+	}
 }
 
 // BenchmarkAnalyses measures the individual bit-vector analyses

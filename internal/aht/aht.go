@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/ir"
@@ -58,9 +59,10 @@ type Info struct {
 	NInsert      []bitvec.Vec
 	XInsert      []bitvec.Vec
 
-	// candidates[block][patternID] is the instruction index of the
-	// block's hoisting candidate of that pattern (-1 when absent).
-	candidates [][]int
+	// Occ is the pattern ID of every instruction of the analyzed graph.
+	// A block's hoisting candidate of a LOC-HOISTABLE pattern is the
+	// pattern's first occurrence there (analysis.Candidates).
+	Occ *analysis.Occurrences
 
 	// occRank[patternID] ranks patterns by first occurrence in the current
 	// graph (-1 when absent). Insertion points place their patterns in this
@@ -82,7 +84,7 @@ func Analyze(g *ir.Graph) *Info {
 // Info shares the session's arena; it must be consumed before the arena is
 // released.
 func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
-	u, px := s.Universe(g)
+	u, px, occ := s.Universe(g)
 	ar := s.Arena()
 	bv := s.Blocks(g)
 	n, bits := len(g.Blocks), u.Len()
@@ -90,10 +92,10 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 		U:            u,
 		LocHoistable: ar.Vecs(n),
 		LocBlocked:   ar.Vecs(n),
-		candidates:   make([][]int, n),
+		Occ:          occ,
 	}
 	for i, b := range g.Blocks {
-		info.LocHoistable[i], info.LocBlocked[i], info.candidates[i] = px.BlockLocalsArena(b, ar)
+		info.LocHoistable[i], info.LocBlocked[i] = px.BlockLocals(b, occ.Block(i), ar)
 	}
 
 	info.occRank = ar.Ints(bits)
@@ -101,12 +103,10 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 		info.occRank[id] = -1
 	}
 	next := 0
-	for _, b := range g.Blocks {
-		for k := range b.Instrs {
-			if id, ok := px.OccID(&b.Instrs[k]); ok && info.occRank[id] < 0 {
-				info.occRank[id] = next
-				next++
-			}
+	for _, id := range occ.All() {
+		if id >= 0 && info.occRank[id] < 0 {
+			info.occRank[id] = next
+			next++
 		}
 	}
 
@@ -189,7 +189,12 @@ func ApplyMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
 // graph, see occRank). The incremental recorder serializes insertion
 // sequences with it.
 func (info *Info) OrderedIDs(v bitvec.Vec) []int {
-	ids := v.Bits()
+	return info.rankOrder(v.Bits())
+}
+
+// rankOrder sorts ids in place by first occurrence (occRank). Insertion
+// sort: the sets are tiny and sort.Slice's reflection allocates.
+func (info *Info) rankOrder(ids []int) []int {
 	rank := info.occRank
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && rank[ids[j]] < rank[ids[j-1]]; j-- {
@@ -197,6 +202,20 @@ func (info *Info) OrderedIDs(v bitvec.Vec) []int {
 		}
 	}
 	return ids
+}
+
+// appendInstances appends to dst an instance of every pattern set in v,
+// in the insertion order of OrderedIDs, sorting in scratch carved from ar.
+func (info *Info) appendInstances(dst []ir.Instr, v bitvec.Vec, ar *arena.Arena) []ir.Instr {
+	ids := ar.Ints(v.PopCount())[:0]
+	for id := v.Next(0); id >= 0; id = v.Next(id + 1) {
+		ids = append(ids, id)
+	}
+	for _, id := range info.rankOrder(ids) {
+		p := info.U.PatternAt(id)
+		dst = append(dst, ir.NewAssign(p.LHS, p.RHS))
+	}
+	return dst
 }
 
 // ApplyWith is ApplyMasked running against session s: the pattern universe
@@ -244,8 +263,8 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 
 	for i, b := range g.Blocks {
 		if info.XInsert[i].Any() {
-			instrs := patternsToInstrs(info.U, info.XInsert[i], info.occRank)
 			if _, branch := b.Cond(); branch {
+				instrs := info.appendInstances(nil, info.XInsert[i], ar)
 				for _, s := range b.Succs {
 					if len(g.Block(s).Preds) != 1 {
 						panic(fmt.Sprintf("aht: X-INSERT at branch node %s with unsplit critical edge to %s",
@@ -254,13 +273,13 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 					prepend[int(s)] = append(prepend[int(s)], instrs...)
 				}
 			} else {
-				appendAtEnd[i] = append(appendAtEnd[i], instrs...)
+				appendAtEnd[i] = info.appendInstances(appendAtEnd[i], info.XInsert[i], ar)
 			}
 		}
 	}
 	for i := range g.Blocks {
 		if info.NInsert[i].Any() {
-			prepend[i] = append(prepend[i], patternsToInstrs(info.U, info.NInsert[i], info.occRank)...)
+			prepend[i] = info.appendInstances(prepend[i], info.NInsert[i], ar)
 		}
 	}
 
@@ -275,10 +294,7 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 			continue
 		}
 		// Remove hoisting candidates (at most one per pattern per block).
-		drop := ar.Vec(len(b.Instrs))
-		info.LocHoistable[i].ForEach(func(id int) {
-			drop.Set(info.candidates[i][id])
-		})
+		drop := analysis.Candidates(info.Occ.Block(i), info.LocHoistable[i], false, ar)
 		next := make([]ir.Instr, 0, len(prepend[i])+len(b.Instrs)+len(appendAtEnd[i]))
 		next = append(next, prepend[i]...)
 		for k, in := range b.Instrs {
@@ -317,22 +333,4 @@ func sameInstrs(a, b []ir.Instr) bool {
 		}
 	}
 	return true
-}
-
-// patternsToInstrs materializes the patterns set in v, ordered by first
-// occurrence in the current graph (see Info.occRank). Insertion sort: the
-// sets are tiny and sort.Slice's reflection allocates.
-func patternsToInstrs(u *ir.PatternSet, v bitvec.Vec, rank []int) []ir.Instr {
-	ids := v.Bits()
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && rank[ids[j]] < rank[ids[j-1]]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	out := make([]ir.Instr, 0, len(ids))
-	for _, id := range ids {
-		p := u.Pattern(id)
-		out = append(out, ir.NewAssign(p.LHS, p.RHS))
-	}
-	return out
 }

@@ -297,7 +297,7 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 		// The session universe may carry patterns whose occurrences are all
 		// gone by now; profitableSet reports false for those (occurrence
 		// count 0), so the stale entries are harmless.
-		u, _ := s.Universe(g)
+		u, _, _ := s.Universe(g)
 		pats := u.Patterns()
 		prof := profitableSet(g, pats)
 		for i, p := range pats {

@@ -51,7 +51,7 @@ func runRestrictedReference(g *ir.Graph, s *analysis.Session) (Stats, error) {
 		st.Eliminated += removed
 		changed := removed > 0
 
-		u, _ := s.Universe(g)
+		u, _, _ := s.Universe(g)
 		for _, p := range u.Patterns() {
 			if profitableSolo(g, p) {
 				if aht.ApplyWith(g, s, func(q ir.AssignPattern) bool { return q == p }) {

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/ir"
@@ -154,51 +156,136 @@ func (px *PatternIndex) orUseBlocks(t *ir.Term, dst bitvec.Vec) {
 	}
 }
 
-// BlockLocals computes Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors for
-// block b in one forward walk, also returning the block-local candidate
-// instruction index per pattern (-1 when the pattern has no candidate in
-// b), for the insertion step's removals. Candidates: the first occurrence
-// of a pattern not preceded by a blocker.
-func (px *PatternIndex) BlockLocals(b *ir.Block) (locHoistable, locBlocked bitvec.Vec, candidates []int) {
-	return px.BlockLocalsArena(b, nil)
+// BlockOccurrences appends to dst the pattern ID of every instruction of
+// b (-1 for instructions that are not occurrences of a universe pattern)
+// and returns it: the per-block form of the session's Occurrences, for
+// callers that analyze a few blocks of a graph rather than all of it.
+func (px *PatternIndex) BlockOccurrences(b *ir.Block, dst []int) []int {
+	for k := range b.Instrs {
+		id, ok := px.OccID(&b.Instrs[k])
+		if !ok {
+			id = -1
+		}
+		dst = append(dst, id)
+	}
+	return dst
 }
 
-// BlockLocalsArena is BlockLocals with the vectors and the candidate table
-// carved from ar (heap when nil), for the hoisting fixpoint's per-round
-// analysis.
-func (px *PatternIndex) BlockLocalsArena(b *ir.Block, ar *arena.Arena) (locHoistable, locBlocked bitvec.Vec, candidates []int) {
+// BlockLocals computes Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors for
+// block b in one forward walk, given the pattern IDs of b's instructions
+// (Occurrences.Block). A pattern is LOC-HOISTABLE when its first
+// occurrence is not preceded by a blocker; Candidates recovers the
+// candidate positions. Storage comes from ar (heap when nil).
+func (px *PatternIndex) BlockLocals(b *ir.Block, ids []int, ar *arena.Arena) (locHoistable, locBlocked bitvec.Vec) {
 	bits := px.U.Len()
 	locHoistable = ar.Vec(bits)
 	locBlocked = ar.Vec(bits)
-	candidates = ar.Ints(bits)
-	for id := range candidates {
-		candidates[id] = -1
-	}
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		if id, ok := px.OccID(in); ok && !locBlocked.Get(id) && !locHoistable.Get(id) {
+	for k, id := range ids {
+		// An occurrence blocks its own pattern, so every later occurrence
+		// already finds its bit in locBlocked.
+		if id >= 0 && !locBlocked.Get(id) {
 			locHoistable.Set(id)
-			candidates[id] = i
 		}
-		px.OrBlocked(in, locBlocked)
+		px.OrBlocked(&b.Instrs[k], locBlocked)
 	}
-	return locHoistable, locBlocked, candidates
+	return locHoistable, locBlocked
 }
 
-// BlockLocalsReverse is BlockLocals for sinking: candidates are the last
-// occurrences not followed by a blocker.
-func (px *PatternIndex) BlockLocalsReverse(b *ir.Block) (locSinkable, locBlocked bitvec.Vec, candidates map[int]int) {
+// BlockLocalsReverse is BlockLocals for sinking: a pattern is
+// LOC-SINKABLE when its last occurrence is not followed by a blocker.
+func (px *PatternIndex) BlockLocalsReverse(b *ir.Block, ids []int, ar *arena.Arena) (locSinkable, locBlocked bitvec.Vec) {
 	bits := px.U.Len()
-	locSinkable = bitvec.New(bits)
-	locBlocked = bitvec.New(bits)
-	candidates = map[int]int{}
-	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		in := &b.Instrs[i]
-		if id, ok := px.OccID(in); ok && !locBlocked.Get(id) && !locSinkable.Get(id) {
+	locSinkable = ar.Vec(bits)
+	locBlocked = ar.Vec(bits)
+	for k := len(ids) - 1; k >= 0; k-- {
+		if id := ids[k]; id >= 0 && !locBlocked.Get(id) {
 			locSinkable.Set(id)
-			candidates[id] = i
 		}
-		px.OrBlocked(in, locBlocked)
+		px.OrBlocked(&b.Instrs[k], locBlocked)
 	}
-	return locSinkable, locBlocked, candidates
+	return locSinkable, locBlocked
+}
+
+// Candidates returns the block positions of the motion candidates of the
+// patterns in loc, as a vector over ids' positions carved from ar: the
+// first occurrence of each pattern when hoisting, the last when sinking
+// (last). loc must be LOC-HOISTABLE (resp. LOC-SINKABLE) of the block ids
+// describes. Every occurrence of a pattern blocks the pattern (it
+// modifies the left-hand side), so when a candidate exists no blocker
+// precedes the first occurrence — the candidate is that occurrence
+// (Figure 13); the sinking case is the mirror image.
+func Candidates(ids []int, loc bitvec.Vec, last bool, ar *arena.Arena) bitvec.Vec {
+	at := ar.Vec(len(ids))
+	pending := ar.Vec(loc.Len())
+	pending.CopyFrom(loc)
+	for j := range ids {
+		k := j
+		if last {
+			k = len(ids) - 1 - j
+		}
+		if id := ids[k]; id >= 0 && pending.Get(id) {
+			at.Set(k)
+			pending.Clear(id)
+		}
+	}
+	return at
+}
+
+// BlockTransfer computes into gen and kill, which must start empty, the
+// block-level gen/kill form of Table 2 for block b (ids as for
+// BlockLocals): GEN holds the patterns whose association some occurrence
+// establishes and no later instruction of b destroys, KILL those destroyed
+// and not re-established. Self-referential occurrences never generate.
+func (px *PatternIndex) BlockTransfer(b *ir.Block, ids []int, gen, kill bitvec.Vec) {
+	for k, id := range ids {
+		in := &b.Instrs[k]
+		if in.Kind != ir.KindAssign {
+			continue
+		}
+		px.AndNotKill(in, gen)
+		px.OrKill(in, kill)
+		if id >= 0 && !px.selfRef.Get(id) {
+			gen.Set(id)
+			kill.Clear(id)
+		}
+	}
+}
+
+// Occurrences maps every instruction of one version of a graph to the ID
+// of its assignment pattern, or -1 for instructions that are not
+// assignments. The table is laid out in analysis.Prog order — block by
+// block, then instruction by instruction — so All()[i] describes
+// NewProg(g).Ins[i].
+type Occurrences struct {
+	ids   []int
+	start []int // block index -> offset into ids; one extra end entry
+}
+
+// Block returns the pattern IDs of the instructions of the block at slice
+// position i (read-only).
+func (o *Occurrences) Block(i int) []int { return o.ids[o.start[i]:o.start[i+1]] }
+
+// All returns the pattern IDs of every instruction in Prog order
+// (read-only).
+func (o *Occurrences) All() []int { return o.ids }
+
+// scan records the pattern ID of every instruction of g, interning
+// patterns missing from u, and reports whether u grew. It reuses o's
+// storage, so a warmed-up session rescans without allocating.
+func (o *Occurrences) scan(g *ir.Graph, u *ir.PatternSet) bool {
+	before := u.Len()
+	o.ids = slices.Grow(o.ids[:0], g.InstrCount())
+	o.start = slices.Grow(o.start[:0], len(g.Blocks)+1)
+	for _, b := range g.Blocks {
+		o.start = append(o.start, len(o.ids))
+		for k := range b.Instrs {
+			id := -1
+			if in := &b.Instrs[k]; in.Kind == ir.KindAssign {
+				id = u.Intern(ir.AssignPattern{LHS: in.LHS, RHS: in.RHS})
+			}
+			o.ids = append(o.ids, id)
+		}
+	}
+	o.start = append(o.start, len(o.ids))
+	return u.Len() != before
 }

@@ -19,6 +19,7 @@ func TestIndexMatchesPredicates(t *testing.T) {
 		bits := u.Len()
 
 		for _, b := range g.Blocks {
+			ids := px.BlockOccurrences(b, nil)
 			for k := range b.Instrs {
 				in := &b.Instrs[k]
 
@@ -60,7 +61,8 @@ func TestIndexMatchesPredicates(t *testing.T) {
 			}
 
 			// BlockLocals vs LocHoistable/LocBlocked/CandidateIndex.
-			locH, locB, cands := px.BlockLocals(b)
+			locH, locB := px.BlockLocals(b, ids, nil)
+			cands := Candidates(ids, locH, false, nil)
 			for id := 0; id < bits; id++ {
 				p := u.PatternAt(id)
 				if locH.Get(id) != LocHoistable(b, p) {
@@ -69,27 +71,31 @@ func TestIndexMatchesPredicates(t *testing.T) {
 				if locB.Get(id) != LocBlocked(b, p) {
 					t.Fatalf("seed %d block %s: LocBlocked bit %d disagrees", seed, b.Name, id)
 				}
-				k, ok := CandidateIndex(b, p)
-				ck, cok := cands[id], cands[id] >= 0
-				if ok != cok || (ok && k != ck) {
-					t.Fatalf("seed %d block %s: candidate for %v: %d/%v vs %d/%v",
-						seed, b.Name, p, k, ok, ck, cok)
+				if k, ok := CandidateIndex(b, p); ok && !cands.Get(k) {
+					t.Fatalf("seed %d block %s: candidate %d of %v not marked", seed, b.Name, k, p)
 				}
+			}
+			if cands.PopCount() != locH.PopCount() {
+				t.Fatalf("seed %d block %s: %d candidates for %d hoistable patterns",
+					seed, b.Name, cands.PopCount(), locH.PopCount())
 			}
 
 			// BlockLocalsReverse: sinking candidates are the mirror image.
-			locS, locBR, scands := px.BlockLocalsReverse(b)
+			locS, locBR := px.BlockLocalsReverse(b, ids, nil)
+			scands := Candidates(ids, locS, true, nil)
 			if !locBR.Equal(locB) {
 				t.Fatalf("seed %d block %s: reverse LocBlocked differs", seed, b.Name)
 			}
 			for id := 0; id < bits; id++ {
 				p := u.PatternAt(id)
 				k, ok := refSinkCandidate(b, p)
-				sk, sok := scands[id]
-				if locS.Get(id) != ok || ok != sok || (ok && k != sk) {
-					t.Fatalf("seed %d block %s: sink candidate for %v: %d/%v vs %d/%v",
-						seed, b.Name, p, k, ok, sk, sok)
+				if locS.Get(id) != ok || (ok && !scands.Get(k)) {
+					t.Fatalf("seed %d block %s: sink candidate for %v: %d/%v", seed, b.Name, p, k, ok)
 				}
+			}
+			if scands.PopCount() != locS.PopCount() {
+				t.Fatalf("seed %d block %s: %d sink candidates for %d sinkable patterns",
+					seed, b.Name, scands.PopCount(), locS.PopCount())
 			}
 		}
 	}

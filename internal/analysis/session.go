@@ -12,11 +12,11 @@ import (
 
 // Session carries the reusable analysis state of one optimization run over
 // one graph: the solver arena, the assignment-pattern universe with its
-// PatternIndex, and the block-level iteration orders. The assignment-motion
-// fixpoint (internal/am) re-runs aht and rae many times over the same
-// graph; without a session every round rebuilt all of this from scratch,
-// which dominated the allocation profile of Optimize (PR-1 baseline:
-// ~3.6M allocs per 100 small graphs).
+// PatternIndex and per-instruction occurrence table, and the block-level
+// iteration orders. The assignment-motion fixpoint (internal/am) re-runs
+// aht and rae many times over the same graph; without a session every
+// round rebuilt all of this from scratch, which dominated the allocation
+// profile of Optimize (PR-1 baseline: ~3.6M allocs per 100 small graphs).
 //
 // Caches revalidate against the graph's version counters (ir.Graph.Version
 // / StructVersion): the universe is re-scanned — map hits only, IDs stay
@@ -41,6 +41,7 @@ type Session struct {
 	g        *ir.Graph
 	u        *ir.PatternSet
 	px       *PatternIndex
+	occ      Occurrences
 	uVersion uint64
 	uValid   bool
 
@@ -226,32 +227,42 @@ func (s *Session) SolverWorkersFor(n int) int {
 	return s.solverWorkers
 }
 
-// Universe returns the assignment-pattern universe of g and its
-// PatternIndex, cached across calls. On a graph mutation the universe is
-// re-synced in place (stable IDs, see ir.PatternSet.AddFrom) and the index
-// is rebuilt only when a genuinely new pattern appeared — which inside an
-// aht/rae fixpoint never happens, since hoisting re-inserts existing
-// patterns and elimination only removes occurrences.
-func (s *Session) Universe(g *ir.Graph) (*ir.PatternSet, *PatternIndex) {
+// Universe returns the assignment-pattern universe of g, its
+// PatternIndex, and the pattern ID of every instruction of g's current
+// version, cached across calls. On a graph mutation one scan re-syncs the
+// universe in place (stable IDs, see ir.PatternSet.Intern) and refills the
+// occurrence table, so each instruction's pattern is hashed once per graph
+// version however many analyses read it. The index is rebuilt only when a
+// genuinely new pattern appeared — which inside an aht/rae fixpoint never
+// happens, since hoisting re-inserts existing patterns and elimination
+// only removes occurrences; patterns that no longer occur keep their IDs
+// and simply set no bit in any local predicate.
+//
+// The occurrence table is session-owned storage reused across versions
+// (not arena-carved: it must outlive the Mark/Release bracket of the
+// analysis that filled it). It is valid until g's next mutation.
+func (s *Session) Universe(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurrences) {
 	if s == nil {
-		u := ir.AssignUniverse(g)
-		return u, NewPatternIndex(u)
+		u, occ := &ir.PatternSet{}, &Occurrences{}
+		occ.scan(g, u)
+		return u, NewPatternIndex(u), occ
 	}
 	if s.g != g || !s.uValid {
 		s.invalidate(g)
-		s.u = ir.AssignUniverse(g)
+		s.u = &ir.PatternSet{}
+		s.occ.scan(g, s.u)
 		s.px = NewPatternIndex(s.u)
 		s.uVersion = g.Version()
 		s.uValid = true
-		return s.u, s.px
+		return s.u, s.px, &s.occ
 	}
 	if v := g.Version(); v != s.uVersion {
-		if s.u.AddFrom(g) {
+		if s.occ.scan(g, s.u) {
 			s.px = NewPatternIndex(s.u)
 		}
 		s.uVersion = v
 	}
-	return s.u, s.px
+	return s.u, s.px, &s.occ
 }
 
 // BlockView is the cached block-level solver geometry of one graph: int
@@ -303,30 +314,6 @@ func (s *Session) Blocks(g *ir.Graph) BlockView {
 		FwdOrder: s.fwdOrder,
 		BwdOrder: s.bwdOrder,
 	}
-}
-
-// UniverseDelta is Universe for a caller that knows which blocks changed
-// since the last sync: the resync scans only those blocks instead of the
-// whole graph, keying the cache per region rather than per graph
-// version. The contract mirrors ir.PatternSet.AddFromBlocks — every
-// block outside changed must be textually unchanged since the session
-// last synced with g. On a nil session or an unbound graph it degrades
-// to the full Universe scan.
-func (s *Session) UniverseDelta(g *ir.Graph, changed []ir.NodeID) (*ir.PatternSet, *PatternIndex) {
-	if s == nil || s.g != g || !s.uValid {
-		return s.Universe(g)
-	}
-	if v := g.Version(); v != s.uVersion {
-		bs := make([]*ir.Block, len(changed))
-		for i, id := range changed {
-			bs[i] = g.Block(id)
-		}
-		if s.u.AddFromBlocks(bs) {
-			s.px = NewPatternIndex(s.u)
-		}
-		s.uVersion = v
-	}
-	return s.u, s.px
 }
 
 // Regions returns the deterministic region decomposition of g, cached

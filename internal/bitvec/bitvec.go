@@ -372,6 +372,29 @@ func (v Vec) ForEach(f func(i int)) {
 	}
 }
 
+// Next returns the index of the first set bit at or after i, or -1 when
+// there is none. "for i := v.Next(0); i >= 0; i = v.Next(i + 1)" visits
+// the set bits in increasing order, like ForEach but without a closure.
+func (v Vec) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	wi := i / wordBits
+	if wi >= len(v.words) {
+		return -1
+	}
+	w := v.words[wi] >> (uint(i) % wordBits)
+	if w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(v.words); wi++ {
+		if v.words[wi] != 0 {
+			return wi*wordBits + bits.TrailingZeros64(v.words[wi])
+		}
+	}
+	return -1
+}
+
 // Bits returns the indices of all set bits in increasing order.
 func (v Vec) Bits() []int {
 	out := make([]int, 0, v.PopCount())

@@ -130,6 +130,27 @@ func TestForEachOrder(t *testing.T) {
 	}
 }
 
+func TestNextVisitsSetBitsInOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 65, 200} {
+		v := New(n)
+		var want []int
+		for i := 0; i < n; i += 1 + i%7 {
+			v.Set(i)
+			want = append(want, i)
+		}
+		var got []int
+		for i := v.Next(0); i >= 0; i = v.Next(i + 1) {
+			got = append(got, i)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: Next walk = %v, want %v", n, got, want)
+		}
+		if v.Next(n) != -1 || v.Next(n+100) != -1 {
+			t.Errorf("n=%d: Next past the end is not -1", n)
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	v := New(4)
 	v.Set(1)

@@ -57,21 +57,28 @@ func init() {
 // indexed by instruction (analysis.Prog order) and bit-indexed by temp
 // position in Temps.
 type Info struct {
-	Prog  *analysis.Prog
-	Temps []ir.Var
-	Exprs []ir.Term
+	Prog *analysis.Prog
+	Facts
 
 	NDelayable []bitvec.Vec
 	XDelayable []bitvec.Vec
 	NUsable    []bitvec.Vec
-	XUsable    []bitvec.Vec
-	NLatest    []bitvec.Vec
-	XLatest    []bitvec.Vec
+	Blocked    []bitvec.Vec
+}
 
-	// Local predicate vectors (Table 3), kept for the transformation.
-	isInst  []bitvec.Vec
-	used    []bitvec.Vec
-	blocked []bitvec.Vec
+// Facts are the per-instruction vectors the flush rewrite reads: Table 3's
+// local predicates and the solved usability and latestness, bit-indexed by
+// temp position in Temps. The incremental layer's region replay fills its
+// own Facts and rewrites through the same RewriteBlock.
+type Facts struct {
+	Temps []ir.Var
+	Exprs []ir.Term
+
+	IsInst  []bitvec.Vec
+	Used    []bitvec.Vec
+	XUsable []bitvec.Vec
+	NLatest []bitvec.Vec
+	XLatest []bitvec.Vec
 }
 
 // Analyze computes the delayability and usability analyses for g.
@@ -85,50 +92,29 @@ func Analyze(g *ir.Graph) *Info {
 func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	prog := analysis.NewProg(g)
 	ar := s.Arena()
-	temps := g.Temps()
-	exprs := make([]ir.Term, len(temps))
-	for i, h := range temps {
-		e, ok := g.TempExpr(h)
-		if !ok {
-			panic("flush: unregistered temp " + string(h))
-		}
-		exprs[i] = e
-	}
-	info := &Info{Prog: prog, Temps: temps, Exprs: exprs}
-	n, bits := prog.Len(), len(temps)
+	tx := analysis.NewTempIndex(g, ar)
+	info := &Info{Prog: prog, Facts: Facts{Temps: tx.Temps, Exprs: tx.Exprs}}
+	n, bits := prog.Len(), len(tx.Temps)
 
+	// Local predicates (Table 3) from the temp index, and the
+	// delayability kill USED ∨ BLOCKED, materialized once per instruction
+	// (N-LATEST reuses it).
 	isInst := ar.Vecs(n)
 	used := ar.Vecs(n)
 	blocked := ar.Vecs(n)
+	stop := ar.Vecs(n)
 	for i := 0; i < n; i++ {
 		isInst[i] = ar.Vec(bits)
 		used[i] = ar.Vec(bits)
 		blocked[i] = ar.Vec(bits)
-		in := &prog.Ins[i]
-		for t, h := range temps {
-			if analysis.IsInst(in, h, exprs[t]) {
-				isInst[i].Set(t)
-			}
-			if analysis.UsesTemp(in, h) {
-				used[i].Set(t)
-			}
-			if analysis.BlocksInit(in, h, exprs[t]) {
-				blocked[i].Set(t)
-			}
-		}
+		tx.Locals(&prog.Ins[i], isInst[i], used[i], blocked[i])
+		stop[i] = ar.Vec(bits)
+		stop[i].CopyOr(used[i], blocked[i])
 	}
-	info.isInst, info.used, info.blocked = isInst, used, blocked
+	info.IsInst, info.Used, info.Blocked = isInst, used, blocked
 
 	// Delayability in gen/kill form: X-DELAYABLE = IS-INST ∨
-	// (N-DELAYABLE ∧ ¬(USED ∨ BLOCKED)); the combined kill vector is
-	// materialized once per instruction.
-	stopKill := ar.Vecs(n)
-	for i := 0; i < n; i++ {
-		stopKill[i] = ar.Vec(bits)
-		stopKill[i].CopyFrom(used[i])
-		stopKill[i].Or(blocked[i])
-	}
-
+	// (N-DELAYABLE ∧ ¬(USED ∨ BLOCKED)).
 	entry := prog.EntryIndex()
 	delay := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
@@ -137,7 +123,7 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 		Stats:   s.DataflowStats(),
 		Workers: s.SolverWorkersFor(n),
 		Gen:     isInst,
-		Kill:    stopKill,
+		Kill:    stop,
 		Boundary: func(i int, in bitvec.Vec) {
 			if i == entry {
 				in.ClearAll()
@@ -162,14 +148,10 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 
 	info.NLatest = ar.Vecs(n)
 	info.XLatest = ar.Vecs(n)
-	stop := ar.Vec(bits)
 	allDelay := ar.Vec(bits)
 	for i := 0; i < n; i++ {
 		nl := ar.Vec(bits)
-		nl.CopyFrom(info.NDelayable[i])
-		stop.CopyFrom(used[i])
-		stop.Or(blocked[i])
-		nl.And(stop)
+		nl.CopyAnd(info.NDelayable[i], stop[i])
 		info.NLatest[i] = nl
 
 		xl := ar.Vec(bits)
@@ -243,70 +225,19 @@ func RunObservedWith(g *ir.Graph, s *analysis.Session, obs *Observer) Stats {
 		perBlock = make([]Stats, len(g.Blocks))
 		defer func() { obs.Done(g, st, perBlock) }()
 	}
-	bits := len(info.Temps)
-	if bits == 0 {
+	if len(info.Temps) == 0 {
 		return st
 	}
 
 	idx := 0
 	for bIdx, b := range g.Blocks {
 		before := st
-		next := make([]ir.Instr, 0, len(b.Instrs))
-		var appendAfter []ir.Instr
-		for _, in := range b.Instrs {
-			// Initializations placed immediately before ι: the paper's
-			// N-INIT plus forced initializations at single uses that
-			// cannot be reconstructed.
-			for t := 0; t < bits; t++ {
-				if !info.NLatest[idx].Get(t) {
-					continue
-				}
-				usedHere := info.used[idx].Get(t)
-				usedLater := info.XUsable[idx].Get(t)
-				switch {
-				case usedLater:
-					next = append(next, initInstr(info, t))
-					st.InsertedInits++
-				case usedHere:
-					if !CanReconstruct(in, info.Temps[t]) {
-						next = append(next, initInstr(info, t))
-						st.InsertedInits++
-					}
-				}
-			}
-
-			switch {
-			case instanceBit(info, idx) >= 0:
-				// Original instance: dropped (re-materialized at latest
-				// points above).
-				st.DroppedInits++
-			default:
-				out := in
-				for t := 0; t < bits; t++ {
-					if info.NLatest[idx].Get(t) && info.used[idx].Get(t) &&
-						!info.XUsable[idx].Get(t) && CanReconstruct(in, info.Temps[t]) {
-						out = Reconstruct(out, info.Temps[t], info.Exprs[t])
-						st.Reconstructed++
-					}
-				}
-				next = append(next, out)
-			}
-
-			// X-INIT: initializations placed immediately after ι.
-			for t := 0; t < bits; t++ {
-				if info.XLatest[idx].Get(t) && info.XUsable[idx].Get(t) {
-					appendAfter = append(appendAfter, initInstr(info, t))
-					st.InsertedInits++
-				}
-			}
-			idx++
+		next, ok := info.RewriteBlock(b, idx, &st)
+		if !ok {
+			panic("flush: X-INIT after a branch condition; critical edges must be split")
 		}
-		if len(appendAfter) > 0 {
-			if _, branch := b.Cond(); branch {
-				panic("flush: X-INIT after a branch condition; critical edges must be split")
-			}
-		}
-		b.Instrs = append(next, appendAfter...)
+		idx += len(b.Instrs)
+		b.Instrs = next
 		if perBlock != nil {
 			perBlock[bIdx] = Stats{
 				DroppedInits:  st.DroppedInits - before.DroppedInits,
@@ -319,26 +250,72 @@ func RunObservedWith(g *ir.Graph, s *analysis.Session, obs *Observer) Stats {
 	return st
 }
 
-func initInstr(info *Info, t int) ir.Instr {
-	return ir.NewAssign(info.Temps[t], info.Exprs[t])
-}
+// RewriteBlock returns the flushed instruction sequence of block b, whose
+// k-th instruction has its facts at index first+k, and adds what it did to
+// st. It walks only the set bits of N-LATEST and X-LATEST, in ascending
+// temp order. ok is false when an initialization would follow b's branch
+// condition, which split critical edges rule out.
+func (f *Facts) RewriteBlock(b *ir.Block, first int, st *Stats) (instrs []ir.Instr, ok bool) {
+	next := make([]ir.Instr, 0, len(b.Instrs))
+	var appendAfter []ir.Instr
+	for k := range b.Instrs {
+		in := &b.Instrs[k]
+		i := first + k
+		nl, used, xu := f.NLatest[i], f.Used[i], f.XUsable[i]
+		// Initializations placed immediately before ι: the paper's
+		// N-INIT plus forced initializations at single uses that cannot
+		// be reconstructed.
+		for t := nl.Next(0); t >= 0; t = nl.Next(t + 1) {
+			switch {
+			case xu.Get(t):
+				next = append(next, f.initInstr(t))
+				st.InsertedInits++
+			case used.Get(t) && !canReconstruct(in, f.Temps[t]):
+				next = append(next, f.initInstr(t))
+				st.InsertedInits++
+			}
+		}
 
-// instanceBit returns the temp index for which instruction idx is an
-// instance, or -1.
-func instanceBit(info *Info, idx int) int {
-	bitsSet := info.isInst[idx].Bits()
-	if len(bitsSet) == 0 {
-		return -1
+		if f.IsInst[i].Any() {
+			// Original instance: dropped (re-materialized at latest
+			// points above).
+			st.DroppedInits++
+		} else {
+			out := *in
+			for t := nl.Next(0); t >= 0; t = nl.Next(t + 1) {
+				if used.Get(t) && !xu.Get(t) && canReconstruct(in, f.Temps[t]) {
+					out = reconstruct(out, f.Temps[t], f.Exprs[t])
+					st.Reconstructed++
+				}
+			}
+			next = append(next, out)
+		}
+
+		// X-INIT: initializations placed immediately after ι.
+		xl := f.XLatest[i]
+		for t := xl.Next(0); t >= 0; t = xl.Next(t + 1) {
+			if xu.Get(t) {
+				appendAfter = append(appendAfter, f.initInstr(t))
+				st.InsertedInits++
+			}
+		}
 	}
-	return bitsSet[0]
+	if len(appendAfter) > 0 {
+		if _, branch := b.Cond(); branch {
+			return nil, false
+		}
+	}
+	return append(next, appendAfter...), true
 }
 
-// CanReconstruct reports whether the single use of h in instruction in can
+func (f *Facts) initInstr(t int) ir.Instr {
+	return ir.NewAssign(f.Temps[t], f.Exprs[t])
+}
+
+// canReconstruct reports whether the single use of h in instruction in can
 // be replaced by the originating term within the 3-address grammar: a copy
 // assignment v := h, or a trivial branch-condition side that is exactly h.
-// Exported for the incremental layer, whose region-restricted flush replay
-// must make the identical decision.
-func CanReconstruct(in ir.Instr, h ir.Var) bool {
+func canReconstruct(in *ir.Instr, h ir.Var) bool {
 	switch in.Kind {
 	case ir.KindAssign:
 		return in.RHS.Trivial() && !in.RHS.Args[0].IsConst && in.RHS.Args[0].Var == h
@@ -352,8 +329,8 @@ func trivialVarSide(t ir.Term, h ir.Var) bool {
 	return t.Trivial() && !t.Args[0].IsConst && t.Args[0].Var == h
 }
 
-// Reconstruct replaces the use of h in in by expr.
-func Reconstruct(in ir.Instr, h ir.Var, expr ir.Term) ir.Instr {
+// reconstruct replaces the use of h in in by expr.
+func reconstruct(in ir.Instr, h ir.Var, expr ir.Term) ir.Instr {
 	switch in.Kind {
 	case ir.KindAssign:
 		return ir.NewAssign(in.LHS, expr)

@@ -22,7 +22,6 @@ type Recorder struct {
 	m       *Manifest
 	rs      *ir.RegionSet
 	u       *ir.PatternSet
-	px      *analysis.PatternIndex
 	extSucc [][]int
 	extPred [][]int
 	cur     *RoundRec
@@ -76,7 +75,7 @@ func (r *Recorder) begin(g *ir.Graph, s *analysis.Session) {
 		return
 	}
 	r.rs = s.Regions(g)
-	r.u, r.px = s.Universe(g)
+	r.u, _, _ = s.Universe(g)
 	n := len(g.Blocks)
 	m := &Manifest{
 		Version: Version,
@@ -159,17 +158,17 @@ func (r *Recorder) hoistInfo(g *ir.Graph, info *aht.Info) {
 				pb := g.Blocks[p]
 				if _, branch := pb.Cond(); branch && info.XInsert[p].Any() {
 					key := itoa(i) + "," + itoa(p)
-					r.cur.Pin[key] = info.OrderedIDs(info.XInsert[p].Copy())
+					r.cur.Pin[key] = info.OrderedIDs(info.XInsert[p])
 				}
 			}
 		}
 	}
 	for i := range g.Blocks {
 		if info.NInsert[i].Any() {
-			r.cur.InsN[i] = info.OrderedIDs(info.NInsert[i].Copy())
+			r.cur.InsN[i] = info.OrderedIDs(info.NInsert[i])
 		}
 		if info.XInsert[i].Any() {
-			r.cur.InsX[i] = info.OrderedIDs(info.XInsert[i].Copy())
+			r.cur.InsX[i] = info.OrderedIDs(info.XInsert[i])
 		}
 	}
 	// First-occurrence positions at round start: the global first
@@ -177,11 +176,10 @@ func (r *Recorder) hoistInfo(g *ir.Graph, info *aht.Info) {
 	pos1 := constSlice(w, -1)
 	reg1 := constSlice(w, -1)
 	pos2 := constSlice(w, -1)
-	for i, b := range g.Blocks {
+	for i := range g.Blocks {
 		region := int64(r.rs.Of[i])
-		for k := range b.Instrs {
-			id, isOcc := r.px.OccID(&b.Instrs[k])
-			if !isOcc {
+		for k, id := range info.Occ.Block(i) {
+			if id < 0 {
 				continue
 			}
 			pos := int64(i)<<20 | int64(k)

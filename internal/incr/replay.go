@@ -7,6 +7,7 @@ import (
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/ir"
+	"assignmentmotion/internal/rae"
 )
 
 // WarmResult is the outcome of a successful warm replay: a fully
@@ -148,9 +149,8 @@ type replayer struct {
 	rs    *ir.RegionSet
 	dirty int
 
-	u       *ir.PatternSet
-	px      *analysis.PatternIndex
-	selfRef bitvec.Vec
+	u  *ir.PatternSet
+	px *analysis.PatternIndex
 
 	// Pattern-ID translation between the manifest universe and the live
 	// one, by decoded temp-canonical equality (-1 = unmapped).
@@ -168,8 +168,7 @@ type replayer struct {
 func (rp *replayer) prepare() bool {
 	man, g := rp.man, rp.g
 	var s *analysis.Session // nil session: plain one-shot universe
-	rp.u, rp.px = s.Universe(g)
-	rp.selfRef = rp.px.SelfRef()
+	rp.u, rp.px, _ = s.Universe(g)
 	mw, lw := len(man.Universe), rp.u.Len()
 
 	for _, rec := range man.Rounds {
@@ -228,11 +227,9 @@ func (rp *replayer) replayRounds() (int, bool) {
 	for k := 0; k < rp.man.K; k++ {
 		rec := &rp.man.Rounds[k]
 
-		mpos, ok := rp.mergedPositions(rec)
-		if !ok {
-			return 0, false
-		}
-		hoistChanged, ok := rp.hoistRound(rec, mpos)
+		occ := rp.regionOcc()
+		mpos := rp.mergedPositions(rec, occ)
+		hoistChanged, ok := rp.hoistRound(rec, mpos, occ)
 		if !ok {
 			return 0, false
 		}
@@ -264,22 +261,37 @@ func (rp *replayer) replayRounds() (int, bool) {
 	return eliminated, true
 }
 
+// regionOcc returns the pattern IDs of the instructions of every
+// dirty-region block, indexed like rblocks, in one backing array.
+func (rp *replayer) regionOcc() [][]int {
+	n := 0
+	for _, bi := range rp.rblocks {
+		n += len(rp.g.Blocks[bi].Instrs)
+	}
+	flat := make([]int, 0, n)
+	occ := make([][]int, len(rp.rblocks))
+	for si, bi := range rp.rblocks {
+		start := len(flat)
+		flat = rp.px.BlockOccurrences(rp.g.Blocks[bi], flat)
+		occ[si] = flat[start:]
+	}
+	return occ
+}
+
 // mergedPositions computes, for every live pattern ID, the global
 // first-occurrence position this round exactly as the cold run would see
 // it: the minimum of the recorded first position outside the dirty
 // region (exact — the clean regions' content is the predecessor's) and
-// the live first position inside the dirty region. -1 means absent.
-func (rp *replayer) mergedPositions(rec *RoundRec) ([]int64, bool) {
+// the live first position inside the dirty region (occ). -1 means absent.
+func (rp *replayer) mergedPositions(rec *RoundRec, occ [][]int) []int64 {
 	lw := rp.u.Len()
 	mpos := constSlice(lw, -1)
 	// The region's canonical block list is not in graph order, so keep the
 	// minimum position per pattern — cold occRank order is exactly the
 	// numeric order of global first-occurrence positions.
-	for _, bi := range rp.rblocks {
-		b := rp.g.Blocks[bi]
-		for kk := range b.Instrs {
-			id, ok := rp.px.OccID(&b.Instrs[kk])
-			if !ok {
+	for si, bi := range rp.rblocks {
+		for kk, id := range occ[si] {
+			if id < 0 {
 				continue
 			}
 			pos := int64(bi)<<20 | int64(kk)
@@ -305,7 +317,7 @@ func (rp *replayer) mergedPositions(rec *RoundRec) ([]int64, bool) {
 			mpos[lid] = outside
 		}
 	}
-	return mpos, true
+	return mpos
 }
 
 // hoistRound runs one aht round restricted to the dirty region with the
@@ -313,17 +325,16 @@ func (rp *replayer) mergedPositions(rec *RoundRec) ([]int64, bool) {
 // facts and insertion orders against the recording, and performs the
 // insert/remove rewrite on the region's blocks. It reports whether any
 // region block changed (the cold round's change signal restricted to the
-// region).
-func (rp *replayer) hoistRound(rec *RoundRec, mpos []int64) (bool, bool) {
+// region). occ holds the region blocks' pattern IDs.
+func (rp *replayer) hoistRound(rec *RoundRec, mpos []int64, occ [][]int) (bool, bool) {
 	g, lw := rp.g, rp.u.Len()
 	nr := len(rp.rblocks)
 
-	// Per-block local predicates and candidates, as cold aht computes them.
+	// Per-block local predicates, as cold aht computes them.
 	locH := make([]bitvec.Vec, nr)
 	locB := make([]bitvec.Vec, nr)
-	cand := make([][]int, nr)
 	for si, bi := range rp.rblocks {
-		locH[si], locB[si], cand[si] = rp.px.BlockLocals(g.Blocks[bi])
+		locH[si], locB[si] = rp.px.BlockLocals(g.Blocks[bi], occ[si], nil)
 	}
 
 	// Sub-problem: region blocks plus one context node per block with
@@ -530,8 +541,7 @@ func (rp *replayer) hoistRound(rec *RoundRec, mpos []int64) (bool, bool) {
 		if len(prepend[si]) == 0 && len(appendAtEnd[si]) == 0 && !locH[si].Any() {
 			continue
 		}
-		drop := bitvec.New(len(b.Instrs))
-		locH[si].ForEach(func(id int) { drop.Set(cand[si][id]) })
+		drop := analysis.Candidates(occ[si], locH[si], false, nil)
 		next := make([]ir.Instr, 0, len(prepend[si])+len(b.Instrs)+len(appendAtEnd[si]))
 		next = append(next, prepend[si]...)
 		for kk, in := range b.Instrs {
@@ -556,20 +566,12 @@ func (rp *replayer) elimRound(rec *RoundRec) (int, bool) {
 	g, lw := rp.g, rp.u.Len()
 	nr := len(rp.rblocks)
 
+	occ := rp.regionOcc()
 	gen := make([]bitvec.Vec, 0, nr)
 	kill := make([]bitvec.Vec, 0, nr)
-	for _, bi := range rp.rblocks {
-		b := g.Blocks[bi]
+	for si, bi := range rp.rblocks {
 		gv, kv := bitvec.New(lw), bitvec.New(lw)
-		for kk := range b.Instrs {
-			in := &b.Instrs[kk]
-			rp.px.AndNotKill(in, gv)
-			rp.px.OrKill(in, kv)
-			if id, ok := rp.px.OccID(in); ok && !rp.selfRef.Get(id) {
-				gv.Set(id)
-				kv.Clear(id)
-			}
-		}
+		rp.px.BlockTransfer(g.Blocks[bi], occ[si], gv, kv)
 		gen = append(gen, gv)
 		kill = append(kill, kv)
 	}
@@ -652,21 +654,8 @@ func (rp *replayer) elimRound(rec *RoundRec) (int, bool) {
 	for si, bi := range rp.rblocks {
 		b := g.Blocks[bi]
 		avail.CopyFrom(res.In[si])
-		kept := b.Instrs[:0]
-		for kk := range b.Instrs {
-			in := &b.Instrs[kk]
-			id, isOcc := rp.px.OccID(in)
-			if isOcc && avail.Get(id) {
-				removed++
-				continue
-			}
-			rp.px.AndNotKill(in, avail)
-			if isOcc && !rp.selfRef.Get(id) {
-				avail.Set(id)
-			}
-			kept = append(kept, *in)
-		}
-		b.Instrs = normalizeInstrs(kept)
+		removed += rae.EliminateInBlock(b, occ[si], rp.px, avail)
+		b.Instrs = normalizeInstrs(b.Instrs)
 	}
 	return removed, true
 }

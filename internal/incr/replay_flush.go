@@ -5,7 +5,6 @@ import (
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/flush"
-	"assignmentmotion/internal/ir"
 )
 
 // flushReplay replays the final flush phase (§4.4, Table 3) on the dirty
@@ -26,8 +25,8 @@ import (
 // for the clean regions come from the manifest.
 func (rp *replayer) flushReplay() (flush.Stats, bool) {
 	g, man := rp.g, rp.man
-	temps := g.Temps()
-	bits := len(temps)
+	tx := analysis.NewTempIndex(g, nil)
+	bits := len(tx.Temps)
 	if bits != len(man.Temps) {
 		return flush.Stats{}, false
 	}
@@ -35,19 +34,13 @@ func (rp *replayer) flushReplay() (flush.Stats, bool) {
 		// Nothing bound to a temporary: cold flush is the identity.
 		return flush.Stats{}, true
 	}
-	exprs := make([]ir.Term, bits)
 	t2man := make([]int, bits)
 	man2t := constInts(bits, -1)
 	manIdx := make(map[string]int, bits)
 	for mt, k := range man.Temps {
 		manIdx[k] = mt
 	}
-	for t, h := range temps {
-		e, ok := g.TempExpr(h)
-		if !ok {
-			return flush.Stats{}, false
-		}
-		exprs[t] = e
+	for t, e := range tx.Exprs {
 		mt, ok := manIdx[e.Key()]
 		if !ok || man2t[mt] >= 0 {
 			return flush.Stats{}, false
@@ -102,29 +95,18 @@ func (rp *replayer) flushReplay() (flush.Stats, bool) {
 		}
 	}
 
-	// Local predicates (Table 3), exactly as cold flush computes them.
+	// Local predicates (Table 3) from the same temp index cold flush
+	// uses, and the delayability kill USED ∨ BLOCKED.
 	isInst := make([]bitvec.Vec, ni)
 	used := make([]bitvec.Vec, ni)
-	blocked := make([]bitvec.Vec, ni)
+	stop := make([]bitvec.Vec, ni)
 	for si, bi := range rp.rblocks {
 		b := g.Blocks[bi]
 		for kk := range b.Instrs {
 			i := offs[si] + kk
-			isInst[i] = bitvec.New(bits)
-			used[i] = bitvec.New(bits)
-			blocked[i] = bitvec.New(bits)
-			in := &b.Instrs[kk]
-			for t, h := range temps {
-				if analysis.IsInst(in, h, exprs[t]) {
-					isInst[i].Set(t)
-				}
-				if analysis.UsesTemp(in, h) {
-					used[i].Set(t)
-				}
-				if analysis.BlocksInit(in, h, exprs[t]) {
-					blocked[i].Set(t)
-				}
-			}
+			isInst[i], used[i], stop[i] = bitvec.New(bits), bitvec.New(bits), bitvec.New(bits)
+			tx.Locals(&b.Instrs[kk], isInst[i], used[i], stop[i])
+			stop[i].Or(used[i])
 		}
 	}
 
@@ -155,11 +137,7 @@ func (rp *replayer) flushReplay() (flush.Stats, bool) {
 	genD := make([]bitvec.Vec, nD)
 	killD := make([]bitvec.Vec, nD)
 	for i := 0; i < ni; i++ {
-		genD[i] = isInst[i]
-		k := bitvec.New(bits)
-		k.CopyFrom(used[i])
-		k.Or(blocked[i])
-		killD[i] = k
+		genD[i], killD[i] = isInst[i], stop[i]
 	}
 	for c := ni; c < nD; c++ {
 		genD[c], killD[c] = emptyV, emptyV
@@ -319,9 +297,7 @@ func (rp *replayer) flushReplay() (flush.Stats, bool) {
 	scratch := bitvec.New(bits)
 	for i := 0; i < ni; i++ {
 		nl := ndelay[i].Copy()
-		scratch.CopyFrom(used[i])
-		scratch.Or(blocked[i])
-		nl.And(scratch)
+		nl.And(stop[i])
 		nLatest[i] = nl
 
 		xl := xdelay[i].Copy()
@@ -360,59 +336,21 @@ func (rp *replayer) flushReplay() (flush.Stats, bool) {
 		xLatest[i] = xl
 	}
 
-	// Rewrite the region's blocks exactly as cold flush does.
+	// Rewrite the region's blocks through cold flush's own rewrite.
+	facts := flush.Facts{
+		Temps: tx.Temps, Exprs: tx.Exprs,
+		IsInst: isInst, Used: used, XUsable: xusable, NLatest: nLatest, XLatest: xLatest,
+	}
 	var st flush.Stats
 	for si, bi := range rp.rblocks {
 		b := g.Blocks[bi]
-		next := make([]ir.Instr, 0, len(b.Instrs))
-		var appendAfter []ir.Instr
-		for kk, in := range b.Instrs {
-			i := offs[si] + kk
-			for t := 0; t < bits; t++ {
-				if !nLatest[i].Get(t) {
-					continue
-				}
-				usedHere := used[i].Get(t)
-				usedLater := xusable[i].Get(t)
-				switch {
-				case usedLater:
-					next = append(next, ir.NewAssign(temps[t], exprs[t]))
-					st.InsertedInits++
-				case usedHere:
-					if !flush.CanReconstruct(in, temps[t]) {
-						next = append(next, ir.NewAssign(temps[t], exprs[t]))
-						st.InsertedInits++
-					}
-				}
-			}
-			if isInst[i].Any() {
-				st.DroppedInits++
-			} else {
-				out := in
-				for t := 0; t < bits; t++ {
-					if nLatest[i].Get(t) && used[i].Get(t) &&
-						!xusable[i].Get(t) && flush.CanReconstruct(in, temps[t]) {
-						out = flush.Reconstruct(out, temps[t], exprs[t])
-						st.Reconstructed++
-					}
-				}
-				next = append(next, out)
-			}
-			for t := 0; t < bits; t++ {
-				if xLatest[i].Get(t) && xusable[i].Get(t) {
-					appendAfter = append(appendAfter, ir.NewAssign(temps[t], exprs[t]))
-					st.InsertedInits++
-				}
-			}
+		next, ok := facts.RewriteBlock(b, offs[si], &st)
+		if !ok {
+			// Cold flush panics here (edge splitting forbids it); a
+			// replay refuses and lets the cold path decide.
+			return flush.Stats{}, false
 		}
-		if len(appendAfter) > 0 {
-			if _, branch := b.Cond(); branch {
-				// Cold flush panics here (edge splitting forbids it);
-				// a replay refuses and lets the cold path decide.
-				return flush.Stats{}, false
-			}
-		}
-		b.Instrs = normalizeInstrs(append(next, appendAfter...))
+		b.Instrs = normalizeInstrs(next)
 	}
 	return st, true
 }

@@ -130,7 +130,9 @@ func TestExprSetAccessors(t *testing.T) {
 
 func TestPatternSetAccessors(t *testing.T) {
 	u := &PatternSet{}
-	// Zero value is unusable without index; use AssignUniverse instead.
+	if _, ok := u.ID(AssignPattern{LHS: "x", RHS: VarTerm("y")}); ok || u.Len() != 0 {
+		t.Fatal("zero value is not an empty set")
+	}
 	g := NewGraph("p")
 	b := g.AddBlock("a")
 	b.Instrs = []Instr{NewAssign("x", VarTerm("y")), NewAssign("x", VarTerm("y"))}

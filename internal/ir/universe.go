@@ -5,7 +5,7 @@ package ir
 // vectors by the pattern IDs of one PatternSet. AssignPattern is a
 // comparable value type, so the index maps the pattern itself — pattern
 // lookup (the single hottest map operation in the analyses) never
-// materializes a key string.
+// materializes a key string. The zero value is an empty set ready to use.
 type PatternSet struct {
 	pats  []AssignPattern
 	index map[AssignPattern]int
@@ -18,21 +18,7 @@ type PatternSet struct {
 // initialization phase, which materializes those occurrences before any
 // analysis runs.
 func AssignUniverse(g *Graph) *PatternSet {
-	u := &PatternSet{index: map[AssignPattern]int{}}
-	u.AddFrom(g)
-	return u
-}
-
-// AddFrom interns every assignment pattern occurring in g into u, keeping
-// existing IDs stable, and reports whether any new pattern appeared. The
-// motion fixpoints use it to revalidate a cached universe cheaply: aht
-// only re-inserts existing patterns and rae only removes occurrences, so
-// across the rounds of one fixpoint the scan is all map hits and the
-// universe (and the PatternIndex built from it) can be reused. Patterns
-// that no longer occur stay in the set; their bits are simply never set by
-// any local predicate, which is sound for every analysis in this module.
-func (u *PatternSet) AddFrom(g *Graph) bool {
-	before := len(u.pats)
+	u := &PatternSet{}
 	for _, b := range g.Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Kind == KindAssign {
@@ -40,30 +26,17 @@ func (u *PatternSet) AddFrom(g *Graph) bool {
 			}
 		}
 	}
-	return len(u.pats) != before
+	return u
 }
 
-// AddFromBlocks is AddFrom restricted to the given blocks. Callers that
-// know which region of the graph changed (the incremental engine, a
-// motion fixpoint that tracked its own writes) resync the universe in
-// O(changed region) instead of rescanning the whole graph; the contract
-// is that every block outside bs is unchanged since the last sync.
-func (u *PatternSet) AddFromBlocks(bs []*Block) bool {
-	before := len(u.pats)
-	for _, b := range bs {
-		for i := range b.Instrs {
-			if b.Instrs[i].Kind == KindAssign {
-				u.Intern(b.Instrs[i].Pattern())
-			}
-		}
-	}
-	return len(u.pats) != before
-}
-
-// Intern adds p to the universe if absent and returns its dense ID.
+// Intern adds p to the universe if absent and returns its dense ID. IDs
+// are stable: interning never renumbers existing patterns.
 func (u *PatternSet) Intern(p AssignPattern) int {
 	if id, ok := u.index[p]; ok {
 		return id
+	}
+	if u.index == nil {
+		u.index = map[AssignPattern]int{}
 	}
 	id := len(u.pats)
 	u.pats = append(u.pats, p)

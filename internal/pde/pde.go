@@ -62,26 +62,10 @@ type Info struct {
 	NInsert     []bitvec.Vec
 	XInsert     []bitvec.Vec
 
-	// candidates[block][patternID] is the instruction index of the
-	// block's sinking candidate of that pattern.
-	candidates []map[int]int
-}
-
-// sinkCandidateIndex returns the index of the sinking candidate of p in b:
-// the last occurrence of p not followed (within the block) by a blocking
-// instruction. At most one exists, because an occurrence blocks every
-// earlier one.
-func sinkCandidateIndex(b *ir.Block, p *ir.AssignPattern) (int, bool) {
-	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		in := &b.Instrs[i]
-		if analysis.Executed(in, p) {
-			return i, true
-		}
-		if analysis.BlocksPattern(in, p) {
-			return 0, false
-		}
-	}
-	return 0, false
+	// occ is the pattern ID of every instruction of the analyzed graph.
+	// A block's sinking candidate of a LOC-SINKABLE pattern is the
+	// pattern's last occurrence there (analysis.Candidates).
+	occ *analysis.Occurrences
 }
 
 // Analyze computes the sinkability analysis and insertion points for g.
@@ -90,22 +74,24 @@ func Analyze(g *ir.Graph) *Info {
 }
 
 // AnalyzeWith is Analyze with the solver work tallied into session s (nil
-// for the untallied path). The pattern universe is always built fresh —
-// sinking inserts instances in universe order, so reusing a session
-// universe with stale entries could perturb the output relative to a
-// standalone pde run.
+// for the untallied path) and all vectors carved from its arena: the
+// result must be consumed before the arena is released. The pattern
+// universe is always built fresh — sinking inserts instances in universe
+// order, so reusing a session universe with stale entries could perturb
+// the output relative to a standalone pde run.
 func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
-	u := ir.AssignUniverse(g)
-	px := analysis.NewPatternIndex(u)
+	var fresh *analysis.Session
+	u, px, occ := fresh.Universe(g)
+	ar := s.Arena()
 	n, bits := len(g.Blocks), u.Len()
 	info := &Info{
 		U:           u,
-		LocSinkable: make([]bitvec.Vec, n),
-		LocBlocked:  make([]bitvec.Vec, n),
-		candidates:  make([]map[int]int, n),
+		LocSinkable: ar.Vecs(n),
+		LocBlocked:  ar.Vecs(n),
+		occ:         occ,
 	}
 	for i, b := range g.Blocks {
-		info.LocSinkable[i], info.LocBlocked[i], info.candidates[i] = px.BlockLocalsReverse(b)
+		info.LocSinkable[i], info.LocBlocked[i] = px.BlockLocalsReverse(b, occ.Block(i), ar)
 	}
 
 	entry := int(g.Entry)
@@ -113,6 +99,7 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
 		Preds:   func(i int) []int { return nodeIDs(g.Blocks[i].Preds) },
 		Succs:   func(i int) []int { return nodeIDs(g.Blocks[i].Succs) },
+		Arena:   ar,
 		Stats:   s.DataflowStats(),
 		Workers: s.SolverWorkersFor(n),
 		// Forward: solver "in" is the fact at the block entry
@@ -129,17 +116,19 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	info.NSinkable = res.In
 	info.XSinkable = res.Out
 
-	info.NInsert = make([]bitvec.Vec, n)
-	info.XInsert = make([]bitvec.Vec, n)
-	full := bitvec.NewFull(bits)
+	info.NInsert = ar.Vecs(n)
+	info.XInsert = ar.Vecs(n)
+	frontier, full := ar.Vec(bits), ar.Vec(bits)
+	full.SetAll()
 	for i, b := range g.Blocks {
-		ni := info.NSinkable[i].Copy()
-		ni.And(info.LocBlocked[i])
+		ni := ar.Vec(bits)
+		ni.CopyAnd(info.NSinkable[i], info.LocBlocked[i])
 		info.NInsert[i] = ni
 
-		xi := info.XSinkable[i].Copy()
+		xi := ar.Vec(bits)
+		xi.CopyFrom(info.XSinkable[i])
 		if b.ID != g.Exit {
-			frontier := bitvec.New(bits)
+			frontier.ClearAll()
 			for _, m := range b.Succs {
 				// frontier ∨= ¬N-SINKABLE without materializing the
 				// complement.
@@ -168,8 +157,12 @@ func Sink(g *ir.Graph) bool {
 	return SinkWith(g, nil)
 }
 
-// SinkWith is Sink with the analysis work tallied into session s.
+// SinkWith is Sink with the analysis work tallied into session s and its
+// storage drawn from the session's arena, rewound before returning.
 func SinkWith(g *ir.Graph, s *analysis.Session) bool {
+	ar := s.Arena()
+	m := ar.Mark()
+	defer ar.Release(m)
 	before := g.Encode()
 	info := AnalyzeWith(g, s)
 
@@ -200,14 +193,11 @@ func SinkWith(g *ir.Graph, s *analysis.Session) bool {
 	}
 
 	for i, b := range g.Blocks {
-		drop := map[int]bool{}
-		info.LocSinkable[i].ForEach(func(id int) {
-			drop[info.candidates[i][id]] = true
-		})
+		drop := analysis.Candidates(info.occ.Block(i), info.LocSinkable[i], true, ar)
 		next := make([]ir.Instr, 0, len(prepend[i])+len(b.Instrs)+len(appendAtEnd[i]))
 		next = append(next, prepend[i]...)
 		for k, in := range b.Instrs {
-			if !drop[k] {
+			if !drop.Get(k) {
 				next = append(next, in)
 			}
 		}

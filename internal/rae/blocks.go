@@ -45,7 +45,7 @@ func EliminateBlocksWith(g *ir.Graph, s *analysis.Session) int {
 // session arena and must be copied, not retained; onDone fires after
 // the removal walk with per-block removal counts.
 func EliminateBlocksObservedWith(g *ir.Graph, s *analysis.Session, onSolve func(px *analysis.PatternIndex, availIn, availOut []bitvec.Vec), onDone func(removedByBlock []int)) int {
-	u, px := s.Universe(g)
+	u, px, occ := s.Universe(g)
 	n, bits := len(g.Blocks), u.Len()
 	if bits == 0 {
 		return 0
@@ -54,22 +54,13 @@ func EliminateBlocksObservedWith(g *ir.Graph, s *analysis.Session, onSolve func(
 	mark := ar.Mark()
 	defer ar.Release(mark)
 	bv := s.Blocks(g)
-	selfRef := px.SelfRef()
 
 	gen := ar.Vecs(n)
 	kill := ar.Vecs(n)
 	for i, b := range g.Blocks {
 		gen[i] = ar.Vec(bits)
 		kill[i] = ar.Vec(bits)
-		for k := range b.Instrs {
-			in := &b.Instrs[k]
-			px.AndNotKill(in, gen[i])
-			px.OrKill(in, kill[i])
-			if id, ok := px.OccID(in); ok && !selfRef.Get(id) {
-				gen[i].Set(id)
-				kill[i].Clear(id)
-			}
-		}
+		px.BlockTransfer(b, occ.Block(i), gen[i], kill[i])
 	}
 
 	entry := int(g.Entry)
@@ -102,30 +93,43 @@ func EliminateBlocksObservedWith(g *ir.Graph, s *analysis.Session, onSolve func(
 	avail := ar.Vec(bits)
 	for i, b := range g.Blocks {
 		avail.CopyFrom(res.In[i])
-		kept := b.Instrs[:0]
-		for k := range b.Instrs {
-			in := &b.Instrs[k]
-			id, isOcc := px.OccID(in)
-			if isOcc && avail.Get(id) {
-				removed++
-				if removedByBlock != nil {
-					removedByBlock[i]++
-				}
-				// The removed occurrence was redundant: the association
-				// already holds, so availability is unchanged.
-				continue
-			}
-			px.AndNotKill(in, avail)
-			if isOcc && !selfRef.Get(id) {
-				avail.Set(id)
-			}
-			kept = append(kept, *in)
+		r := EliminateInBlock(b, occ.Block(i), px, avail)
+		removed += r
+		if removedByBlock != nil {
+			removedByBlock[i] = r
 		}
-		b.Instrs = kept
 	}
 	g.Normalize()
 	if onDone != nil {
 		onDone(removedByBlock)
 	}
+	return removed
+}
+
+// EliminateInBlock is the removal walk of block-level elimination: given
+// avail, the availability at b's entry, and ids, the pattern IDs of b's
+// instructions, it removes every occurrence whose pattern is available
+// where it executes and returns how many it removed. avail is updated in
+// place to the availability at b's exit. The caller re-normalizes.
+func EliminateInBlock(b *ir.Block, ids []int, px *analysis.PatternIndex, avail bitvec.Vec) int {
+	selfRef := px.SelfRef()
+	removed := 0
+	kept := b.Instrs[:0]
+	for k := range b.Instrs {
+		in := &b.Instrs[k]
+		id := ids[k]
+		if id >= 0 && avail.Get(id) {
+			// The removed occurrence was redundant: the association
+			// already holds, so availability is unchanged.
+			removed++
+			continue
+		}
+		px.AndNotKill(in, avail)
+		if id >= 0 && !selfRef.Get(id) {
+			avail.Set(id)
+		}
+		kept = append(kept, *in)
+	}
+	b.Instrs = kept
 	return removed
 }

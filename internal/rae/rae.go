@@ -35,6 +35,8 @@ type Info struct {
 	// (global index in Prog); XRedundant[i] at its exit.
 	NRedundant []bitvec.Vec
 	XRedundant []bitvec.Vec
+
+	ids []int // pattern ID per instruction (Prog order), -1 for none
 }
 
 // Analyze computes the redundancy analysis for g.
@@ -47,9 +49,10 @@ func Analyze(g *ir.Graph) *Info {
 // session's arena and must be consumed before the arena is released.
 func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	prog := analysis.NewProg(g)
-	u, px := s.Universe(g)
+	u, px, occ := s.Universe(g)
 	ar := s.Arena()
 	n, bits := prog.Len(), u.Len()
+	ids := occ.All() // Prog order
 
 	// Dense gen/kill form: GEN is the occurrence's own pattern (unless
 	// self-referential) as a shared singleton vector, KILL the index's
@@ -64,7 +67,7 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 		in := &prog.Ins[i]
 		kill[i] = px.KillVec(in)
 		gen[i] = px.Empty()
-		if id, ok := px.OccID(in); ok && !selfRef.Get(id) {
+		if id := ids[i]; id >= 0 && !selfRef.Get(id) {
 			gen[i] = px.GenVec(id)
 		}
 	}
@@ -88,7 +91,7 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 			}
 		},
 	})
-	return &Info{Prog: prog, U: u, NRedundant: res.In, XRedundant: res.Out}
+	return &Info{Prog: prog, U: u, NRedundant: res.In, XRedundant: res.Out, ids: ids}
 }
 
 func init() {
@@ -130,15 +133,8 @@ func EliminateMaskedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPa
 	for _, b := range g.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			drop := false
-			if in.Kind == ir.KindAssign {
-				p := in.Pattern()
-				if id, ok := info.U.ID(p); ok && info.NRedundant[idx].Get(id) &&
-					(mask == nil || mask(p)) {
-					drop = true
-				}
-			}
-			if drop {
+			id := info.ids[idx]
+			if id >= 0 && info.NRedundant[idx].Get(id) && (mask == nil || mask(info.U.Pattern(id))) {
 				removed++
 			} else {
 				kept = append(kept, in)

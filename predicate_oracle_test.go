@@ -1,0 +1,267 @@
+package assignmentmotion
+
+// The local-predicate oracle. The analyses build the local predicates of
+// Tables 1–3 from per-variable indexes (analysis.PatternIndex,
+// analysis.TempIndex) and the session's per-instruction occurrence table;
+// the pairwise definitions in internal/analysis/predicates.go stay the
+// reference. This test checks every (instruction, pattern) and
+// (instruction, temporary) pair, and every hoisting and sinking candidate
+// position, on the fg and fun corpora, a hand-built graph of the corner
+// cases, and a cfggen sweep — on each graph as given, after the
+// assignment motion phase (the graphs flush runs on), and after emcp and
+// gvn-emcp, whose temporaries occur inside other temporaries'
+// expressions.
+
+import (
+	"fmt"
+	"testing"
+
+	"assignmentmotion/internal/aht"
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
+	"assignmentmotion/internal/cfggen"
+	"assignmentmotion/internal/corpus"
+	"assignmentmotion/internal/flush"
+	"assignmentmotion/internal/ir"
+	"assignmentmotion/internal/pass"
+)
+
+func TestDifferentialLocalPredicates(t *testing.T) {
+	type input struct {
+		name string
+		g    *ir.Graph
+	}
+	inputs := []input{{"cases", predicateCases()}}
+	for _, n := range corpus.Names() {
+		inputs = append(inputs, input{"fg/" + n, corpus.Load(n)})
+	}
+	for _, n := range corpus.FunNames() {
+		inputs = append(inputs, input{"fun/" + n, corpus.LoadFun(n)})
+	}
+	sizes := []int{6, 12, 20, 40, 80, 200}
+	if testing.Short() {
+		sizes = []int{6, 20}
+	}
+	for _, size := range sizes {
+		seeds := 3
+		if size >= 80 {
+			seeds = 1
+		}
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			inputs = append(inputs,
+				input{fmt.Sprintf("structured%d/seed%d", size, seed), cfggen.Structured(seed, cfggen.Config{Size: size})},
+				input{fmt.Sprintf("unstructured%d/seed%d", size, seed), cfggen.Unstructured(seed, cfggen.Config{Size: size})})
+		}
+	}
+	stages := []struct {
+		name   string
+		passes []string
+	}{
+		{"given", nil},
+		{"am", []string{"init", "am"}},
+		{"emcp", []string{"emcp"}},
+		{"gvn-emcp", []string{"gvn-emcp"}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			for _, st := range stages {
+				g := in.g.Clone()
+				if st.passes != nil {
+					pl, err := pass.FromNames(st.passes...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := pl.Run(g); err != nil {
+						t.Fatalf("after %s: %v", st.name, err)
+					}
+				}
+				checkLocalPredicates(t, "after "+st.name, g)
+			}
+		})
+	}
+}
+
+// predicateCases is a graph built directly in post-initialization form
+// (the parser rejects temporary names) that holds the corner cases of the
+// indexed predicates: a self-referential x := x + 1, an expression a + a
+// reading one variable twice, a temporary whose expression reads another
+// temporary, an assignment to a temporary that is not an instance,
+// out(h), and temporaries and pattern left-hand sides read on both sides
+// of branch conditions.
+func predicateCases() *ir.Graph {
+	x, a, b := ir.VarOp("x"), ir.VarOp("a"), ir.VarOp("b")
+	aa := ir.BinTerm(ir.OpAdd, a, a)
+	x1 := ir.BinTerm(ir.OpAdd, x, ir.ConstOp(1))
+	h0b := ir.BinTerm(ir.OpMul, ir.VarOp("h0"), b)
+	g := ir.NewGraph("cases")
+	g.RegisterTemp("h0", aa)
+	g.RegisterTemp("h1", x1)
+	g.RegisterTemp("h2", h0b)
+	blocks := map[string]*ir.Block{}
+	block := func(name string, instrs ...ir.Instr) {
+		blocks[name] = g.AddBlock(name)
+		blocks[name].Instrs = instrs
+	}
+	block("start", ir.NewAssign("x", ir.ConstTerm(0)))
+	block("s",
+		ir.NewAssign("h0", aa),
+		ir.NewAssign("y", ir.VarTerm("h0")),
+		ir.NewAssign("x", x1),
+		ir.NewAssign("x", x1),
+		ir.NewAssign("h1", x1),
+		ir.NewCond(ir.OpLT, ir.VarTerm("h0"), ir.VarTerm("x")))
+	block("l",
+		ir.NewAssign("h2", h0b),
+		ir.NewOut(ir.VarOp("h2"), x),
+		ir.NewAssign("a", ir.VarTerm("h1")),
+		ir.NewAssign("h0", aa),
+		ir.NewAssign("h0", ir.ConstTerm(7)))
+	block("r",
+		ir.NewAssign("h0", aa),
+		ir.NewAssign("h0", aa),
+		ir.NewOut(ir.VarOp("h0")),
+		ir.NewAssign("b", x1))
+	block("j",
+		ir.NewAssign("y", aa),
+		ir.NewCond(ir.OpGE, h0b, ir.VarTerm("y")))
+	block("back", ir.NewAssign("x", ir.VarTerm("y")))
+	block("e", ir.NewOut(x, ir.VarOp("y"), ir.VarOp("h1")))
+	for _, e := range [][2]string{{"start", "s"}, {"s", "l"}, {"s", "r"}, {"l", "j"}, {"r", "j"},
+		{"j", "back"}, {"j", "e"}, {"back", "s"}} {
+		g.AddEdge(blocks[e[0]].ID, blocks[e[1]].ID)
+	}
+	g.Entry, g.Exit = blocks["start"].ID, blocks["e"].ID
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// checkLocalPredicates compares every indexed local predicate of g with
+// its pairwise reference definition.
+func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: "+format, append([]any{label}, args...)...)
+	}
+	s := analysis.NewSession()
+	defer s.Close()
+	u, px, occ := s.Universe(g)
+	if ref := ir.AssignUniverse(g); ref.Len() != u.Len() {
+		fail("session universe has %d patterns, the graph %d", u.Len(), ref.Len())
+	}
+	bits := u.Len()
+	hoist := aht.AnalyzeWith(g, s)
+	prog := analysis.NewProg(g)
+
+	for i, b := range g.Blocks {
+		ids := occ.Block(i)
+		if len(ids) != len(b.Instrs) {
+			fail("block %s: %d occurrence entries for %d instructions", b.Name, len(ids), len(b.Instrs))
+		}
+		for k := range b.Instrs {
+			in := &b.Instrs[k]
+			if all := occ.All()[prog.Index(analysis.Point{Block: b.ID, Index: k})]; all != ids[k] {
+				fail("%v: Prog-order occurrence %d, block-order %d", *in, all, ids[k])
+			}
+			blocked := bitvec.New(bits)
+			px.OrBlocked(in, blocked)
+			kill := px.KillVec(in)
+			for id := 0; id < bits; id++ {
+				p := u.PatternAt(id)
+				if analysis.Executed(in, p) != (ids[k] == id) {
+					fail("%v: occurrence ID %d, pattern %d (%v)", *in, ids[k], id, *p)
+				}
+				if kill.Get(id) == analysis.AssTransp(in, p) { // Table 2
+					fail("%v: kill bit of %v is %v", *in, *p, kill.Get(id))
+				}
+				if blocked.Get(id) != analysis.BlocksPattern(in, p) {
+					fail("%v: blocked bit of %v is %v", *in, *p, blocked.Get(id))
+				}
+			}
+		}
+
+		// Table 1, as aht solves it, and the hoisting candidates at the
+		// first occurrence.
+		locH, locB := hoist.LocHoistable[i], hoist.LocBlocked[i]
+		cands := analysis.Candidates(ids, locH, false, nil)
+		locS, locBR := px.BlockLocalsReverse(b, ids, nil)
+		sinks := analysis.Candidates(ids, locS, true, nil)
+		if !locBR.Equal(locB) {
+			fail("block %s: forward and reverse LOC-BLOCKED differ", b.Name)
+		}
+		gen, kill := bitvec.New(bits), bitvec.New(bits)
+		px.BlockTransfer(b, ids, gen, kill)
+		for id := 0; id < bits; id++ {
+			p := u.PatternAt(id)
+			if locB.Get(id) != analysis.LocBlocked(b, p) {
+				fail("block %s: LOC-BLOCKED of %v is %v", b.Name, *p, locB.Get(id))
+			}
+			k, ok := analysis.CandidateIndex(b, p)
+			if locH.Get(id) != ok || (ok && !cands.Get(k)) {
+				fail("block %s: hoisting candidate of %v: want %d/%v", b.Name, *p, k, ok)
+			}
+			k, ok = sinkCandidate(b, p)
+			if locS.Get(id) != ok || (ok && !sinks.Get(k)) {
+				fail("block %s: sinking candidate of %v: want %d/%v", b.Name, *p, k, ok)
+			}
+			rg, rk := blockTransfer(b, p)
+			if gen.Get(id) != rg || kill.Get(id) != rk {
+				fail("block %s: gen/kill of %v are %v/%v, want %v/%v", b.Name, *p, gen.Get(id), kill.Get(id), rg, rk)
+			}
+		}
+		if cands.PopCount() != locH.PopCount() || sinks.PopCount() != locS.PopCount() {
+			fail("block %s: candidate count differs from LOC-HOISTABLE/LOC-SINKABLE", b.Name)
+		}
+	}
+
+	// Table 3, as flush computes it.
+	info := flush.AnalyzeWith(g, s)
+	for i := range prog.Ins {
+		in := &prog.Ins[i]
+		for t, h := range info.Temps {
+			e := info.Exprs[t]
+			if info.IsInst[i].Get(t) != analysis.IsInst(in, h, e) {
+				fail("%v: IS-INST of %s is %v", *in, h, info.IsInst[i].Get(t))
+			}
+			if info.Used[i].Get(t) != analysis.UsesTemp(in, h) {
+				fail("%v: USED of %s is %v", *in, h, info.Used[i].Get(t))
+			}
+			if info.Blocked[i].Get(t) != analysis.BlocksInit(in, h, e) {
+				fail("%v: BLOCKED of %s := %v is %v", *in, h, e, info.Blocked[i].Get(t))
+			}
+		}
+	}
+}
+
+// sinkCandidate is the reference sinking candidate: the last occurrence of
+// p in b not followed by a blocker.
+func sinkCandidate(b *ir.Block, p *ir.AssignPattern) (int, bool) {
+	for k := len(b.Instrs) - 1; k >= 0; k-- {
+		if analysis.Executed(&b.Instrs[k], p) {
+			return k, true
+		}
+		if analysis.BlocksPattern(&b.Instrs[k], p) {
+			return 0, false
+		}
+	}
+	return 0, false
+}
+
+// blockTransfer is the reference block-level composition of Table 2:
+// whether p's association holds at b's exit whenever b generated it
+// (gen), and whether b destroys an association holding at its entry
+// (kill). A self-referential occurrence never generates (Table 2's side
+// condition).
+func blockTransfer(b *ir.Block, p *ir.AssignPattern) (gen, kill bool) {
+	for k := range b.Instrs {
+		in := &b.Instrs[k]
+		occ := analysis.Executed(in, p) && !p.SelfReferential()
+		transp := analysis.AssTransp(in, p)
+		gen = occ || (gen && transp)
+		kill = !occ && (kill || !transp)
+	}
+	return gen, kill
+}
