@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"assignmentmotion/internal/aht"
@@ -357,91 +356,6 @@ func BenchmarkBatchColdVsWarmCache(b *testing.B) {
 				b.Fatalf("warm run: %+v", rep)
 			}
 		}
-	})
-}
-
-// benchIncrDiamond builds a chain of nd branch diamonds (4nd+2 blocks)
-// whose per-diamond patterns are permanently blocked at the branch, so a
-// one-block edit stays inside its region — the workload of experiment E3.
-// edit < 0 yields the base program; otherwise diamond `edit` gets an
-// interface-preserving one-assignment change.
-func benchIncrDiamond(nd, edit int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "graph diamonds {\n  entry s0\n  exit done\n")
-	fmt.Fprintf(&sb, "  block s0 {\n    pre := u + v\n    goto d0\n  }\n")
-	for i := 0; i < nd; i++ {
-		fmt.Fprintf(&sb, "  block d%d {\n    if u + v < 7 then a%d else b%d\n  }\n", i, i, i)
-		armY := fmt.Sprintf("y%d := p + q", i)
-		if i == edit {
-			armY = fmt.Sprintf("y%d := x%d", i, i)
-		}
-		fmt.Fprintf(&sb, "  block a%d {\n    x%d := p + q\n    %s\n    goto j%d\n  }\n", i, i, armY, i)
-		fmt.Fprintf(&sb, "  block b%d {\n    z%d := p - q\n    goto j%d\n  }\n", i, i, i)
-		next := fmt.Sprintf("d%d", i+1)
-		if i == nd-1 {
-			next = "done"
-		}
-		fmt.Fprintf(&sb, "  block j%d {\n    w%d := x%d\n    goto %s\n  }\n", i, i, i, next)
-	}
-	fmt.Fprintf(&sb, "  block done { out(u) }\n}\n")
-	return sb.String()
-}
-
-// BenchmarkIncrementalEdit is experiment E3: a one-block edit on a
-// 4002-block program, re-optimized cold (no cache) vs warm through the
-// region tier of an incremental engine that has already seen the base
-// program. The warm row replays every clean region from its recorded
-// artifact and re-runs only the single dirty region; the acceptance
-// criterion for the region tier is warm <= 20% of cold wall with >= 90%
-// of regions reused. Each warm iteration records the base on a fresh
-// engine outside the timer so the timed section is exactly one warm
-// re-optimization (run with -benchtime Nx: the untimed re-recording
-// makes time-based benchtime expensive).
-func BenchmarkIncrementalEdit(b *testing.B) {
-	const nd = 1000 // 4*1000+2 = 4002 blocks
-	base, err := parse.Parse(benchIncrDiamond(nd, -1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	edited, err := parse.Parse(benchIncrDiamond(nd, 500))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-
-	b.Run("cold", func(b *testing.B) {
-		e := engine.New(engine.Options{CacheSize: -1})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if r := e.Optimize(ctx, edited); r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-		b.ReportMetric(float64(len(edited.Blocks)), "blocks")
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		var total, reused int
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e := engine.New(engine.Options{Incremental: true})
-			if r := e.Optimize(ctx, base); r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			b.StartTimer()
-			r := e.Optimize(ctx, edited)
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			if r.CacheTier != "region" {
-				b.Fatalf("edit was not served by the region tier (tier=%q)", r.CacheTier)
-			}
-			total, reused = r.RegionsTotal, r.RegionsReused
-		}
-		b.ReportMetric(float64(len(edited.Blocks)), "blocks")
-		b.ReportMetric(float64(total), "regions")
-		b.ReportMetric(float64(reused), "reused")
 	})
 }
 

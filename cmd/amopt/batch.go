@@ -81,7 +81,6 @@ type batchConfig struct {
 	timeout  time.Duration
 	verify   int
 	stats    bool
-	incr     bool
 	json     bool
 	dot      bool
 	run      string
@@ -90,41 +89,35 @@ type batchConfig struct {
 }
 
 type batchGraphJSON struct {
-	Name              string   `json:"name"`
-	File              string   `json:"file"`
-	Outcome           string   `json:"outcome"`
-	Error             string   `json:"error,omitempty"`
-	Failures          []string `json:"failures,omitempty"`
-	CacheHit          bool     `json:"cacheHit"`
-	CacheTier         string   `json:"cacheTier,omitempty"`
-	RegionsTotal      int      `json:"regionsTotal,omitempty"`
-	RegionsReused     int      `json:"regionsReused,omitempty"`
-	RegionsRecomputed int      `json:"regionsRecomputed,omitempty"`
-	AMIterations      int      `json:"amIterations"`
-	Wall              string   `json:"wall"`
-	Verified          int      `json:"verifiedInputs,omitempty"`
-	Program           string   `json:"program,omitempty"`
+	Name         string   `json:"name"`
+	File         string   `json:"file"`
+	Outcome      string   `json:"outcome"`
+	Error        string   `json:"error,omitempty"`
+	Failures     []string `json:"failures,omitempty"`
+	CacheHit     bool     `json:"cacheHit"`
+	CacheTier    string   `json:"cacheTier,omitempty"`
+	AMIterations int      `json:"amIterations"`
+	Wall         string   `json:"wall"`
+	Verified     int      `json:"verifiedInputs,omitempty"`
+	Program      string   `json:"program,omitempty"`
 }
 
 type batchJSON struct {
-	Passes            []assignmentmotion.BatchPassAggregate `json:"passes,omitempty"`
-	Graphs            int                                   `json:"graphs"`
-	Succeeded         int                                   `json:"succeeded"`
-	Degraded          int                                   `json:"degraded"`
-	Failed            int                                   `json:"failed"`
-	CacheHits         int                                   `json:"cacheHits"`
-	CacheMisses       int                                   `json:"cacheMisses"`
-	RegionHits        int                                   `json:"regionHits,omitempty"`
-	RegionsReused     int                                   `json:"regionsReused,omitempty"`
-	RegionsRecomputed int                                   `json:"regionsRecomputed,omitempty"`
-	Parallelism       int                                   `json:"parallelism"`
-	Wall              string                                `json:"wall"`
-	PhaseInit         string                                `json:"phaseInit"`
-	PhaseAM           string                                `json:"phaseAm"`
-	PhaseFlush        string                                `json:"phaseFlush"`
-	AMIterations      int                                   `json:"amIterations"`
-	MaxAMIters        int                                   `json:"maxAmIterations"`
-	Results           []batchGraphJSON                      `json:"results"`
+	Passes       []assignmentmotion.BatchPassAggregate `json:"passes,omitempty"`
+	Graphs       int                                   `json:"graphs"`
+	Succeeded    int                                   `json:"succeeded"`
+	Degraded     int                                   `json:"degraded"`
+	Failed       int                                   `json:"failed"`
+	CacheHits    int                                   `json:"cacheHits"`
+	CacheMisses  int                                   `json:"cacheMisses"`
+	Parallelism  int                                   `json:"parallelism"`
+	Wall         string                                `json:"wall"`
+	PhaseInit    string                                `json:"phaseInit"`
+	PhaseAM      string                                `json:"phaseAm"`
+	PhaseFlush   string                                `json:"phaseFlush"`
+	AMIterations int                                   `json:"amIterations"`
+	MaxAMIters   int                                   `json:"maxAmIterations"`
+	Results      []batchGraphJSON                      `json:"results"`
 }
 
 func runBatch(files []string, cfg batchConfig, out io.Writer) error {
@@ -178,7 +171,6 @@ func runBatch(files []string, cfg batchConfig, out io.Writer) error {
 		Timeout:     cfg.timeout,
 		Passes:      pipeline,
 		Recovery:    cfg.recovery,
-		Incremental: cfg.incr,
 	}
 	if cfg.trace && !cfg.json {
 		// Workers report concurrently; serialize the trace lines.
@@ -214,37 +206,31 @@ func runBatch(files []string, cfg batchConfig, out io.Writer) error {
 
 	if cfg.json {
 		j := batchJSON{
-			Graphs:            rep.Graphs,
-			Succeeded:         rep.Succeeded,
-			Degraded:          rep.Degraded,
-			Failed:            rep.Failed,
-			CacheHits:         rep.CacheHits,
-			CacheMisses:       rep.CacheMisses,
-			RegionHits:        rep.RegionHits,
-			RegionsReused:     rep.RegionsReused,
-			RegionsRecomputed: rep.RegionsRecomputed,
-			Parallelism:       rep.Parallelism,
-			Wall:              rep.Wall.String(),
-			PhaseInit:         rep.Phase.Init.String(),
-			PhaseAM:           rep.Phase.AM.String(),
-			PhaseFlush:        rep.Phase.Flush.String(),
-			AMIterations:      rep.AMIterations,
-			MaxAMIters:        rep.MaxAMIterations,
-			Passes:            rep.Passes,
+			Graphs:       rep.Graphs,
+			Succeeded:    rep.Succeeded,
+			Degraded:     rep.Degraded,
+			Failed:       rep.Failed,
+			CacheHits:    rep.CacheHits,
+			CacheMisses:  rep.CacheMisses,
+			Parallelism:  rep.Parallelism,
+			Wall:         rep.Wall.String(),
+			PhaseInit:    rep.Phase.Init.String(),
+			PhaseAM:      rep.Phase.AM.String(),
+			PhaseFlush:   rep.Phase.Flush.String(),
+			AMIterations: rep.AMIterations,
+			MaxAMIters:   rep.MaxAMIterations,
+			Passes:       rep.Passes,
 		}
 		for i, r := range rep.Results {
 			gj := batchGraphJSON{
-				Name:              r.Name,
-				File:              files[i],
-				Outcome:           string(r.Outcome),
-				CacheHit:          r.CacheHit,
-				CacheTier:         r.CacheTier,
-				RegionsTotal:      r.RegionsTotal,
-				RegionsReused:     r.RegionsReused,
-				RegionsRecomputed: r.RegionsRecomputed,
-				AMIterations:      r.Result.AM.Iterations,
-				Wall:              r.Timings.Total.String(),
-				Verified:          verified[i],
+				Name:         r.Name,
+				File:         files[i],
+				Outcome:      string(r.Outcome),
+				CacheHit:     r.CacheHit,
+				CacheTier:    r.CacheTier,
+				AMIterations: r.Result.AM.Iterations,
+				Wall:         r.Timings.Total.String(),
+				Verified:     verified[i],
 			}
 			for _, f := range r.Failures {
 				gj.Failures = append(gj.Failures, f.Error())
@@ -272,9 +258,6 @@ func runBatch(files []string, cfg batchConfig, out io.Writer) error {
 			cache := "miss"
 			if r.CacheHit {
 				cache = "hit"
-				if r.CacheTier == "region" {
-					cache = fmt.Sprintf("region(%d/%d reused)", r.RegionsReused, r.RegionsTotal)
-				}
 			}
 			fmt.Fprintf(out, "# %-24s %-40s %s wall=%v am-iters=%d cache=%s\n",
 				r.Name, files[i], status, r.Timings.Total.Round(time.Microsecond), r.Result.AM.Iterations, cache)
@@ -290,10 +273,6 @@ func runBatch(files []string, cfg batchConfig, out io.Writer) error {
 					a.Pass, a.Runs, a.Changes, a.Iterations, a.Wall.Round(time.Microsecond),
 					a.Dataflow.Solves, a.Dataflow.Visits, a.Dataflow.Sweeps,
 					a.Arena.Words, a.Arena.Ints, a.Arena.Vecs)
-			}
-			if cfg.incr {
-				fmt.Fprintf(out, "# incr: %d region hits, %d regions reused, %d re-optimized\n",
-					rep.RegionHits, rep.RegionsReused, rep.RegionsRecomputed)
 			}
 			fmt.Fprintf(out, "# am iterations: total=%d max=%d\n", rep.AMIterations, rep.MaxAMIterations)
 			fmt.Fprintf(out, "# wall: %v\n", rep.Wall.Round(time.Microsecond))

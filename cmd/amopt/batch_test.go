@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 
 	"assignmentmotion"
 	"os"
@@ -218,78 +217,5 @@ func TestExitCodePrecedence(t *testing.T) {
 					tc.failed, tc.degraded, code, tc.want)
 			}
 		})
-	}
-}
-
-// diamondFG builds the region-contained diamond family (see
-// internal/incr) so the -incr-stats flow can be driven end-to-end from
-// the CLI: base first, then a variant edited inside one region.
-func diamondFG(nd, edit int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph diamonds {\n  entry s0\n  exit done\n")
-	fmt.Fprintf(&b, "  block s0 {\n    pre := u + v\n    goto d0\n  }\n")
-	for i := 0; i < nd; i++ {
-		fmt.Fprintf(&b, "  block d%d {\n    if u + v < 7 then a%d else b%d\n  }\n", i, i, i)
-		armY := fmt.Sprintf("y%d := p + q", i)
-		if i == edit {
-			armY = fmt.Sprintf("y%d := x%d", i, i)
-		}
-		fmt.Fprintf(&b, "  block a%d {\n    x%d := p + q\n    %s\n    goto j%d\n  }\n", i, i, armY, i)
-		fmt.Fprintf(&b, "  block b%d {\n    z%d := p - q\n    goto j%d\n  }\n", i, i, i)
-		next := fmt.Sprintf("d%d", i+1)
-		if i == nd-1 {
-			next = "done"
-		}
-		fmt.Fprintf(&b, "  block j%d {\n    w%d := x%d\n    goto %s\n  }\n", i, i, i, next)
-	}
-	fmt.Fprintf(&b, "  block done { out(u) }\n}\n")
-	return b.String()
-}
-
-func TestBatchIncrStats(t *testing.T) {
-	dir := t.TempDir()
-	// Names sort base first; -parallel 1 keeps that order, so the edited
-	// variant finds the base's recording.
-	if err := os.WriteFile(filepath.Join(dir, "a_base.fg"), []byte(diamondFG(30, -1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "b_edit.fg"), []byte(diamondFG(30, 12)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := runCLI(t, "-stats", "-incr-stats", "-parallel", "1", "-verify", "4", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "cache=region") {
-		t.Errorf("edited file not served by the region tier:\n%s", out)
-	}
-	if !strings.Contains(out, "# incr: 1 region hits") {
-		t.Errorf("missing incr summary line:\n%s", out)
-	}
-
-	// The same corpus through -json carries the region accounting.
-	jout, err := runCLI(t, "-json", "-incr-stats", "-parallel", "1", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep batchJSON
-	if err := json.Unmarshal([]byte(jout), &rep); err != nil {
-		t.Fatalf("bad -json output: %v", err)
-	}
-	if rep.RegionHits != 1 || rep.RegionsRecomputed != 1 || rep.RegionsReused < 2 {
-		t.Errorf("json region accounting: hits=%d reused=%d recomputed=%d",
-			rep.RegionHits, rep.RegionsReused, rep.RegionsRecomputed)
-	}
-	var tierSeen bool
-	for _, r := range rep.Results {
-		if r.CacheTier == "region" {
-			tierSeen = true
-			if r.RegionsTotal < 3 || r.RegionsReused != r.RegionsTotal-1 {
-				t.Errorf("per-graph region accounting: %+v", r)
-			}
-		}
-	}
-	if !tierSeen {
-		t.Error("-json results carry no region-tier hit")
 	}
 }

@@ -46,12 +46,6 @@
 //	-parallel N                  worker goroutines (0 = GOMAXPROCS)
 //	-timeout D                   per-graph deadline, e.g. 500ms
 //	-stats                       print the aggregated batch report
-//	-incr-stats                  enable region-granular incremental
-//	                             re-optimization across the batch and
-//	                             report region reuse (a later file that
-//	                             edits an earlier one inside a single
-//	                             region replays only that region; use
-//	                             -parallel 1 so bases precede edits)
 //
 // Failure handling:
 //
@@ -168,7 +162,6 @@ func run(args []string, out io.Writer) error {
 	parallelFlag := fs.Int("parallel", 0, "batch mode: worker goroutines (0 = GOMAXPROCS)")
 	timeoutFlag := fs.Duration("timeout", 0, "batch mode: per-graph optimization deadline (0 = none)")
 	statsFlag := fs.Bool("stats", false, "batch mode: print the aggregated batch report")
-	incrStatsFlag := fs.Bool("incr-stats", false, "batch mode: enable region-granular incremental re-optimization and report region reuse")
 	onErrorFlag := fs.String("on-error", "fail", "pass-failure recovery: fail, rollback, or skip")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof allocation profile to this file at exit")
@@ -240,7 +233,6 @@ func run(args []string, out io.Writer) error {
 			timeout:  *timeoutFlag,
 			verify:   *verifyFlag,
 			stats:    *statsFlag,
-			incr:     *incrStatsFlag,
 			json:     *jsonFlag,
 			dot:      *dotFlag,
 			run:      *runFlag,

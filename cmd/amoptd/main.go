@@ -27,10 +27,6 @@
 //	                             budget of POST /v1/run (0 = 1,000,000)
 //	-drain-timeout D             how long SIGTERM waits for in-flight
 //	                             requests before forcing exit
-//	-incremental                 region-granular incremental
-//	                             re-optimization: a resubmitted program
-//	                             edited inside one region replays only
-//	                             that region (default true)
 //	-peers URL,URL               other cluster members' base URLs;
 //	                             setting this turns on cluster mode
 //	-advertise URL               this node's own base URL, as peers reach
@@ -102,7 +98,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		maxBatch      = fs.Int("max-batch", 0, "programs per batch request (0 = 1024)")
 		maxRunSteps   = fs.Int("max-run-steps", 0, "per-execution step budget cap for /v1/run (0 = 1,000,000)")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "SIGTERM drain window for in-flight requests")
-		incremental   = fs.Bool("incremental", true, "region-granular incremental re-optimization of edited programs")
 
 		peers           = fs.String("peers", "", "comma-separated base URLs of the other cluster members (empty = single-node)")
 		advertise       = fs.String("advertise", "", "this node's own base URL as peers reach it (required with -peers)")
@@ -159,7 +154,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		MaxBodyBytes:    *maxBody,
 		MaxBatch:        *maxBatch,
 		MaxRunSteps:     *maxRunSteps,
-		Incremental:     *incremental,
 		Cluster:         clusterCfg,
 		NoLocalFallback: *noLocalFallback,
 	})

@@ -184,14 +184,6 @@ func ApplyMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
 	return ApplyWith(g, nil, mask)
 }
 
-// OrderedIDs returns the pattern IDs set in v in the order the
-// insertion step would place them (first occurrence in the analyzed
-// graph, see occRank). The incremental recorder serializes insertion
-// sequences with it.
-func (info *Info) OrderedIDs(v bitvec.Vec) []int {
-	return info.rankOrder(v.Bits())
-}
-
 // rankOrder sorts ids in place by first occurrence (occRank). Insertion
 // sort: the sets are tiny and sort.Slice's reflection allocates.
 func (info *Info) rankOrder(ids []int) []int {
@@ -205,7 +197,8 @@ func (info *Info) rankOrder(ids []int) []int {
 }
 
 // appendInstances appends to dst an instance of every pattern set in v,
-// in the insertion order of OrderedIDs, sorting in scratch carved from ar.
+// ordered by first occurrence in the analyzed graph (occRank), sorting in
+// scratch carved from ar.
 func (info *Info) appendInstances(dst []ir.Instr, v bitvec.Vec, ar *arena.Arena) []ir.Instr {
 	ids := ar.Ints(v.PopCount())[:0]
 	for id := v.Next(0); id >= 0; id = v.Next(id + 1) {
@@ -224,15 +217,6 @@ func (info *Info) appendInstances(dst []ir.Instr, v bitvec.Vec, ar *arena.Arena)
 // warmed-up hoisting round allocates almost nothing. The change report is
 // precise (per-block instruction comparison), not an Encode round trip.
 func ApplyWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPattern) bool) bool {
-	return ApplyObservedWith(g, s, mask, nil, nil)
-}
-
-// ApplyObservedWith is ApplyWith with observation hooks for the
-// incremental recorder: onInfo fires after the analysis (and masking),
-// before any mutation — the Info's vectors live in the session arena and
-// must be copied, not retained; onDone fires after the rewrite with the
-// per-block change flags the aggregate report is derived from.
-func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPattern) bool, onInfo func(*Info), onDone func(changedBlocks []bool)) bool {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
@@ -250,9 +234,6 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 			info.NInsert[i].And(keep)
 			info.XInsert[i].And(keep)
 		}
-	}
-	if onInfo != nil {
-		onInfo(info)
 	}
 
 	// Collect per-block prepends. Exit-inserts of branch nodes become
@@ -284,10 +265,6 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 	}
 
 	changed := false
-	var changedBlocks []bool
-	if onDone != nil {
-		changedBlocks = make([]bool, len(g.Blocks))
-	}
 	for i, b := range g.Blocks {
 		// Untouched block: nothing to insert, no candidate to remove.
 		if len(prepend[i]) == 0 && len(appendAtEnd[i]) == 0 && !info.LocHoistable[i].Any() {
@@ -305,16 +282,10 @@ func ApplyObservedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPatt
 		next = append(next, appendAtEnd[i]...)
 		if !sameInstrs(next, b.Instrs) {
 			changed = true
-			if changedBlocks != nil {
-				changedBlocks[i] = true
-			}
 		}
 		b.Instrs = next
 	}
 	g.Normalize()
-	if onDone != nil {
-		onDone(changedBlocks)
-	}
 	return changed
 }
 

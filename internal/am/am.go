@@ -15,17 +15,16 @@
 // zero exactly when it left the program alone, so a round with
 // !hoisted && removed == 0 is the fixpoint. The iteration limit stays as
 // a backstop that turns a termination bug into a typed failure instead of
-// a hang: the Try* entry points return it as a *fault.NoFixpointError,
-// and each round additionally honours the session's budget and
-// cancellation context (fault.ErrBudgetExceeded / fault.ErrCanceled).
-// The legacy Run* entry points are thin wrappers that keep the historical
-// contract — they panic on any of those failures.
+// a hang: TryRunWith, TryRunRestrictedWith and RunEliminateFirst return
+// it as a *fault.NoFixpointError, and each round additionally honours the
+// session's budget and cancellation context (fault.ErrBudgetExceeded /
+// fault.ErrCanceled). Run and RunRestricted are the panicking forms on a
+// fresh session; RunBounded caps the rounds instead of failing.
 package am
 
 import (
 	"assignmentmotion/internal/aht"
 	"assignmentmotion/internal/analysis"
-	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
@@ -68,26 +67,11 @@ type Stats struct {
 // Run applies the assignment motion phase to g in place: it splits
 // critical edges, then alternates aht and rae until the program is
 // invariant under both. The result is relatively assignment-optimal in the
-// universe G* (Lemma 4.2). It panics if the fixpoint fails (see TryRun).
+// universe G* (Lemma 4.2). It panics if the fixpoint fails (see
+// TryRunWith).
 func Run(g *ir.Graph) Stats {
 	s := analysis.NewSession()
 	defer s.Close()
-	return RunWith(g, s)
-}
-
-// TryRun is Run returning fixpoint failure as a typed error instead of
-// panicking.
-func TryRun(g *ir.Graph) (Stats, error) {
-	s := analysis.NewSession()
-	defer s.Close()
-	return TryRunWith(g, s)
-}
-
-// RunWith is Run against an existing session, so a caller driving several
-// phases (core.Optimize) shares one arena and one universe cache across
-// all of them. Like Run it panics when the fixpoint fails; fault-aware
-// callers use TryRunWith.
-func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 	st, err := TryRunWith(g, s)
 	if err != nil {
 		panic("am: " + err.Error())
@@ -95,31 +79,9 @@ func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 	return st
 }
 
-// Hooks observe one exhaustive AM fixpoint from the inside, round by
-// round — the seam the incremental recorder uses to capture boundary
-// dataflow facts and per-region change signals without perturbing the
-// run. Every field is optional. Vectors handed to the hooks live in the
-// session arena and are only valid for the duration of the call.
-type Hooks struct {
-	// Begin fires once, after critical edges are split and before the
-	// first round — the post-initialization state region digests and the
-	// pattern universe snapshot are taken from.
-	Begin func(g *ir.Graph, s *analysis.Session)
-	// BeginRound fires at the start of round k (1-based).
-	BeginRound func(k int)
-	// HoistInfo receives the hoisting analysis before the rewrite.
-	HoistInfo func(g *ir.Graph, info *aht.Info)
-	// HoistDone receives per-block change flags after the rewrite.
-	HoistDone func(g *ir.Graph, changedBlocks []bool)
-	// ElimSolve receives the availability solve before the removal walk.
-	ElimSolve func(g *ir.Graph, px *analysis.PatternIndex, availIn, availOut []bitvec.Vec)
-	// ElimDone receives per-block removal counts after the walk.
-	ElimDone func(g *ir.Graph, removedByBlock []int)
-	// End fires once at the fixpoint, on success only.
-	End func(g *ir.Graph, st Stats)
-}
-
-// TryRunWith is the fallible core of the assignment-motion phase. An
+// TryRunWith is the fallible core of the assignment-motion phase, against
+// an existing session so a caller driving several phases (core.Optimize)
+// shares one arena and one universe cache across all of them. An
 // iteration-limit overrun returns a *fault.NoFixpointError; an exhausted
 // session budget or a canceled session context returns the corresponding
 // typed fault error. In every error case the graph is left in the valid,
@@ -127,21 +89,8 @@ type Hooks struct {
 // complete admissible transformation, so stopping between rounds never
 // corrupts the program (it is merely not optimal yet).
 func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
-	return TryRunObservedWith(g, s, nil)
-}
-
-// TryRunObservedWith is TryRunWith reporting each round's analyses and
-// rewrites to h (nil for the unobserved path). The observed run is
-// byte-identical to the unobserved one — the hooks only read.
-func TryRunObservedWith(g *ir.Graph, s *analysis.Session, h *Hooks) (Stats, error) {
-	if h == nil {
-		h = &Hooks{}
-	}
 	var st Stats
 	st.SplitEdges = g.SplitCriticalEdges()
-	if h.Begin != nil {
-		h.Begin(g, s)
-	}
 	limit := iterationLimit(g)
 	for {
 		st.Iterations++
@@ -153,35 +102,13 @@ func TryRunObservedWith(g *ir.Graph, s *analysis.Session, h *Hooks) (Stats, erro
 			st.Iterations--
 			return st, err
 		}
-		if h.BeginRound != nil {
-			h.BeginRound(st.Iterations)
-		}
-		var onInfo func(*aht.Info)
-		var onHoistDone func([]bool)
-		if h.HoistInfo != nil {
-			onInfo = func(info *aht.Info) { h.HoistInfo(g, info) }
-		}
-		if h.HoistDone != nil {
-			onHoistDone = func(changed []bool) { h.HoistDone(g, changed) }
-		}
-		hoisted := aht.ApplyObservedWith(g, s, nil, onInfo, onHoistDone)
-		var onSolve func(*analysis.PatternIndex, []bitvec.Vec, []bitvec.Vec)
-		var onElimDone func([]int)
-		if h.ElimSolve != nil {
-			onSolve = func(px *analysis.PatternIndex, in, out []bitvec.Vec) { h.ElimSolve(g, px, in, out) }
-		}
-		if h.ElimDone != nil {
-			onElimDone = func(removed []int) { h.ElimDone(g, removed) }
-		}
-		removed := rae.EliminateBlocksObservedWith(g, s, onSolve, onElimDone)
+		hoisted := aht.ApplyWith(g, s, nil)
+		removed := rae.EliminateBlocksWith(g, s)
 		st.Eliminated += removed
 		// aht's report is textual-change-precise and rae only deletes, so a
 		// hoisting round can never be silently undone by the elimination
 		// that follows it: no change in either procedure is the fixpoint.
 		if !hoisted && removed == 0 {
-			if h.End != nil {
-				h.End(g, st)
-			}
 			return st, nil
 		}
 	}
@@ -214,20 +141,11 @@ func RunBounded(g *ir.Graph, maxIterations int) Stats {
 }
 
 // RunEliminateFirst is Run with the two procedures applied in the
-// opposite order within each round (rae before aht). By the local
-// confluence of the rewrite relation (Lemma 3.6) both orders reach
-// cost-equivalent fixpoints; the verify package checks this empirically.
-// Panics on fixpoint failure, like Run.
-func RunEliminateFirst(g *ir.Graph) Stats {
-	st, err := TryRunEliminateFirst(g)
-	if err != nil {
-		panic("am: " + err.Error())
-	}
-	return st
-}
-
-// TryRunEliminateFirst is RunEliminateFirst with typed-error reporting.
-func TryRunEliminateFirst(g *ir.Graph) (Stats, error) {
+// opposite order within each round (rae before aht), reporting fixpoint
+// failure as a typed error like TryRunWith. By the local confluence of
+// the rewrite relation (Lemma 3.6) both orders reach cost-equivalent
+// fixpoints; the verify package checks this empirically.
+func RunEliminateFirst(g *ir.Graph) (Stats, error) {
 	s := analysis.NewSession()
 	defer s.Close()
 	var st Stats
@@ -258,15 +176,11 @@ func TryRunEliminateFirst(g *ir.Graph) (Stats, error) {
 // elimination) strictly decreases the number of occurrences of α. Rounds
 // repeat until no profitable hoisting remains. Redundant assignment
 // elimination itself is always applied — the restriction is on hoisting
-// only, matching [6]. Panics on fixpoint failure.
+// only, matching [6]. Panics on fixpoint failure (see
+// TryRunRestrictedWith).
 func RunRestricted(g *ir.Graph) Stats {
 	s := analysis.NewSession()
 	defer s.Close()
-	return RunRestrictedWith(g, s)
-}
-
-// RunRestrictedWith is RunRestricted against an existing session.
-func RunRestrictedWith(g *ir.Graph, s *analysis.Session) Stats {
 	st, err := TryRunRestrictedWith(g, s)
 	if err != nil {
 		panic("am: " + err.Error())

@@ -62,7 +62,9 @@ func TestEliminateFirstReachesSameCosts(t *testing.T) {
 		g1 := parse.MustParse(src)
 		g2 := parse.MustParse(src)
 		Run(g1)
-		RunEliminateFirst(g2)
+		if _, err := RunEliminateFirst(g2); err != nil {
+			t.Fatal(err)
+		}
 		g1.MustValidate()
 		g2.MustValidate()
 		envs := []map[ir.Var]int64{

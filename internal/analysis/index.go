@@ -156,21 +156,6 @@ func (px *PatternIndex) orUseBlocks(t *ir.Term, dst bitvec.Vec) {
 	}
 }
 
-// BlockOccurrences appends to dst the pattern ID of every instruction of
-// b (-1 for instructions that are not occurrences of a universe pattern)
-// and returns it: the per-block form of the session's Occurrences, for
-// callers that analyze a few blocks of a graph rather than all of it.
-func (px *PatternIndex) BlockOccurrences(b *ir.Block, dst []int) []int {
-	for k := range b.Instrs {
-		id, ok := px.OccID(&b.Instrs[k])
-		if !ok {
-			id = -1
-		}
-		dst = append(dst, id)
-	}
-	return dst
-}
-
 // BlockLocals computes Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors for
 // block b in one forward walk, given the pattern IDs of b's instructions
 // (Occurrences.Block). A pattern is LOC-HOISTABLE when its first

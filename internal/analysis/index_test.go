@@ -14,12 +14,12 @@ import (
 func TestIndexMatchesPredicates(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g := cfggen.Structured(seed, cfggen.Config{Size: 8})
-		u := ir.AssignUniverse(g)
-		px := NewPatternIndex(u)
+		s := NewSession()
+		u, px, occ := s.Universe(g)
 		bits := u.Len()
 
-		for _, b := range g.Blocks {
-			ids := px.BlockOccurrences(b, nil)
+		for i, b := range g.Blocks {
+			ids := occ.Block(i)
 			for k := range b.Instrs {
 				in := &b.Instrs[k]
 
@@ -98,6 +98,7 @@ func TestIndexMatchesPredicates(t *testing.T) {
 					seed, b.Name, scands.PopCount(), locS.PopCount())
 			}
 		}
+		s.Close()
 	}
 }
 

@@ -52,10 +52,6 @@ type Session struct {
 	orderStruct uint64
 	orderValid  bool
 
-	regions       *ir.RegionSet
-	regionsStruct uint64
-	regionsValid  bool
-
 	solverWorkers int
 }
 
@@ -316,32 +312,11 @@ func (s *Session) Blocks(g *ir.Graph) BlockView {
 	}
 }
 
-// Regions returns the deterministic region decomposition of g, cached
-// until the graph's block/edge structure changes. Instruction-level
-// edits (everything a motion round does) keep the decomposition valid;
-// only structural mutation invalidates it — so an edit re-keys one
-// region's analysis state, not the session.
-func (s *Session) Regions(g *ir.Graph) *ir.RegionSet {
-	if s == nil {
-		return ir.Regionize(g, 0)
-	}
-	if s.g != g {
-		s.invalidate(g)
-	}
-	if sv := g.StructVersion(); !s.regionsValid || sv != s.regionsStruct || len(s.regions.Of) != len(g.Blocks) {
-		s.regions = ir.Regionize(g, 0)
-		s.regionsStruct = sv
-		s.regionsValid = true
-	}
-	return s.regions
-}
-
 // invalidate rebinds the session to a new graph, dropping all caches.
 func (s *Session) invalidate(g *ir.Graph) {
 	s.g = g
 	s.uValid = false
 	s.orderValid = false
-	s.regionsValid = false
 }
 
 // nodeInts converts a NodeID adjacency list to int indices without

@@ -16,9 +16,10 @@ package cluster
 //     into a peer's store, so the degraded-never-cached invariant reduces
 //     to each engine's own local discipline — which PR 4 already tests.
 //
-// Incremental-reuse keys ("incr|...", "incr-heads|...") never route:
-// region manifests describe the local node's warm history and are
-// meaningless on a peer.
+// Keys of any other shape never route. The engine writes none today;
+// the shape check keeps a foreign or legacy entry in a shared cache
+// directory (such as the "incr|..." manifests an older build wrote) on
+// its own node.
 //
 // Fetches are best-effort with a short timeout and no retries — on any
 // failure the engine simply computes, which is always correct.
@@ -30,8 +31,8 @@ import (
 	"net/url"
 )
 
-// Backend mirrors engine.Backend structurally (and therefore also
-// incr.Store) without importing the engine package.
+// Backend mirrors engine.Backend structurally without importing the
+// engine package.
 type Backend interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte) error
@@ -47,8 +48,8 @@ const CachePath = "/internal/v1/cache"
 const fingerprintHexLen = 64
 
 // routableKey extracts the fingerprint prefix of an engine cache key
-// ("<64 hex>|passes=..."). Any other key shape — notably the incr
-// manifest keys — reports false and stays local.
+// ("<64 hex>|passes=..."). Any other key shape reports false and stays
+// local.
 func routableKey(key string) (fp string, ok bool) {
 	if len(key) <= fingerprintHexLen || key[fingerprintHexLen] != '|' {
 		return "", false

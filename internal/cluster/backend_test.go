@@ -46,8 +46,8 @@ func TestRoutableKey(t *testing.T) {
 		{testFP + "|passes=am|recovery=off|budget=1,2,3", true},
 		{testFP, false},                           // no config suffix
 		{testFP + "x", false},                     // no separator at 64
-		{"incr|v3|passes=am|" + testFP, false},    // incr manifest key
-		{"incr-heads|v3|passes=am", false},        // incr heads key
+		{"incr|v3|passes=am|" + testFP, false},    // legacy manifest key
+		{"incr-heads|v3|passes=am", false},        // legacy heads key
 		{strings.ToUpper(testFP) + "|cfg", false}, // not lowercase hex
 		{testFP[:63] + "||cfg", false},            // short fingerprint
 		{"", false},
@@ -127,7 +127,7 @@ func TestRemoteBackendFetchesFromOwner(t *testing.T) {
 		t.Fatal("local hit still fetched from the peer")
 	}
 
-	// Incremental keys stay local even on miss.
+	// Keys of another shape (a legacy manifest) stay local even on miss.
 	before = fetches
 	if _, ok := b.Get("incr|v3|passes=am|" + testFP); ok {
 		t.Fatal("incr key hit out of nowhere")

@@ -1,6 +1,6 @@
 // Package cluster turns a set of amoptd daemons into one fault-tolerant
 // optimization service. Jobs route to peers by graph-fingerprint
-// consistent hashing, so each node's memory/disk/region caches stay hot
+// consistent hashing, so each node's memory and disk caches stay hot
 // for its own shard, behind a full failure-handling stack:
 //
 //   - per-peer health checking: /healthz probes on a steady cadence,

@@ -4,7 +4,7 @@ package cluster
 // owns a contiguous share of the 64-bit hash space through a fixed set
 // of virtual nodes, so adding or removing one member reshuffles only
 // ~1/N of the keyspace. Jobs route by graph fingerprint, which keeps
-// each node's memory/disk/region caches hot for its own shard.
+// each node's memory and disk caches hot for its own shard.
 //
 // The ring is immutable after construction: membership is static
 // configuration (the -peers flag), and failure handling is the health

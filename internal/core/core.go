@@ -86,14 +86,6 @@ func TryOptimizeWith(g *ir.Graph, s *analysis.Session, hook func(pass.Event)) (R
 // (Optimize, the batch engine) can keep the typed Result while running on
 // the instrumented pipeline path.
 func Phases(res *Result) []pass.Pass {
-	return PhasesObserved(res, nil, nil)
-}
-
-// PhasesObserved is Phases with am- and flush-phase observation hooks
-// threaded through (see am.Hooks and flush.Observer); the incremental
-// recorder rides the default pipeline this way without perturbing
-// instrumentation or results.
-func PhasesObserved(res *Result, hooks *am.Hooks, fobs *flush.Observer) []pass.Pass {
 	if res == nil {
 		res = &Result{}
 	}
@@ -105,11 +97,11 @@ func PhasesObserved(res *Result, hooks *am.Hooks, fobs *flush.Observer) []pass.P
 		}),
 		phase("am", func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
 			var err error
-			res.AM, err = am.TryRunObservedWith(g, s, hooks)
+			res.AM, err = am.TryRunWith(g, s)
 			return pass.Stats{Changes: res.AM.Eliminated, Iterations: res.AM.Iterations}, err
 		}),
 		phase("flush", func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			res.Flush = flush.RunObservedWith(g, s, fobs)
+			res.Flush = flush.RunWith(g, s)
 			changes := res.Flush.DroppedInits + res.Flush.InsertedInits + res.Flush.Reconstructed
 			return pass.Stats{Changes: changes, Iterations: 1}, nil
 		}),

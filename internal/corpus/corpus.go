@@ -43,43 +43,6 @@ func Source(name string) string {
 	return string(data)
 }
 
-// EditPair is one base program plus a variant differing in a single
-// block — the workload of the incremental re-optimization differential
-// suite. Contained reports whether the edit is expected to stay inside
-// one region (interface-preserving): a contained pair should replay warm,
-// while an escaping one must be detected and fall back cold. Either way
-// the optimized result must be byte-identical to a cold run.
-type EditPair struct {
-	Name      string // pair name, e.g. "diamond"
-	Base      string // corpus name of the base program
-	Edited    string // corpus name of the edited variant
-	Contained bool
-}
-
-// EditPairs enumerates the embedded edit pairs: every "ep_<name>_base"
-// program matched with each of its "ep_<name>_<variant>" siblings.
-func EditPairs() []EditPair {
-	var out []EditPair
-	for _, base := range Names() {
-		name, ok := strings.CutSuffix(base, "_base")
-		if !ok || !strings.HasPrefix(name, "ep_") {
-			continue
-		}
-		for _, variant := range Names() {
-			if variant == base || !strings.HasPrefix(variant, name+"_") {
-				continue
-			}
-			out = append(out, EditPair{
-				Name:      strings.TrimPrefix(name, "ep_") + variant[len(name):],
-				Base:      base,
-				Edited:    variant,
-				Contained: strings.HasSuffix(variant, "_contained"),
-			})
-		}
-	}
-	return out
-}
-
 // Load parses the named program into a fresh graph.
 func Load(name string) *ir.Graph {
 	data, err := files.ReadFile("fg/" + name + ".fg")

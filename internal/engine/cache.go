@@ -39,16 +39,8 @@ type cacheKey struct {
 // distinguishes two cacheKey values appears in the string, so the on-disk
 // store separates entries exactly as the in-memory map does.
 func (k cacheKey) String() string {
-	return k.fp.String() + "|" + k.cfg()
-}
-
-// cfg is the configuration-only portion of the key — everything but the
-// content fingerprint. The incremental tier groups recorded predecessors
-// by it: two graphs are warm-replay candidates for each other exactly
-// when they ran under the same pipeline configuration.
-func (k cacheKey) cfg() string {
-	return fmt.Sprintf("passes=%s|recovery=%s|budget=%d,%d,%d",
-		k.pipeline, k.recovery,
+	return fmt.Sprintf("%s|passes=%s|recovery=%s|budget=%d,%d,%d",
+		k.fp, k.pipeline, k.recovery,
 		int64(k.budget.MaxPassWall), k.budget.MaxSolverVisits, k.budget.MaxAMIterations)
 }
 

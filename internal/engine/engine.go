@@ -41,7 +41,6 @@ import (
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/fault"
-	"assignmentmotion/internal/incr"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
 
@@ -112,16 +111,8 @@ type Options struct {
 	// is ignored. Several engines may share one Backend — the key encodes
 	// the full pipeline configuration, so they never cross-contaminate.
 	Backend Backend
-	// Incremental enables the region-granular third tier behind the exact
-	// memory/disk tiers: clean default-pipeline runs are recorded as
-	// versioned region artifacts (through Backend when present, in
-	// process otherwise), and a resubmitted graph that differs from a
-	// recorded predecessor in a single region's interior re-optimizes
-	// only that region, certified byte-identical to the cold run. Jobs
-	// the certification refuses fall back to the cold path — the tier
-	// costs time on a refusal, never correctness. Requires the in-memory
-	// cache (CacheSize >= 0) and applies only to the default pipeline
-	// (empty Passes).
+	// Incremental is inert: the region tier it enabled was removed, and
+	// the field stays only because the benchmark module still sets it.
 	Incremental bool
 	// OutcomeHook, when non-nil, receives every job's final GraphResult —
 	// computed, cached, or failed — exactly once, from the worker
@@ -246,16 +237,12 @@ type GraphResult struct {
 	// CacheHit reports that the result was served from the cache.
 	CacheHit bool
 	// CacheTier names the tier that served a hit: "memory" (the engine's
-	// LRU, including single-flight followers), "disk" (the persistent
-	// Backend), or "region" (a certified incremental replay that reused
-	// the clean regions of a recorded predecessor). Empty for computed
-	// results.
+	// LRU, including single-flight followers) or "disk" (the persistent
+	// Backend). Empty for computed results.
 	CacheTier string
-	// RegionsTotal, RegionsReused, and RegionsRecomputed describe the
-	// incremental tier's work when CacheTier is "region": the region
-	// count of the decomposition, how many regions were stitched from
-	// the predecessor's artifact, and how many were re-optimized (0 or
-	// 1). All zero on cold runs and exact-tier hits.
+	// RegionsTotal, RegionsReused, and RegionsRecomputed are inert, always
+	// zero: the region tier was removed, and the benchmark module still
+	// reads them.
 	RegionsTotal      int
 	RegionsReused     int
 	RegionsRecomputed int
@@ -310,12 +297,6 @@ type Report struct {
 	// MaxAMIterations is the worst single graph.
 	AMIterations    int `json:"amIterations"`
 	MaxAMIterations int `json:"maxAmIterations"`
-	// RegionHits counts jobs served by the incremental region tier;
-	// RegionsReused and RegionsRecomputed sum that tier's per-job region
-	// accounting across the batch.
-	RegionHits        int `json:"regionHits"`
-	RegionsReused     int `json:"regionsReused"`
-	RegionsRecomputed int `json:"regionsRecomputed"`
 	// Results holds one entry per input graph, in input order.
 	Results []GraphResult `json:"-"`
 }
@@ -324,9 +305,8 @@ type Report struct {
 // construct with New. An Engine's cache persists across batches, so a
 // long-lived engine serves repeated traffic with warm-cache latencies.
 type Engine struct {
-	opts    Options
-	cache   *cache       // nil when caching is disabled
-	incrDrv *incr.Driver // nil unless Options.Incremental (and caching on)
+	opts  Options
+	cache *cache // nil when caching is disabled
 }
 
 // New returns an Engine with the given options.
@@ -338,13 +318,6 @@ func New(opts Options) *Engine {
 			size = DefaultCacheSize
 		}
 		e.cache = newCache(size)
-		if opts.Incremental {
-			var st incr.Store
-			if opts.Backend != nil {
-				st = opts.Backend
-			}
-			e.incrDrv = incr.NewDriver(st)
-		}
 	}
 	return e
 }
@@ -411,11 +384,6 @@ feed:
 		}
 		if r.CacheHit {
 			rep.CacheHits++
-			if r.CacheTier == "region" {
-				rep.RegionHits++
-				rep.RegionsReused += r.RegionsReused
-				rep.RegionsRecomputed += r.RegionsRecomputed
-			}
 		} else {
 			rep.CacheMisses++
 			for _, ev := range r.Passes {
@@ -509,7 +477,7 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 	defer func() { r.Timings.Total = time.Since(start) }()
 
 	if e.cache == nil {
-		c := e.compute(ctx, g, nil)
+		c := e.compute(ctx, g)
 		r.Graph, r.Result, r.Passes, r.Timings, r.Err = c.g, c.res, c.events, c.tm, c.err
 		r.Failures = c.failures
 		r.Outcome = c.outcome()
@@ -563,31 +531,9 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 			r.Outcome = OutcomeOptimized
 			return r
 		}
-		// The region tier answers exact-tier misses: a graph that differs
-		// from a recorded predecessor in one region's interior replays
-		// only that region, certified byte-identical to the cold run. The
-		// certified result is a complete clean optimization, so it
-		// populates the exact tiers for the graph's own fingerprint.
-		if w, ok := e.tryWarm(key, g); ok {
-			res := warmResult(w)
-			out := w.Graph
-			out.Name = g.Name
-			e.cache.complete(key, fl, out.Clone(), res, nil)
-			e.backendPut(key, out, res, nil)
-			r.Graph, r.Result, r.CacheHit, r.CacheTier = out, res, true, "region"
-			r.RegionsTotal = w.RegionsTotal
-			r.RegionsReused = w.RegionsReused
-			r.RegionsRecomputed = w.RegionsTotal - w.RegionsReused
-			r.Outcome = OutcomeOptimized
-			return r
-		}
 	}
 	e.cache.misses.Add(1)
-	var rec *incr.Recorder
-	if leader {
-		rec = e.newRecorder(key, g)
-	}
-	c := e.compute(ctx, g, rec)
+	c := e.compute(ctx, g)
 	r.Result, r.Passes, r.Timings = c.res, c.events, c.tm
 	if leader {
 		if c.err != nil || len(c.failures) > 0 {
@@ -599,7 +545,6 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 		} else {
 			e.cache.complete(key, fl, c.g.Clone(), c.res, c.events)
 			e.backendPut(key, c.g, c.res, c.events)
-			e.incrRecord(key, rec)
 		}
 	}
 	r.Graph, r.Err = c.g, c.err
@@ -637,7 +582,7 @@ func (c *computation) outcome() Outcome {
 // pass, whose abandoned goroutine drains in the background (all passes
 // terminate — the fixpoints are monotone or capped — so abandoned work is
 // garbage-collected, not leaked forever).
-func (e *Engine) compute(ctx context.Context, g *ir.Graph, rec *incr.Recorder) computation {
+func (e *Engine) compute(ctx context.Context, g *ir.Graph) computation {
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
@@ -672,11 +617,7 @@ func (e *Engine) compute(ctx context.Context, g *ir.Graph, rec *incr.Recorder) c
 		// cancellation context apply uniformly at every pass boundary.
 		var pl *pass.Pipeline
 		if len(e.opts.Passes) == 0 {
-			if rec != nil {
-				pl = pass.New(core.PhasesObserved(&c.res, rec.Hooks(), rec.FlushObserver())...)
-			} else {
-				pl = pass.New(core.Phases(&c.res)...)
-			}
+			pl = pass.New(core.Phases(&c.res)...)
 		} else {
 			var err error
 			pl, err = pass.FromNames(e.opts.Passes...)

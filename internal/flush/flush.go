@@ -57,28 +57,21 @@ func init() {
 // indexed by instruction (analysis.Prog order) and bit-indexed by temp
 // position in Temps.
 type Info struct {
-	Prog *analysis.Prog
-	Facts
+	Prog  *analysis.Prog
+	Temps []ir.Var
+	Exprs []ir.Term
+
+	// Local predicates (Table 3).
+	IsInst  []bitvec.Vec
+	Used    []bitvec.Vec
+	Blocked []bitvec.Vec
 
 	NDelayable []bitvec.Vec
 	XDelayable []bitvec.Vec
 	NUsable    []bitvec.Vec
-	Blocked    []bitvec.Vec
-}
-
-// Facts are the per-instruction vectors the flush rewrite reads: Table 3's
-// local predicates and the solved usability and latestness, bit-indexed by
-// temp position in Temps. The incremental layer's region replay fills its
-// own Facts and rewrites through the same RewriteBlock.
-type Facts struct {
-	Temps []ir.Var
-	Exprs []ir.Term
-
-	IsInst  []bitvec.Vec
-	Used    []bitvec.Vec
-	XUsable []bitvec.Vec
-	NLatest []bitvec.Vec
-	XLatest []bitvec.Vec
+	XUsable    []bitvec.Vec
+	NLatest    []bitvec.Vec
+	XLatest    []bitvec.Vec
 }
 
 // Analyze computes the delayability and usability analyses for g.
@@ -93,7 +86,7 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	prog := analysis.NewProg(g)
 	ar := s.Arena()
 	tx := analysis.NewTempIndex(g, ar)
-	info := &Info{Prog: prog, Facts: Facts{Temps: tx.Temps, Exprs: tx.Exprs}}
+	info := &Info{Prog: prog, Temps: tx.Temps, Exprs: tx.Exprs}
 	n, bits := prog.Len(), len(tx.Temps)
 
 	// Local predicates (Table 3) from the temp index, and the
@@ -185,19 +178,6 @@ type Stats struct {
 	Reconstructed int
 }
 
-// Observer receives read-only views of one flush run: the analyses while
-// their arena storage is still live, and the finished graph with the
-// per-block statistics. Observation never changes the run's result.
-type Observer struct {
-	// Analyzed fires after the analyses complete, before the rewrite.
-	// The Info's vectors are arena-backed and only valid for the call.
-	Analyzed func(g *ir.Graph, info *Info)
-	// Done fires after the rewrite and normalization, with the total
-	// statistics and their attribution to blocks (indexed by block
-	// slice position).
-	Done func(g *ir.Graph, total Stats, perBlock []Stats)
-}
-
 // Run applies the final flush to g in place.
 func Run(g *ir.Graph) Stats {
 	return RunWith(g, nil)
@@ -207,84 +187,63 @@ func Run(g *ir.Graph) Stats {
 // rewound before returning, so a flush inside a warmed-up Optimize call
 // allocates only the rewritten instruction slices.
 func RunWith(g *ir.Graph, s *analysis.Session) Stats {
-	return RunObservedWith(g, s, nil)
-}
-
-// RunObservedWith is RunWith observed by obs (nil observes nothing).
-func RunObservedWith(g *ir.Graph, s *analysis.Session, obs *Observer) Stats {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
 	info := AnalyzeWith(g, s)
-	if obs != nil && obs.Analyzed != nil {
-		obs.Analyzed(g, info)
-	}
 	var st Stats
-	var perBlock []Stats
-	if obs != nil && obs.Done != nil {
-		perBlock = make([]Stats, len(g.Blocks))
-		defer func() { obs.Done(g, st, perBlock) }()
-	}
 	if len(info.Temps) == 0 {
 		return st
 	}
 
 	idx := 0
-	for bIdx, b := range g.Blocks {
-		before := st
-		next, ok := info.RewriteBlock(b, idx, &st)
+	for _, b := range g.Blocks {
+		next, ok := info.rewriteBlock(b, idx, &st)
 		if !ok {
 			panic("flush: X-INIT after a branch condition; critical edges must be split")
 		}
 		idx += len(b.Instrs)
 		b.Instrs = next
-		if perBlock != nil {
-			perBlock[bIdx] = Stats{
-				DroppedInits:  st.DroppedInits - before.DroppedInits,
-				InsertedInits: st.InsertedInits - before.InsertedInits,
-				Reconstructed: st.Reconstructed - before.Reconstructed,
-			}
-		}
 	}
 	g.Normalize()
 	return st
 }
 
-// RewriteBlock returns the flushed instruction sequence of block b, whose
+// rewriteBlock returns the flushed instruction sequence of block b, whose
 // k-th instruction has its facts at index first+k, and adds what it did to
 // st. It walks only the set bits of N-LATEST and X-LATEST, in ascending
 // temp order. ok is false when an initialization would follow b's branch
 // condition, which split critical edges rule out.
-func (f *Facts) RewriteBlock(b *ir.Block, first int, st *Stats) (instrs []ir.Instr, ok bool) {
+func (info *Info) rewriteBlock(b *ir.Block, first int, st *Stats) (instrs []ir.Instr, ok bool) {
 	next := make([]ir.Instr, 0, len(b.Instrs))
 	var appendAfter []ir.Instr
 	for k := range b.Instrs {
 		in := &b.Instrs[k]
 		i := first + k
-		nl, used, xu := f.NLatest[i], f.Used[i], f.XUsable[i]
+		nl, used, xu := info.NLatest[i], info.Used[i], info.XUsable[i]
 		// Initializations placed immediately before ι: the paper's
 		// N-INIT plus forced initializations at single uses that cannot
 		// be reconstructed.
 		for t := nl.Next(0); t >= 0; t = nl.Next(t + 1) {
 			switch {
 			case xu.Get(t):
-				next = append(next, f.initInstr(t))
+				next = append(next, info.initInstr(t))
 				st.InsertedInits++
-			case used.Get(t) && !canReconstruct(in, f.Temps[t]):
-				next = append(next, f.initInstr(t))
+			case used.Get(t) && !canReconstruct(in, info.Temps[t]):
+				next = append(next, info.initInstr(t))
 				st.InsertedInits++
 			}
 		}
 
-		if f.IsInst[i].Any() {
+		if info.IsInst[i].Any() {
 			// Original instance: dropped (re-materialized at latest
 			// points above).
 			st.DroppedInits++
 		} else {
 			out := *in
 			for t := nl.Next(0); t >= 0; t = nl.Next(t + 1) {
-				if used.Get(t) && !xu.Get(t) && canReconstruct(in, f.Temps[t]) {
-					out = reconstruct(out, f.Temps[t], f.Exprs[t])
+				if used.Get(t) && !xu.Get(t) && canReconstruct(in, info.Temps[t]) {
+					out = reconstruct(out, info.Temps[t], info.Exprs[t])
 					st.Reconstructed++
 				}
 			}
@@ -292,10 +251,10 @@ func (f *Facts) RewriteBlock(b *ir.Block, first int, st *Stats) (instrs []ir.Ins
 		}
 
 		// X-INIT: initializations placed immediately after ι.
-		xl := f.XLatest[i]
+		xl := info.XLatest[i]
 		for t := xl.Next(0); t >= 0; t = xl.Next(t + 1) {
 			if xu.Get(t) {
-				appendAfter = append(appendAfter, f.initInstr(t))
+				appendAfter = append(appendAfter, info.initInstr(t))
 				st.InsertedInits++
 			}
 		}
@@ -308,8 +267,8 @@ func (f *Facts) RewriteBlock(b *ir.Block, first int, st *Stats) (instrs []ir.Ins
 	return append(next, appendAfter...), true
 }
 
-func (f *Facts) initInstr(t int) ir.Instr {
-	return ir.NewAssign(f.Temps[t], f.Exprs[t])
+func (info *Info) initInstr(t int) ir.Instr {
+	return ir.NewAssign(info.Temps[t], info.Exprs[t])
 }
 
 // canReconstruct reports whether the single use of h in instruction in can

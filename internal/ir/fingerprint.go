@@ -34,8 +34,9 @@ func (f Fingerprint) Short() string { return f.String()[:12] }
 // its own canonical block serialization, and the whole-graph fingerprint
 // hashes the header plus the region digest sequence. Regions partition
 // the canonical order, so the composition carries exactly the
-// information the flat traversal did, while exposing the per-region
-// digests the incremental artifact store diffs against.
+// information the flat traversal did. Nothing else reads the per-region
+// digests; they stay because a flat hash would change every fingerprint
+// and so every cache key.
 func (g *Graph) Fingerprint() Fingerprint {
 	order, rank := g.canonicalOrder()
 	_, digests := g.RegionDigests()

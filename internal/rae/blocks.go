@@ -36,15 +36,6 @@ func EliminateBlocks(g *ir.Graph) int {
 // ever removes instructions, so zero removals means the graph is
 // textually unchanged.
 func EliminateBlocksWith(g *ir.Graph, s *analysis.Session) int {
-	return EliminateBlocksObservedWith(g, s, nil, nil)
-}
-
-// EliminateBlocksObservedWith is EliminateBlocksWith with observation
-// hooks for the incremental recorder: onSolve fires after the
-// availability solve, before any removal — the vectors live in the
-// session arena and must be copied, not retained; onDone fires after
-// the removal walk with per-block removal counts.
-func EliminateBlocksObservedWith(g *ir.Graph, s *analysis.Session, onSolve func(px *analysis.PatternIndex, availIn, availOut []bitvec.Vec), onDone func(removedByBlock []int)) int {
 	u, px, occ := s.Universe(g)
 	n, bits := len(g.Blocks), u.Len()
 	if bits == 0 {
@@ -81,37 +72,22 @@ func EliminateBlocksObservedWith(g *ir.Graph, s *analysis.Session, onSolve func(
 		},
 	})
 
-	if onSolve != nil {
-		onSolve(px, res.In, res.Out)
-	}
-
 	removed := 0
-	var removedByBlock []int
-	if onDone != nil {
-		removedByBlock = make([]int, n)
-	}
 	avail := ar.Vec(bits)
 	for i, b := range g.Blocks {
 		avail.CopyFrom(res.In[i])
-		r := EliminateInBlock(b, occ.Block(i), px, avail)
-		removed += r
-		if removedByBlock != nil {
-			removedByBlock[i] = r
-		}
+		removed += eliminateInBlock(b, occ.Block(i), px, avail)
 	}
 	g.Normalize()
-	if onDone != nil {
-		onDone(removedByBlock)
-	}
 	return removed
 }
 
-// EliminateInBlock is the removal walk of block-level elimination: given
+// eliminateInBlock is the removal walk of block-level elimination: given
 // avail, the availability at b's entry, and ids, the pattern IDs of b's
 // instructions, it removes every occurrence whose pattern is available
 // where it executes and returns how many it removed. avail is updated in
 // place to the availability at b's exit. The caller re-normalizes.
-func EliminateInBlock(b *ir.Block, ids []int, px *analysis.PatternIndex, avail bitvec.Vec) int {
+func eliminateInBlock(b *ir.Block, ids []int, px *analysis.PatternIndex, avail bitvec.Vec) int {
 	selfRef := px.SelfRef()
 	removed := 0
 	kept := b.Instrs[:0]

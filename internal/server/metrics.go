@@ -70,11 +70,7 @@ type metrics struct {
 
 	cacheHitsMemory atomic.Int64
 	cacheHitsDisk   atomic.Int64
-	cacheHitsRegion atomic.Int64
 	cacheMisses     atomic.Int64
-
-	regionsReused     atomic.Int64
-	regionsRecomputed atomic.Int64
 
 	inflight atomic.Int64
 	queued   atomic.Int64
@@ -152,19 +148,9 @@ func (m *metrics) cacheOutcome(hit bool, tier string) {
 		m.cacheMisses.Add(1)
 	case tier == "disk":
 		m.cacheHitsDisk.Add(1)
-	case tier == "region":
-		m.cacheHitsRegion.Add(1)
 	default:
 		m.cacheHitsMemory.Add(1)
 	}
-}
-
-// regionOutcome records the region accounting of one warm replay: how
-// many regions were stitched from the recorded predecessor and how many
-// were re-optimized live.
-func (m *metrics) regionOutcome(reused, recomputed int) {
-	m.regionsReused.Add(int64(reused))
-	m.regionsRecomputed.Add(int64(recomputed))
 }
 
 // write renders the registry in Prometheus text exposition format.
@@ -224,17 +210,9 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE amoptd_cache_hits_total counter\n")
 	fmt.Fprintf(w, "amoptd_cache_hits_total{tier=\"memory\"} %d\n", m.cacheHitsMemory.Load())
 	fmt.Fprintf(w, "amoptd_cache_hits_total{tier=\"disk\"} %d\n", m.cacheHitsDisk.Load())
-	fmt.Fprintf(w, "amoptd_cache_hits_total{tier=\"region\"} %d\n", m.cacheHitsRegion.Load())
 	fmt.Fprintf(w, "# HELP amoptd_cache_misses_total Jobs that ran the pipeline.\n")
 	fmt.Fprintf(w, "# TYPE amoptd_cache_misses_total counter\n")
 	fmt.Fprintf(w, "amoptd_cache_misses_total %d\n", m.cacheMisses.Load())
-
-	fmt.Fprintf(w, "# HELP amoptd_regions_reused_total Regions stitched from a recorded predecessor by warm replays.\n")
-	fmt.Fprintf(w, "# TYPE amoptd_regions_reused_total counter\n")
-	fmt.Fprintf(w, "amoptd_regions_reused_total %d\n", m.regionsReused.Load())
-	fmt.Fprintf(w, "# HELP amoptd_regions_recomputed_total Regions re-optimized live by warm replays.\n")
-	fmt.Fprintf(w, "# TYPE amoptd_regions_recomputed_total counter\n")
-	fmt.Fprintf(w, "amoptd_regions_recomputed_total %d\n", m.regionsRecomputed.Load())
 
 	fmt.Fprintf(w, "# HELP amoptd_inflight_jobs Optimization jobs currently holding a worker slot.\n")
 	fmt.Fprintf(w, "# TYPE amoptd_inflight_jobs gauge\n")

@@ -86,11 +86,8 @@ type Config struct {
 	// so job-level and region-level concurrency together stay near the
 	// core count; 1 forces serial solves.
 	SolverWorkers int
-	// Incremental enables the region-granular cache tier
-	// (engine.Options.Incremental): default-pipeline jobs whose graph
-	// differs from a recorded predecessor in one region's interior are
-	// replayed region-by-region instead of re-optimized, certified
-	// byte-identical to the cold run.
+	// Incremental is inert: the region tier it enabled was removed, and
+	// the field stays only because the benchmark module still sets it.
 	Incremental bool
 	// Cluster, when non-nil, joins this daemon to an amoptd cluster:
 	// jobs route to peers by graph-fingerprint consistent hashing with
@@ -248,14 +245,10 @@ func (s *Server) engineFor(cfg engineConfig) *engine.Engine {
 		Recovery:      cfg.recovery,
 		Budget:        cfg.budget,
 		Inject:        s.cfg.Inject,
-		Incremental:   s.cfg.Incremental,
 		Hook:          func(_ string, ev pass.Event) { s.met.passEvent(ev) },
 		OutcomeHook: func(r engine.GraphResult) {
 			if r.Err == nil {
 				s.met.cacheOutcome(r.CacheHit, r.CacheTier)
-				if r.CacheTier == "region" {
-					s.met.regionOutcome(r.RegionsReused, r.RegionsRecomputed)
-				}
 			}
 		},
 	}
@@ -349,9 +342,9 @@ type OptimizeResponse struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	CacheHit    bool   `json:"cacheHit"`
 	CacheTier   string `json:"cacheTier,omitempty"`
-	// Region accounting of a "region"-tier hit: how many regions the
-	// graph decomposed into, how many were stitched from the recorded
-	// predecessor, and how many were re-optimized live.
+	// RegionsTotal, RegionsReused and RegionsRecomputed are inert, always
+	// zero and so omitted: the region tier was removed, and the benchmark
+	// module still reads them.
 	RegionsTotal      int `json:"regionsTotal,omitempty"`
 	RegionsReused     int `json:"regionsReused,omitempty"`
 	RegionsRecomputed int `json:"regionsRecomputed,omitempty"`
@@ -455,18 +448,15 @@ func (s *Server) deadline(ms int64) time.Duration {
 // respond converts one engine result into the response shape.
 func respond(idx int, name string, r engine.GraphResult) OptimizeResponse {
 	resp := OptimizeResponse{
-		Index:             idx,
-		Name:              name,
-		Outcome:           string(r.Outcome),
-		Fingerprint:       r.Fingerprint,
-		CacheHit:          r.CacheHit,
-		CacheTier:         r.CacheTier,
-		RegionsTotal:      r.RegionsTotal,
-		RegionsReused:     r.RegionsReused,
-		RegionsRecomputed: r.RegionsRecomputed,
-		AMIterations:      r.Result.AM.Iterations,
-		Wall:              r.Timings.Total.String(),
-		Passes:            r.Passes,
+		Index:        idx,
+		Name:         name,
+		Outcome:      string(r.Outcome),
+		Fingerprint:  r.Fingerprint,
+		CacheHit:     r.CacheHit,
+		CacheTier:    r.CacheTier,
+		AMIterations: r.Result.AM.Iterations,
+		Wall:         r.Timings.Total.String(),
+		Passes:       r.Passes,
 	}
 	for _, f := range r.Failures {
 		resp.Failures = append(resp.Failures, f.Error())
@@ -564,19 +554,13 @@ type BatchRequest struct {
 
 // BatchSummary is the final NDJSON line of a batch stream.
 type BatchSummary struct {
-	Graphs      int `json:"graphs"`
-	Optimized   int `json:"optimized"`
-	Degraded    int `json:"degraded"`
-	Failed      int `json:"failed"`
-	CacheHits   int `json:"cacheHits"`
-	CacheMisses int `json:"cacheMisses"`
-	// Region-tier accounting across the batch: hits served by warm
-	// replay, and the regions they reused versus re-optimized.
-	RegionHits        int `json:"regionHits,omitempty"`
-	RegionsReused     int `json:"regionsReused,omitempty"`
-	RegionsRecomputed int `json:"regionsRecomputed,omitempty"`
-
-	Wall string `json:"wall"`
+	Graphs      int    `json:"graphs"`
+	Optimized   int    `json:"optimized"`
+	Degraded    int    `json:"degraded"`
+	Failed      int    `json:"failed"`
+	CacheHits   int    `json:"cacheHits"`
+	CacheMisses int    `json:"cacheMisses"`
+	Wall        string `json:"wall"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -691,11 +675,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if resp.CacheHit {
 			summary.CacheHits++
-			if resp.CacheTier == "region" {
-				summary.RegionHits++
-				summary.RegionsReused += resp.RegionsReused
-				summary.RegionsRecomputed += resp.RegionsRecomputed
-			}
 		} else if resp.Error == "" {
 			summary.CacheMisses++
 		}

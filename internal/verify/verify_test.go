@@ -176,7 +176,9 @@ func TestAMOrderConfluence(t *testing.T) {
 			g1 := gen(seed)
 			g2 := g1.Clone()
 			am.Run(g1)
-			am.RunEliminateFirst(g2)
+			if _, err := am.RunEliminateFirst(g2); err != nil {
+				t.Fatalf("%s seed %d: %v", genName, seed, err)
+			}
 			rep := Equivalent(g1, g2, runsPerSeed, seed*19+11)
 			if !rep.Equivalent {
 				t.Fatalf("%s seed %d: orders diverge semantically: %s", genName, seed, rep.Detail)

@@ -36,7 +36,9 @@ func legacyApply(t *testing.T, g *Graph, p Pass) {
 		defer s.Close()
 		g.SplitCriticalEdges()
 		core.Initialize(g)
-		am.RunWith(g, s)
+		if _, err := am.TryRunWith(g, s); err != nil {
+			t.Fatal(err)
+		}
 		flush.RunWith(g, s)
 	case PassInit:
 		g.SplitCriticalEdges()
