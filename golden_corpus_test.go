@@ -2,8 +2,11 @@ package assignmentmotion
 
 // Golden-corpus regression test (PR 1): the exact optimized+tidied output
 // of every .fg file under internal/corpus/fg and examples/ is pinned
-// under testdata/golden. Any pass change that alters output shows up as
-// an exact diff here. Re-bless intended changes with:
+// under testdata/golden, and so is the work each phase of the run did
+// (init, am, flush: change and iteration counts and dataflow solves,
+// visits and sweeps). Any pass change that alters output shows up as an
+// exact diff here; so does one that keeps the output but changes the
+// fixpoint's rounds or the solver's work. Re-bless intended changes with:
 //
 //	go test -run TestGoldenFGCorpus -update .
 //
@@ -13,12 +16,16 @@ package assignmentmotion
 
 import (
 	"flag"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"assignmentmotion/internal/core"
+	"assignmentmotion/internal/pass"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite testdata/golden outputs")
@@ -64,30 +71,44 @@ func TestGoldenFGCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
-			Optimize(g)
+			// Optimize, with a hook recording each phase's work.
+			var work strings.Builder
+			s := NewSession()
+			core.OptimizeWith(g, s, func(ev pass.Event) {
+				fmt.Fprintf(&work, "%s changes=%d iterations=%d solves=%d visits=%d sweeps=%d\n",
+					ev.Pass, ev.Stats.Changes, ev.Stats.Iterations,
+					ev.Dataflow.Solves, ev.Dataflow.Visits, ev.Dataflow.Sweeps)
+			})
+			s.Close()
 			g.Tidy()
 			if err := g.Validate(); err != nil {
 				t.Fatalf("%s: optimized graph invalid: %v", path, err)
 			}
-			got := Format(g)
-
-			goldenPath := filepath.Join("testdata", "golden", base+".globalg.fg")
-			if *updateGoldens {
-				if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(goldenPath)
-			if err != nil {
-				t.Fatalf("%s: missing golden (re-bless with: go test -run TestGoldenFGCorpus -update .): %v", path, err)
-			}
-			if got != string(want) {
-				t.Errorf("%s: optimized output changed.\n--- want\n%s\n--- got\n%s", path, want, got)
-			}
+			checkGolden(t, path, base+".globalg.fg", "optimized output", Format(g))
+			checkGolden(t, path, base+".globalg.work", "per-phase work", work.String())
 		})
+	}
+}
+
+// checkGolden compares got with testdata/golden/name, or rewrites the
+// golden under -update.
+func checkGolden(t *testing.T, path, name, what, got string) {
+	t.Helper()
+	goldenPath := filepath.Join("testdata", "golden", name)
+	if *updateGoldens {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%s: missing golden (re-bless with: go test -run TestGoldenFGCorpus -update .): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: %s changed.\n--- want\n%s\n--- got\n%s", path, what, want, got)
 	}
 }

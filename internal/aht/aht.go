@@ -16,14 +16,19 @@
 //
 // The insertion step places an instance of α at every insert point and
 // simultaneously removes all hoisting candidates. Patterns inserted at one
-// point are independent (paper, §4.3.2) and are placed in pattern-ID order.
+// point are independent (paper, §4.3.2) and are placed in order of first
+// occurrence in the program.
+//
+// The step runs on the pattern-ID encoding of the program (Step over an
+// analysis.Code), which the assignment motion phase keeps across all of its
+// rounds; the graph-level Apply forms encode, run one step and write back.
 package aht
 
 import (
 	"fmt"
+	"slices"
 
 	"assignmentmotion/internal/analysis"
-	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/ir"
@@ -47,8 +52,8 @@ func init() {
 }
 
 // Info holds the analysis result, indexed by block ID. When it was
-// computed through a session (AnalyzeWith), the vectors live in the
-// session's arena and are only valid until the caller releases it.
+// computed through a session, the vectors live in the session's arena and
+// are only valid until the caller releases it.
 type Info struct {
 	U *ir.PatternSet
 
@@ -59,18 +64,13 @@ type Info struct {
 	NInsert      []bitvec.Vec
 	XInsert      []bitvec.Vec
 
-	// Occ is the pattern ID of every instruction of the analyzed graph.
-	// A block's hoisting candidate of a LOC-HOISTABLE pattern is the
-	// pattern's first occurrence there (analysis.Candidates).
-	Occ *analysis.Occurrences
-
-	// occRank[patternID] ranks patterns by first occurrence in the current
-	// graph (-1 when absent). Insertion points place their patterns in this
-	// order: a session reuses pattern IDs across rounds, so raw ID order
-	// would depend on interning history, while first-occurrence order is a
-	// property of the graph alone — it keeps the fixpoint canonical and
-	// byte-identical to the uncached implementation, which renumbered the
-	// universe every round.
+	// occRank[patternID] ranks patterns by first occurrence in the
+	// analyzed program (-1 when absent). Insertion points place their
+	// patterns in this order: a session reuses pattern IDs across rounds,
+	// so raw ID order would depend on interning history, while
+	// first-occurrence order is a property of the program alone — it keeps
+	// the fixpoint canonical and byte-identical to an implementation that
+	// renumbered the universe every round.
 	occRank []int
 }
 
@@ -84,18 +84,23 @@ func Analyze(g *ir.Graph) *Info {
 // Info shares the session's arena; it must be consumed before the arena is
 // released.
 func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
-	u, px, occ := s.Universe(g)
+	return analyze(analysis.NewCode(g, s), s)
+}
+
+// analyze computes the hoistability analysis and insertion points of the
+// encoded program c, with storage from s's arena.
+func analyze(c *analysis.Code, s *analysis.Session) *Info {
+	g := c.G
 	ar := s.Arena()
 	bv := s.Blocks(g)
-	n, bits := len(g.Blocks), u.Len()
+	n, bits := len(c.Blocks), c.U.Len()
 	info := &Info{
-		U:            u,
+		U:            c.U,
 		LocHoistable: ar.Vecs(n),
 		LocBlocked:   ar.Vecs(n),
-		Occ:          occ,
 	}
-	for i, b := range g.Blocks {
-		info.LocHoistable[i], info.LocBlocked[i] = px.BlockLocals(b, occ.Block(i), ar)
+	for i := range c.Blocks {
+		info.LocHoistable[i], info.LocBlocked[i] = c.Locals(i, ar)
 	}
 
 	info.occRank = ar.Ints(bits)
@@ -103,10 +108,12 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 		info.occRank[id] = -1
 	}
 	next := 0
-	for _, id := range occ.All() {
-		if id >= 0 && info.occRank[id] < 0 {
-			info.occRank[id] = next
-			next++
+	for _, ids := range c.Blocks {
+		for _, id := range ids {
+			if id >= 0 && info.occRank[id] < 0 {
+				info.occRank[id] = next
+				next++
+			}
 		}
 	}
 
@@ -184,124 +191,116 @@ func ApplyMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
 	return ApplyWith(g, nil, mask)
 }
 
-// rankOrder sorts ids in place by first occurrence (occRank). Insertion
-// sort: the sets are tiny and sort.Slice's reflection allocates.
-func (info *Info) rankOrder(ids []int) []int {
-	rank := info.occRank
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && rank[ids[j]] < rank[ids[j-1]]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
-}
-
-// appendInstances appends to dst an instance of every pattern set in v,
-// ordered by first occurrence in the analyzed graph (occRank), sorting in
-// scratch carved from ar.
-func (info *Info) appendInstances(dst []ir.Instr, v bitvec.Vec, ar *arena.Arena) []ir.Instr {
-	ids := ar.Ints(v.PopCount())[:0]
-	for id := v.Next(0); id >= 0; id = v.Next(id + 1) {
-		ids = append(ids, id)
-	}
-	for _, id := range info.rankOrder(ids) {
-		p := info.U.PatternAt(id)
-		dst = append(dst, ir.NewAssign(p.LHS, p.RHS))
-	}
-	return dst
-}
-
-// ApplyWith is ApplyMasked running against session s: the pattern universe
-// and iteration orders are reused across rounds and all analysis storage
-// comes from the session's arena, which is rewound before returning — one
-// warmed-up hoisting round allocates almost nothing. The change report is
-// precise (per-block instruction comparison), not an Encode round trip.
+// ApplyWith is ApplyMasked running against session s: it encodes g, runs
+// one Step and writes the result back. All storage comes from the
+// session's arena, which is rewound before returning.
 func ApplyWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPattern) bool) bool {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
 
-	info := AnalyzeWith(g, s)
+	c := analysis.NewCode(g, s)
+	var keep bitvec.Vec
 	if mask != nil {
-		keep := ar.Vec(info.U.Len())
-		for id, p := range info.U.Patterns() {
+		keep = ar.Vec(c.U.Len())
+		for id, p := range c.U.Patterns() {
 			if mask(p) {
 				keep.Set(id)
 			}
 		}
-		for i := range g.Blocks {
+	}
+	changed := Step(c, s, keep)
+	c.WriteBack()
+	return changed
+}
+
+// Step performs one hoisting step on the encoded program c, rewriting its
+// blocks in place, and reports whether any block's sequence changed. keep
+// restricts the step to the patterns it holds; the zero Vec keeps every
+// pattern. Analysis storage and scratch come from s's arena and are
+// released before returning.
+//
+// A round may remove a candidate and re-insert the same pattern at the
+// same point (a candidate already at its earliest position); comparing
+// each block's ID sequence with its previous one reports such a round as
+// unchanged, so the fixpoint loops terminate.
+func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) bool {
+	ar := s.Arena()
+	m := ar.Mark()
+	defer ar.Release(m)
+
+	info := analyze(c, s)
+	if keep.Len() > 0 {
+		for i := range c.Blocks {
 			info.LocHoistable[i].And(keep)
 			info.NInsert[i].And(keep)
 			info.XInsert[i].And(keep)
 		}
 	}
 
-	// Collect per-block prepends. Exit-inserts of branch nodes become
-	// prepends of their successors, ordered before the successors' own
-	// entry-inserts (the edge point precedes the node entry).
-	prepend := make([][]ir.Instr, len(g.Blocks))
-	appendAtEnd := make([][]ir.Instr, len(g.Blocks))
-
+	// Exit-inserts of branch nodes become entry-inserts of their
+	// successors, ordered before the successors' own N-INSERTs (the edge
+	// point precedes the node entry).
+	g := c.G
 	for i, b := range g.Blocks {
-		if info.XInsert[i].Any() {
-			if _, branch := b.Cond(); branch {
-				instrs := info.appendInstances(nil, info.XInsert[i], ar)
-				for _, s := range b.Succs {
-					if len(g.Block(s).Preds) != 1 {
-						panic(fmt.Sprintf("aht: X-INSERT at branch node %s with unsplit critical edge to %s",
-							b.Name, g.Block(s).Name))
-					}
-					prepend[int(s)] = append(prepend[int(s)], instrs...)
+		if c.Branch(i) && info.XInsert[i].Any() {
+			for _, succ := range b.Succs {
+				if len(g.Block(succ).Preds) != 1 {
+					panic(fmt.Sprintf("aht: X-INSERT at branch node %s with unsplit critical edge to %s",
+						b.Name, g.Block(succ).Name))
 				}
-			} else {
-				appendAtEnd[i] = info.appendInstances(appendAtEnd[i], info.XInsert[i], ar)
 			}
-		}
-	}
-	for i := range g.Blocks {
-		if info.NInsert[i].Any() {
-			prepend[i] = info.appendInstances(prepend[i], info.NInsert[i], ar)
 		}
 	}
 
 	changed := false
 	for i, b := range g.Blocks {
+		var edge, tail bitvec.Vec
+		if len(b.Preds) == 1 && c.Branch(int(b.Preds[0])) {
+			edge = info.XInsert[int(b.Preds[0])]
+		}
+		if !c.Branch(i) {
+			tail = info.XInsert[i]
+		}
+		head, loc := info.NInsert[i], info.LocHoistable[i]
 		// Untouched block: nothing to insert, no candidate to remove.
-		if len(prepend[i]) == 0 && len(appendAtEnd[i]) == 0 && !info.LocHoistable[i].Any() {
+		if !edge.Any() && !head.Any() && !tail.Any() && !loc.Any() {
 			continue
 		}
+		ids := c.Blocks[i]
 		// Remove hoisting candidates (at most one per pattern per block).
-		drop := analysis.Candidates(info.Occ.Block(i), info.LocHoistable[i], false, ar)
-		next := make([]ir.Instr, 0, len(prepend[i])+len(b.Instrs)+len(appendAtEnd[i]))
-		next = append(next, prepend[i]...)
-		for k, in := range b.Instrs {
+		drop := analysis.Candidates(ids, loc, false, ar)
+		next := ar.Ints(len(ids) + edge.PopCount() + head.PopCount() + tail.PopCount())[:0]
+		next = info.appendRanked(next, edge)
+		next = info.appendRanked(next, head)
+		for k, id := range ids {
 			if !drop.Get(k) {
-				next = append(next, in)
+				next = append(next, id)
 			}
 		}
-		next = append(next, appendAtEnd[i]...)
-		if !sameInstrs(next, b.Instrs) {
+		next = info.appendRanked(next, tail)
+		if !slices.Equal(next, ids) {
 			changed = true
+			c.Blocks[i] = append(ids[:0], next...)
 		}
-		b.Instrs = next
 	}
-	g.Normalize()
 	return changed
 }
 
-// sameInstrs reports element-wise structural equality. A hoisting round
-// may remove a candidate and re-insert the identical instruction at the
-// same point (a candidate already at its earliest position); such a round
-// must report "unchanged" so the fixpoint loops terminate, exactly as the
-// old Encode comparison did.
-func sameInstrs(a, b []ir.Instr) bool {
-	if len(a) != len(b) {
-		return false
+// appendRanked appends to dst every pattern set in v, ordered by first
+// occurrence in the analyzed program (occRank). The appended run is
+// insertion-sorted in place: the sets are tiny and sort.Slice's reflection
+// allocates.
+func (info *Info) appendRanked(dst []int, v bitvec.Vec) []int {
+	start := len(dst)
+	for id := v.Next(0); id >= 0; id = v.Next(id + 1) {
+		dst = append(dst, id)
 	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
+	ids, rank := dst[start:], info.occRank
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && rank[ids[j]] < rank[ids[j-1]]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	return true
+	return dst
 }

@@ -10,9 +10,16 @@
 // hoistings — those that enable the elimination of an occurrence of the
 // hoisted pattern — and therefore misses second-order effects (Figure 8).
 //
-// Fixpoint detection is signal-based: aht.ApplyWith reports precisely
-// whether it changed any instruction sequence and rae's removal count is
-// zero exactly when it left the program alone, so a round with
+// Every loop encodes its graph once (analysis.NewCode): each block
+// becomes the pattern IDs of its assignments plus references to its out
+// and branch instructions, which aht and rae never move. All rounds run
+// aht.Step and rae.Step on that encoding, rewriting blocks in place, and
+// Block.Instrs is written back once, followed by one Normalize — on every
+// return path, so an error leaves the graph at the last completed round.
+//
+// Fixpoint detection is signal-based: aht.Step reports precisely whether
+// it changed any block's ID sequence and rae's removal count is zero
+// exactly when it left the program alone, so a round with
 // !hoisted && removed == 0 is the fixpoint. The iteration limit stays as
 // a backstop that turns a termination bug into a typed failure instead of
 // a hang: TryRunWith, TryRunRestrictedWith and RunEliminateFirst return
@@ -25,6 +32,8 @@ package am
 import (
 	"assignmentmotion/internal/aht"
 	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/arena"
+	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
@@ -92,6 +101,8 @@ func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	st.SplitEdges = g.SplitCriticalEdges()
 	limit := iterationLimit(g)
+	c, done := encode(g, s)
+	defer done()
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
@@ -102,15 +113,29 @@ func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			st.Iterations--
 			return st, err
 		}
-		hoisted := aht.ApplyWith(g, s, nil)
-		removed := rae.EliminateBlocksWith(g, s)
+		hoisted := aht.Step(c, s, bitvec.Vec{})
+		removed := rae.Step(c, s)
 		st.Eliminated += removed
-		// aht's report is textual-change-precise and rae only deletes, so a
+		// aht's report is change-precise and rae only deletes, so a
 		// hoisting round can never be silently undone by the elimination
 		// that follows it: no change in either procedure is the fixpoint.
 		if !hoisted && removed == 0 {
 			return st, nil
 		}
+	}
+}
+
+// encode encodes g for a fixpoint loop, with storage from s's arena. The
+// returned done writes the encoding back to g and releases the storage;
+// loops defer it, so every return path leaves g at the last completed
+// round.
+func encode(g *ir.Graph, s *analysis.Session) (*analysis.Code, func()) {
+	ar := s.Arena()
+	m := ar.Mark()
+	c := analysis.NewCode(g, s)
+	return c, func() {
+		c.WriteBack()
+		ar.Release(m)
 	}
 }
 
@@ -128,10 +153,12 @@ func RunBounded(g *ir.Graph, maxIterations int) Stats {
 	defer s.Close()
 	var st Stats
 	st.SplitEdges = g.SplitCriticalEdges()
+	c, done := encode(g, s)
+	defer done()
 	for st.Iterations < maxIterations {
 		st.Iterations++
-		hoisted := aht.ApplyWith(g, s, nil)
-		removed := rae.EliminateBlocksWith(g, s)
+		hoisted := aht.Step(c, s, bitvec.Vec{})
+		removed := rae.Step(c, s)
 		st.Eliminated += removed
 		if !hoisted && removed == 0 {
 			return st
@@ -151,6 +178,8 @@ func RunEliminateFirst(g *ir.Graph) (Stats, error) {
 	var st Stats
 	st.SplitEdges = g.SplitCriticalEdges()
 	limit := iterationLimit(g)
+	c, done := encode(g, s)
+	defer done()
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
@@ -161,9 +190,9 @@ func RunEliminateFirst(g *ir.Graph) (Stats, error) {
 			st.Iterations--
 			return st, err
 		}
-		removed := rae.EliminateBlocksWith(g, s)
+		removed := rae.Step(c, s)
 		st.Eliminated += removed
-		hoisted := aht.ApplyWith(g, s, nil)
+		hoisted := aht.Step(c, s, bitvec.Vec{})
 		if removed == 0 && !hoisted {
 			return st, nil
 		}
@@ -194,6 +223,13 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	st.SplitEdges = g.SplitCriticalEdges()
 	limit := iterationLimit(g)
+	c, done := encode(g, s)
+	defer done()
+	// The universe may carry patterns whose occurrences are all gone by
+	// now; profitableSet never admits those (occurrence count 0), so the
+	// stale entries are harmless.
+	bits := c.U.Len()
+	prof, only := s.Arena().Vec(bits), s.Arena().Vec(bits)
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
@@ -204,33 +240,29 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			st.Iterations--
 			return st, err
 		}
-		removed := rae.EliminateBlocksWith(g, s)
+		removed := rae.Step(c, s)
 		st.Eliminated += removed
 		changed := removed > 0
 
-		// The session universe may carry patterns whose occurrences are all
-		// gone by now; profitableSet reports false for those (occurrence
-		// count 0), so the stale entries are harmless.
-		u, _, _ := s.Universe(g)
-		pats := u.Patterns()
-		prof := profitableSet(g, pats)
-		for i, p := range pats {
-			if !prof[i] {
-				continue
-			}
-			hoisted := aht.ApplyWith(g, s, func(q ir.AssignPattern) bool { return q == p })
-			r := rae.EliminateBlocksWith(g, s)
+		profitableSet(c, s, prof)
+		for id := prof.Next(0); id >= 0; id = prof.Next(id + 1) {
+			only.Set(id)
+			hoisted := aht.Step(c, s, only)
+			only.Clear(id)
+			r := rae.Step(c, s)
 			st.Eliminated += r
 			if hoisted || r > 0 {
 				changed = true
-				// The graph evolved: admission decisions for the patterns
-				// still ahead must be re-derived from the new state —
-				// hoisting one chain link can make the next one profitable
-				// within the same round (and, conversely, consume the
-				// profit of a later pattern). One batched trial per CHANGE
-				// instead of one clone per PATTERN: rounds where nothing
-				// fires cost a single trial.
-				copy(prof[i+1:], profitableSet(g, pats)[i+1:])
+				// The program evolved: admission decisions for the
+				// patterns still ahead must be re-derived from the new
+				// state — hoisting one chain link can make the next one
+				// profitable within the same round (and, conversely,
+				// consume the profit of a later pattern). One batched
+				// trial per CHANGE instead of one per PATTERN: rounds
+				// where nothing fires cost a single trial. The loop reads
+				// only the bits above id, so refreshing all of prof is
+				// the same as refreshing those.
+				profitableSet(c, s, prof)
 			}
 		}
 		if !changed {
@@ -239,40 +271,53 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	}
 }
 
-// profitableSet computes Dhamdhere's admission test — hoisting pattern p
-// followed by elimination strictly decreases p's occurrence count — for
-// every pattern of the universe in ONE batched trial: clone g once, hoist
-// all patterns simultaneously, eliminate, and compare the per-pattern
-// (masked) occurrence counts against the originals. The per-pattern
-// hoisting analyses are independent (see aht.ApplyMasked), so the
-// combined trial observes the same per-pattern deltas as |pats| solo
-// trials would — the pin tests in restricted_pin_test.go certify batched
-// admission byte-identical to the historical per-pattern-clone version
-// across the golden corpus and a generated sweep. The trial runs on the
-// uncached nil-session path; sharing the caller's session would rebind
-// its caches to the throwaway graph.
-func profitableSet(g *ir.Graph, pats []ir.AssignPattern) []bool {
-	prof := make([]bool, len(pats))
-	before := make([]int, len(pats))
-	candidates := 0
-	for i, p := range pats {
-		before[i] = g.CountPattern(p)
-		if before[i] > 0 {
-			candidates++
+// profitableSet computes into prof Dhamdhere's admission test — hoisting
+// pattern p followed by elimination strictly decreases p's occurrence
+// count — for every pattern of the universe in ONE batched trial: copy the
+// encoded blocks once, hoist all patterns simultaneously, eliminate, and
+// compare the per-pattern occurrence counts against the originals. The
+// per-pattern hoisting analyses are independent (see aht.ApplyMasked), so
+// the combined trial observes the same per-pattern deltas as one solo
+// trial per pattern would — the pin tests in restricted_pin_test.go
+// certify batched admission byte-identical to the historical
+// per-pattern-clone version across the golden corpus and a generated
+// sweep.
+func profitableSet(c *analysis.Code, s *analysis.Session, prof bitvec.Vec) {
+	prof.ClearAll()
+	ar := s.Arena()
+	m := ar.Mark()
+	defer ar.Release(m)
+	before := countIDs(c, ar)
+	// The trial's solver work is scratch, not the phase's: it is taken
+	// back out of the session's tally, so per-pass Dataflow counts and
+	// the MaxSolverVisits budget see only the rounds that rewrite g.
+	if df := s.DataflowStats(); df != nil {
+		saved := *df
+		defer func() { *df = saved }()
+	}
+	trial := c.Copy(ar)
+	aht.Step(trial, s, bitvec.Vec{})
+	rae.Step(trial, s)
+	after := countIDs(trial, ar)
+	for id, n := range before {
+		if n > 0 && after[id] < n {
+			prof.Set(id)
 		}
 	}
-	if candidates == 0 {
-		return prof
-	}
-	trial := g.Clone()
-	aht.Apply(trial)
-	rae.EliminateBlocks(trial)
-	for i, p := range pats {
-		if before[i] > 0 && trial.CountPattern(p) < before[i] {
-			prof[i] = true
+}
+
+// countIDs returns the number of occurrences of every pattern of c, in
+// storage carved from ar.
+func countIDs(c *analysis.Code, ar *arena.Arena) []int {
+	counts := ar.Ints(c.U.Len())
+	for _, ids := range c.Blocks {
+		for _, id := range ids {
+			if id >= 0 {
+				counts[id]++
+			}
 		}
 	}
-	return prof
+	return counts
 }
 
 // iterationLimit bounds the fixpoint loop. §4.5 shows the number of

@@ -1,0 +1,196 @@
+package analysis
+
+import (
+	"assignmentmotion/internal/arena"
+	"assignmentmotion/internal/bitvec"
+	"assignmentmotion/internal/ir"
+)
+
+// Code is a graph's instruction sequences encoded over its assignment-
+// pattern universe: the form the aht/rae fixpoint of the assignment
+// motion phase runs on. aht and rae only ever insert, drop or keep whole
+// occurrences of patterns already in the universe, so a round can rewrite
+// integer sequences instead of copying ir.Instr values and rehashing them.
+// The AM phase encodes its graph once (NewCode), runs every round on the
+// encoding, and writes Block.Instrs back once (WriteBack).
+//
+// Each pattern's kill and use-block vectors are resolved from the
+// PatternIndex at encode time, so the local predicates of Tables 1 and 2
+// (Locals, Transfer) cost no map lookup. Skips are not encoded: they have
+// no effect on any predicate, and WriteBack's Normalize restores them in
+// empty blocks.
+type Code struct {
+	G *ir.Graph
+	U *ir.PatternSet
+	// Blocks[i] encodes G.Blocks[i]: the pattern ID of each assignment,
+	// or ^k for entry k of the side table, which holds the out and branch
+	// instructions — aht and rae never move them.
+	Blocks [][]int
+
+	side        []ir.Instr
+	sideBlocked []bitvec.Vec // per side entry: the patterns it blocks
+	kill        []bitvec.Vec // per pattern: the patterns an occurrence kills
+	use         []bitvec.Vec // per pattern, two entries: the patterns blocked by each RHS operand read, zero when none
+	selfRef     bitvec.Vec
+}
+
+// NewCode encodes g over s's universe of g. The resolved vectors and the
+// block storage are carved from s's arena, so the Code is valid until the
+// caller releases the arena below the point where it was built. Each
+// block gets room to grow; a block that outgrows it moves to the heap.
+func NewCode(g *ir.Graph, s *Session) *Code {
+	u, px, occ := s.Universe(g)
+	ar := s.Arena()
+	bits := u.Len()
+	c := &Code{
+		G:       g,
+		U:       u,
+		Blocks:  make([][]int, len(g.Blocks)),
+		kill:    ar.Vecs(bits),
+		use:     ar.Vecs(2 * bits),
+		selfRef: px.selfRef,
+	}
+	for id := range bits {
+		p := u.PatternAt(id)
+		c.kill[id] = px.killByDef[p.LHS]
+		c.use[2*id] = px.useBlocks(p.RHS.Args[0])
+		if !p.RHS.Trivial() {
+			c.use[2*id+1] = px.useBlocks(p.RHS.Args[1])
+		}
+	}
+	sides := 0
+	for _, b := range g.Blocks {
+		for k := range b.Instrs {
+			if kind := b.Instrs[k].Kind; kind == ir.KindOut || kind == ir.KindCond {
+				sides++
+			}
+		}
+	}
+	c.side = make([]ir.Instr, 0, sides)
+	c.sideBlocked = ar.Vecs(sides)
+	for i, b := range g.Blocks {
+		ids := occ.Block(i)
+		enc := ar.Ints(2*len(b.Instrs) + 4)[:0]
+		for k := range b.Instrs {
+			in := &b.Instrs[k]
+			switch in.Kind {
+			case ir.KindSkip:
+			case ir.KindAssign:
+				enc = append(enc, ids[k])
+			default:
+				blocked := ar.Vec(bits)
+				px.OrBlocked(in, blocked)
+				c.sideBlocked[len(c.side)] = blocked
+				enc = append(enc, ^len(c.side))
+				c.side = append(c.side, *in)
+			}
+		}
+		c.Blocks[i] = enc
+	}
+	return c
+}
+
+// WriteBack rewrites G's instruction sequences from the encoding, each
+// block into its own storage, and normalizes G once. The blocks that
+// outgrew their storage share one new array.
+func (c *Code) WriteBack() {
+	grown := 0
+	for i, b := range c.G.Blocks {
+		if n := len(c.Blocks[i]); n > cap(b.Instrs) {
+			grown += n
+		}
+	}
+	var slab []ir.Instr
+	if grown > 0 {
+		slab = make([]ir.Instr, grown)
+	}
+	for i, b := range c.G.Blocks {
+		ins := b.Instrs[:0]
+		if n := len(c.Blocks[i]); n > cap(ins) {
+			ins, slab = slab[:0:n], slab[n:]
+		}
+		for _, e := range c.Blocks[i] {
+			if e < 0 {
+				ins = append(ins, c.side[^e])
+				continue
+			}
+			p := c.U.PatternAt(e)
+			ins = append(ins, ir.Instr{Kind: ir.KindAssign, LHS: p.LHS, RHS: p.RHS})
+		}
+		b.Instrs = ins
+	}
+	c.G.Normalize()
+}
+
+// Copy returns a scratch copy of c whose blocks live in ar, sharing the
+// resolved vectors: steps may rewrite it without touching c. A copy is
+// never written back.
+func (c *Code) Copy(ar *arena.Arena) *Code {
+	t := *c
+	t.Blocks = make([][]int, len(c.Blocks))
+	for i, ids := range c.Blocks {
+		t.Blocks[i] = append(ar.Ints(cap(ids))[:0], ids...)
+	}
+	return &t
+}
+
+// Branch reports whether block i ends in a branch condition.
+func (c *Code) Branch(i int) bool {
+	ids := c.Blocks[i]
+	return len(ids) > 0 && ids[len(ids)-1] < 0 && c.side[^ids[len(ids)-1]].Kind == ir.KindCond
+}
+
+// Kill returns the patterns whose association an occurrence of pattern id
+// destroys (Table 2's ¬ASS-TRANSP). Shared index state: read-only.
+func (c *Code) Kill(id int) bitvec.Vec { return c.kill[id] }
+
+// SelfRef returns the self-referential patterns, whose occurrences never
+// generate (Table 2's side condition). Shared index state: read-only.
+func (c *Code) SelfRef() bitvec.Vec { return c.selfRef }
+
+// Locals computes Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors for
+// block i in one forward walk, with storage from ar (heap when nil). A
+// pattern is LOC-HOISTABLE when its first occurrence is not preceded by a
+// blocker; Candidates recovers the candidate positions.
+func (c *Code) Locals(i int, ar *arena.Arena) (locHoistable, locBlocked bitvec.Vec) {
+	bits := c.U.Len()
+	locHoistable = ar.Vec(bits)
+	locBlocked = ar.Vec(bits)
+	for _, e := range c.Blocks[i] {
+		if e < 0 {
+			locBlocked.Or(c.sideBlocked[^e])
+			continue
+		}
+		// An occurrence blocks its own pattern, so every later occurrence
+		// already finds its bit in locBlocked.
+		if !locBlocked.Get(e) {
+			locHoistable.Set(e)
+		}
+		locBlocked.Or(c.kill[e])
+		for _, use := range c.use[2*e : 2*e+2] {
+			if use.Len() > 0 {
+				locBlocked.Or(use)
+			}
+		}
+	}
+	return locHoistable, locBlocked
+}
+
+// Transfer computes into gen and kill, which must start empty, the
+// block-level gen/kill form of Table 2 for block i: GEN holds the
+// patterns whose association some occurrence establishes and no later
+// instruction of the block destroys, KILL those destroyed and not
+// re-established. Self-referential occurrences never generate.
+func (c *Code) Transfer(i int, gen, kill bitvec.Vec) {
+	for _, e := range c.Blocks[i] {
+		if e < 0 {
+			continue
+		}
+		gen.AndNot(c.kill[e])
+		kill.Or(c.kill[e])
+		if !c.selfRef.Get(e) {
+			gen.Set(e)
+			kill.Clear(e)
+		}
+	}
+}

@@ -112,16 +112,6 @@ func (px *PatternIndex) GenVec(id int) bitvec.Vec {
 	return px.singleton[id]
 }
 
-// OrKill ors killVec(in) into dst.
-func (px *PatternIndex) OrKill(in *ir.Instr, dst bitvec.Vec) {
-	dst.Or(px.killVec(in))
-}
-
-// AndNotKill removes killVec(in) from dst (dst = dst · ASS-TRANSP(in)).
-func (px *PatternIndex) AndNotKill(in *ir.Instr, dst bitvec.Vec) {
-	dst.AndNot(px.killVec(in))
-}
-
 // OrBlocked ors into dst every pattern blocked by instruction in: those
 // killed by in's definition plus those whose LHS is read by in.
 func (px *PatternIndex) OrBlocked(in *ir.Instr, dst bitvec.Vec) {
@@ -156,28 +146,21 @@ func (px *PatternIndex) orUseBlocks(t *ir.Term, dst bitvec.Vec) {
 	}
 }
 
-// BlockLocals computes Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors for
-// block b in one forward walk, given the pattern IDs of b's instructions
-// (Occurrences.Block). A pattern is LOC-HOISTABLE when its first
-// occurrence is not preceded by a blocker; Candidates recovers the
-// candidate positions. Storage comes from ar (heap when nil).
-func (px *PatternIndex) BlockLocals(b *ir.Block, ids []int, ar *arena.Arena) (locHoistable, locBlocked bitvec.Vec) {
-	bits := px.U.Len()
-	locHoistable = ar.Vec(bits)
-	locBlocked = ar.Vec(bits)
-	for k, id := range ids {
-		// An occurrence blocks its own pattern, so every later occurrence
-		// already finds its bit in locBlocked.
-		if id >= 0 && !locBlocked.Get(id) {
-			locHoistable.Set(id)
-		}
-		px.OrBlocked(&b.Instrs[k], locBlocked)
+// useBlocks returns the patterns blocked by a read of operand o: those
+// whose left-hand side o names. It returns the zero Vec for a constant or
+// a variable no pattern assigns.
+func (px *PatternIndex) useBlocks(o ir.Operand) bitvec.Vec {
+	if o.IsConst {
+		return bitvec.Vec{}
 	}
-	return locHoistable, locBlocked
+	return px.blockByUse[o.Var]
 }
 
-// BlockLocalsReverse is BlockLocals for sinking: a pattern is
-// LOC-SINKABLE when its last occurrence is not followed by a blocker.
+// BlockLocalsReverse computes the sinking mirror of Table 1's local
+// predicates for block b in one backward walk, given the pattern IDs of
+// b's instructions (Occurrences.Block): a pattern is LOC-SINKABLE when its
+// last occurrence is not followed by a blocker, LOC-BLOCKED when some
+// instruction of b blocks it. Storage comes from ar (heap when nil).
 func (px *PatternIndex) BlockLocalsReverse(b *ir.Block, ids []int, ar *arena.Arena) (locSinkable, locBlocked bitvec.Vec) {
 	bits := px.U.Len()
 	locSinkable = ar.Vec(bits)
@@ -214,26 +197,6 @@ func Candidates(ids []int, loc bitvec.Vec, last bool, ar *arena.Arena) bitvec.Ve
 		}
 	}
 	return at
-}
-
-// BlockTransfer computes into gen and kill, which must start empty, the
-// block-level gen/kill form of Table 2 for block b (ids as for
-// BlockLocals): GEN holds the patterns whose association some occurrence
-// establishes and no later instruction of b destroys, KILL those destroyed
-// and not re-established. Self-referential occurrences never generate.
-func (px *PatternIndex) BlockTransfer(b *ir.Block, ids []int, gen, kill bitvec.Vec) {
-	for k, id := range ids {
-		in := &b.Instrs[k]
-		if in.Kind != ir.KindAssign {
-			continue
-		}
-		px.AndNotKill(in, gen)
-		px.OrKill(in, kill)
-		if id >= 0 && !px.selfRef.Get(id) {
-			gen.Set(id)
-			kill.Clear(id)
-		}
-	}
 }
 
 // Occurrences maps every instruction of one version of a graph to the ID

@@ -16,6 +16,7 @@ func TestIndexMatchesPredicates(t *testing.T) {
 		g := cfggen.Structured(seed, cfggen.Config{Size: 8})
 		s := NewSession()
 		u, px, occ := s.Universe(g)
+		code := NewCode(g, s)
 		bits := u.Len()
 
 		for i, b := range g.Blocks {
@@ -33,19 +34,10 @@ func TestIndexMatchesPredicates(t *testing.T) {
 				}
 
 				// Kill vector vs ¬AssTransp.
-				kill := bitvec.New(bits)
-				px.OrKill(in, kill)
+				kill := px.KillVec(in)
 				for id := 0; id < bits; id++ {
 					if kill.Get(id) == AssTransp(in, u.PatternAt(id)) {
 						t.Fatalf("seed %d: kill bit %d disagrees with AssTransp at %v", seed, id, in)
-					}
-				}
-				// AndNotKill is the complement operation.
-				full := bitvec.NewFull(bits)
-				px.AndNotKill(in, full)
-				for id := 0; id < bits; id++ {
-					if full.Get(id) != AssTransp(in, u.PatternAt(id)) {
-						t.Fatalf("seed %d: AndNotKill bit %d wrong at %v", seed, id, in)
 					}
 				}
 
@@ -60,9 +52,11 @@ func TestIndexMatchesPredicates(t *testing.T) {
 				}
 			}
 
-			// BlockLocals vs LocHoistable/LocBlocked/CandidateIndex.
-			locH, locB := px.BlockLocals(b, ids, nil)
-			cands := Candidates(ids, locH, false, nil)
+			// Code.Locals vs LocHoistable/LocBlocked/CandidateIndex. The
+			// generated blocks hold no skips, so encoded positions are
+			// instruction positions.
+			locH, locB := code.Locals(i, nil)
+			cands := Candidates(code.Blocks[i], locH, false, nil)
 			for id := 0; id < bits; id++ {
 				p := u.PatternAt(id)
 				if locH.Get(id) != LocHoistable(b, p) {

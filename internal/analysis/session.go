@@ -161,10 +161,10 @@ func (s *Session) BeginPass() {
 
 // CheckBudget reports the first violated constraint of the session's
 // budget or context as a typed fault error, or nil. Fixpoint procedures
-// (the AM phase, the EM/CP interleaving) call it once per round with
-// their current round count, which turns runaway fixpoints and expired
-// engine deadlines into typed failures at the next round boundary instead
-// of hangs. amIters is the caller's current fixpoint round (pass 0 from
+// (the AM phase, lazy code motion, the EM/CP interleaving) call it once
+// per round with their current round count, which turns runaway
+// fixpoints and expired engine deadlines into typed failures at the next
+// round boundary instead of hangs. amIters is the caller's current fixpoint round (pass 0 from
 // non-iterating contexts). Nil-safe: a nil session has no budget and no
 // context, so the check is free and always passes.
 func (s *Session) CheckBudget(amIters int) error {
@@ -228,11 +228,15 @@ func (s *Session) SolverWorkersFor(n int) int {
 // version, cached across calls. On a graph mutation one scan re-syncs the
 // universe in place (stable IDs, see ir.PatternSet.Intern) and refills the
 // occurrence table, so each instruction's pattern is hashed once per graph
-// version however many analyses read it. The index is rebuilt only when a
-// genuinely new pattern appeared — which inside an aht/rae fixpoint never
-// happens, since hoisting re-inserts existing patterns and elimination
-// only removes occurrences; patterns that no longer occur keep their IDs
-// and simply set no bit in any local predicate.
+// version however many analyses read it. The assignment motion phase
+// reads it once per phase, to encode the graph (NewCode): its aht/rae
+// rounds run on the encoding without touching g, so the fixpoint causes
+// no rescan, and the encoding's bit widths are this universe's. The
+// index is rebuilt only when a genuinely new pattern appeared — which
+// inside an aht/rae fixpoint never happens, since hoisting re-inserts
+// existing patterns and elimination only removes occurrences; patterns
+// that no longer occur keep their IDs and simply set no bit in any local
+// predicate.
 //
 // The occurrence table is session-owned storage reused across versions
 // (not arena-carved: it must outlive the Mark/Release bracket of the

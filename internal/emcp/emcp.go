@@ -92,8 +92,8 @@ func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 // TryRunWith is the fallible form of RunWith: each EM+CP round honours
 // the session's budget and cancellation context, so an engine deadline
 // interrupts the interleaving between rounds instead of between graphs.
-// On error the graph is left in the valid state of the last completed
-// round (every round is a complete, semantics-preserving transformation).
+// On error the graph is left valid and semantics-preserved (see
+// interleave).
 func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	return interleave(g, s, false)
 }
@@ -121,8 +121,9 @@ func TryRunGVNWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 }
 
 // interleave runs the (optionally GVN-prefixed) EM/CP rounds to a capped
-// fixpoint. Every round is a complete, semantics-preserving transformation,
-// so on error the graph is the valid result of the last completed round.
+// fixpoint. Every round, and every step within one, is a complete,
+// semantics-preserving transformation, so on error the graph is valid: the
+// result of the last completed step.
 func interleave(g *ir.Graph, s *analysis.Session, withGVN bool) (Stats, error) {
 	var st Stats
 	for st.Rounds < MaxRounds {
@@ -139,9 +140,12 @@ func interleave(g *ir.Graph, s *analysis.Session, withGVN bool) (Stats, error) {
 				return st, err
 			}
 		}
-		em := lcm.RunWith(g, s)
+		em, err := lcm.RunWith(g, s)
 		st.Decomposed += em.Decomposed
 		st.Eliminated += em.Eliminated
+		if err != nil {
+			return st, err
+		}
 		replaced, _ := copyprop.RunWith(g, s)
 		st.Replaced += replaced
 		if g.Encode() == before {

@@ -225,8 +225,8 @@ func (e *PeerError) Is(target error) bool {
 // Budget caps the resources one pipeline run may consume. The zero value
 // imposes no caps. Budgets turn runaway work into typed ErrBudgetExceeded
 // failures at the next pass boundary or fixpoint round instead of hangs:
-// the AM fixpoint and the EM/CP interleaving check the budget once per
-// round, and the pipeline checks it around every pass.
+// the AM fixpoint, lazy code motion and the EM/CP interleaving check the
+// budget once per round, and the pipeline checks it around every pass.
 type Budget struct {
 	// MaxPassWall caps the wall-clock time of a single pass. Fixpoint
 	// passes check it between rounds; the pipeline additionally checks it

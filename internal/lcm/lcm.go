@@ -23,11 +23,10 @@
 package lcm
 
 import (
-	"fmt"
-
 	"assignmentmotion/internal/aht"
 	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/core"
+	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
@@ -40,8 +39,8 @@ func init() {
 		Description: "expression-motion baseline: lazy code motion over initialization patterns (original assignments never move)",
 		Ref:         "§1.2, Figure 6(a); Knoop/Rüthing/Steffen PLDI'92",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st := RunWith(g, s)
-			return pass.Stats{Changes: st.Decomposed + st.Eliminated, Iterations: st.Iterations}, nil
+			st, err := RunWith(g, s)
+			return pass.Stats{Changes: st.Decomposed + st.Eliminated, Iterations: st.Iterations}, err
 		},
 	})
 }
@@ -58,17 +57,26 @@ type Stats struct {
 	Flush flush.Stats
 }
 
-// Run applies lazy code motion to g in place.
+// Run applies lazy code motion to g in place. It panics if the fixpoint
+// fails (see RunWith).
 func Run(g *ir.Graph) Stats {
 	s := analysis.NewSession()
 	defer s.Close()
-	return RunWith(g, s)
+	st, err := RunWith(g, s)
+	if err != nil {
+		panic("lcm: " + err.Error())
+	}
+	return st
 }
 
 // RunWith is Run against an existing session, so a caller driving several
 // passes (the pass pipeline, the §6 EM/CP interleaving) shares one arena
-// and one universe cache across all of them.
-func RunWith(g *ir.Graph, s *analysis.Session) Stats {
+// and one universe cache across all of them. Each hoist+eliminate round
+// honours the session's budget and cancellation context, and an
+// iteration-limit overrun returns a *fault.NoFixpointError. On error the
+// graph is the valid, semantics-preserved program of the last completed
+// round, not yet flushed.
+func RunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	g.SplitCriticalEdges()
 	st.Decomposed = core.Initialize(g)
@@ -82,7 +90,12 @@ func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
-			panic(fmt.Sprintf("lcm: no fixpoint after %d iterations", limit))
+			st.Iterations = limit
+			return st, &fault.NoFixpointError{Proc: "em", Iterations: limit, Limit: limit}
+		}
+		if err := s.CheckBudget(st.Iterations); err != nil {
+			st.Iterations--
+			return st, err
 		}
 		hoisted := aht.ApplyWith(g, s, isInit)
 		removed := rae.EliminateMaskedWith(g, s, isInit)
@@ -92,5 +105,5 @@ func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 		}
 	}
 	st.Flush = flush.RunWith(g, s)
-	return st
+	return st, nil
 }

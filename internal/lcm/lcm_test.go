@@ -1,9 +1,14 @@
 package lcm
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
+	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
@@ -277,5 +282,42 @@ func TestRunIdempotent(t *testing.T) {
 	Run(g)
 	if g.Encode() != enc {
 		t.Errorf("lcm not idempotent:\n%s\nvs\n%s", enc, g.Encode())
+	}
+}
+
+// TestRunWithHonoursBudgetAndContext: on a graph whose hoist+eliminate
+// loop needs more than one round, a round cap and a canceled context stop
+// it with typed errors between rounds, leaving a valid graph.
+func TestRunWithHonoursBudgetAndContext(t *testing.T) {
+	base := cfggen.Structured(2, cfggen.Config{Size: 40})
+	st, err := RunWith(base.Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iterations < 2 {
+		t.Fatalf("base graph needs %d round(s); the test needs more than one", st.Iterations)
+	}
+
+	run := func(setup func(*analysis.Session)) (*ir.Graph, error) {
+		g := base.Clone()
+		s := analysis.NewSession()
+		defer s.Close()
+		setup(s)
+		_, err := RunWith(g, s)
+		if verr := g.Validate(); verr != nil {
+			t.Errorf("graph left invalid: %v", verr)
+		}
+		return g, err
+	}
+	_, err = run(func(s *analysis.Session) { s.SetBudget(fault.Budget{MaxAMIterations: 1}) })
+	var be *fault.BudgetError
+	if !errors.As(err, &be) || be.Resource != "am iterations" || be.Used != 2 || be.Limit != 1 {
+		t.Errorf("round cap: err = %v, want budget exceeded: am iterations 2 > 1", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = run(func(s *analysis.Session) { s.SetContext(ctx) })
+	if !errors.Is(err, fault.ErrCanceled) {
+		t.Errorf("canceled context: err = %v, want %v", err, fault.ErrCanceled)
 	}
 }

@@ -187,7 +187,7 @@ type Pipeline struct {
 	Recovery RecoveryPolicy
 	// Budget caps the run's per-pass resources; violations surface as
 	// fault.ErrBudgetExceeded and are subject to Recovery. The budget is
-	// threaded through the analysis session, so fixpoint passes (am,
+	// threaded through the analysis session, so fixpoint passes (am, em,
 	// emcp) enforce it between rounds, not just at pass boundaries.
 	Budget fault.Budget
 	// Debug enables inter-pass invariant checking: after every pass the

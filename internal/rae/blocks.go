@@ -29,32 +29,47 @@ func EliminateBlocks(g *ir.Graph) int {
 }
 
 // EliminateBlocksWith is EliminateBlocks running against session s (nil
-// for the uncached path): the pattern universe, index, and iteration order
-// are reused across the rounds of a motion fixpoint and all analysis
-// storage comes from the session's arena, rewound before returning. The
-// returned count doubles as the precise change signal — the procedure only
-// ever removes instructions, so zero removals means the graph is
-// textually unchanged.
+// for the uncached path): it encodes g, runs one Step and writes the
+// result back. All storage comes from the session's arena, rewound before
+// returning. The returned count doubles as the precise change signal —
+// the procedure only ever removes instructions, so zero removals means the
+// graph is textually unchanged.
 func EliminateBlocksWith(g *ir.Graph, s *analysis.Session) int {
-	u, px, occ := s.Universe(g)
-	n, bits := len(g.Blocks), u.Len()
+	ar := s.Arena()
+	mark := ar.Mark()
+	defer ar.Release(mark)
+	c := analysis.NewCode(g, s)
+	if c.U.Len() == 0 {
+		return 0
+	}
+	removed := Step(c, s)
+	c.WriteBack()
+	return removed
+}
+
+// Step performs one block-level elimination on the encoded program c,
+// rewriting its blocks in place, and returns the number of removed
+// occurrences. Analysis storage comes from s's arena and is released
+// before returning.
+func Step(c *analysis.Code, s *analysis.Session) int {
+	n, bits := len(c.Blocks), c.U.Len()
 	if bits == 0 {
 		return 0
 	}
 	ar := s.Arena()
 	mark := ar.Mark()
 	defer ar.Release(mark)
-	bv := s.Blocks(g)
+	bv := s.Blocks(c.G)
 
 	gen := ar.Vecs(n)
 	kill := ar.Vecs(n)
-	for i, b := range g.Blocks {
+	for i := range c.Blocks {
 		gen[i] = ar.Vec(bits)
 		kill[i] = ar.Vec(bits)
-		px.BlockTransfer(b, occ.Block(i), gen[i], kill[i])
+		c.Transfer(i, gen[i], kill[i])
 	}
 
-	entry := int(g.Entry)
+	entry := int(c.G.Entry)
 	res := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
 		Preds:   bv.Preds,
@@ -72,40 +87,30 @@ func EliminateBlocksWith(g *ir.Graph, s *analysis.Session) int {
 		},
 	})
 
+	// The removal walk: starting from the availability at the block's
+	// entry, drop every occurrence whose pattern is available where it
+	// executes. A removed occurrence was redundant — its association
+	// already holds — so availability is unchanged by the removal.
 	removed := 0
 	avail := ar.Vec(bits)
-	for i, b := range g.Blocks {
+	selfRef := c.SelfRef()
+	for i, ids := range c.Blocks {
 		avail.CopyFrom(res.In[i])
-		removed += eliminateInBlock(b, occ.Block(i), px, avail)
-	}
-	g.Normalize()
-	return removed
-}
-
-// eliminateInBlock is the removal walk of block-level elimination: given
-// avail, the availability at b's entry, and ids, the pattern IDs of b's
-// instructions, it removes every occurrence whose pattern is available
-// where it executes and returns how many it removed. avail is updated in
-// place to the availability at b's exit. The caller re-normalizes.
-func eliminateInBlock(b *ir.Block, ids []int, px *analysis.PatternIndex, avail bitvec.Vec) int {
-	selfRef := px.SelfRef()
-	removed := 0
-	kept := b.Instrs[:0]
-	for k := range b.Instrs {
-		in := &b.Instrs[k]
-		id := ids[k]
-		if id >= 0 && avail.Get(id) {
-			// The removed occurrence was redundant: the association
-			// already holds, so availability is unchanged.
-			removed++
-			continue
+		kept := ids[:0]
+		for _, id := range ids {
+			if id >= 0 {
+				if avail.Get(id) {
+					removed++
+					continue
+				}
+				avail.AndNot(c.Kill(id))
+				if !selfRef.Get(id) {
+					avail.Set(id)
+				}
+			}
+			kept = append(kept, id)
 		}
-		px.AndNotKill(in, avail)
-		if id >= 0 && !selfRef.Get(id) {
-			avail.Set(id)
-		}
-		kept = append(kept, *in)
+		c.Blocks[i] = kept
 	}
-	b.Instrs = kept
 	return removed
 }

@@ -2,21 +2,28 @@ package assignmentmotion
 
 // The local-predicate oracle. The analyses build the local predicates of
 // Tables 1–3 from per-variable indexes (analysis.PatternIndex,
-// analysis.TempIndex) and the session's per-instruction occurrence table;
+// analysis.TempIndex), the session's per-instruction occurrence table and
+// the pattern-ID encoding the aht/rae fixpoint runs on (analysis.Code);
 // the pairwise definitions in internal/analysis/predicates.go stay the
 // reference. This test checks every (instruction, pattern) and
-// (instruction, temporary) pair, and every hoisting and sinking candidate
-// position, on the fg and fun corpora, a hand-built graph of the corner
-// cases, and a cfggen sweep — on each graph as given, after the
-// assignment motion phase (the graphs flush runs on), and after emcp and
-// gvn-emcp, whose temporaries occur inside other temporaries'
-// expressions.
+// (instruction, temporary) pair, the encoding of every instruction, every
+// block's encoded LOC-HOISTABLE, LOC-BLOCKED and gen/kill, and every
+// hoisting and sinking candidate position, on the fg and fun corpora, a
+// hand-built graph of the corner cases, and a cfggen sweep — on each graph
+// as given, after the assignment motion phase (the graphs flush runs on),
+// after emcp and gvn-emcp, whose temporaries occur inside other
+// temporaries' expressions, and after each of the first three rounds of
+// the encoded fixpoint, whose states include blocks emptied mid-fixpoint.
+// Each of those rounds is also checked against one hoisting and one
+// elimination step written with the reference predicates.
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"assignmentmotion/internal/aht"
+	"assignmentmotion/internal/am"
 	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/cfggen"
@@ -24,6 +31,7 @@ import (
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
+	"assignmentmotion/internal/rae"
 )
 
 func TestDifferentialLocalPredicates(t *testing.T) {
@@ -65,6 +73,9 @@ func TestDifferentialLocalPredicates(t *testing.T) {
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
+			// The round stage goes first: it stops at the first wrong
+			// round, where a broken step may never reach a fixpoint.
+			checkRounds(t, in.g)
 			for _, st := range stages {
 				g := in.g.Clone()
 				if st.passes != nil {
@@ -80,6 +91,146 @@ func TestDifferentialLocalPredicates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkRounds runs the encoded aht/rae fixpoint for one, two and three
+// rounds (am.RunBounded writes each state back), from g with its critical
+// edges split and from g after initialization, checks the local
+// predicates of every state, and checks that each round equals one
+// reference hoisting step followed by one reference elimination step on
+// the state before it. Initialized programs hold no self-referential
+// pattern, so the uninitialized start is what exercises Table 2's side
+// condition in the elimination step.
+func checkRounds(t *testing.T, g *ir.Graph) {
+	t.Helper()
+	split := g.Clone()
+	split.SplitCriticalEdges()
+	initialized := g.Clone()
+	pl, err := pass.FromNames("init")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Run(initialized); err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []struct {
+		name string
+		g    *ir.Graph
+	}{{"given", split}, {"init", initialized}} {
+		prev := start.g
+		for k := 1; k <= 3; k++ {
+			state := start.g.Clone()
+			am.RunBounded(state, k)
+			label := fmt.Sprintf("after round %d from %s", k, start.name)
+			hoisted := referenceHoist(prev)
+			if got := referenceEliminate(hoisted).Encode(); got != state.Encode() {
+				t.Fatalf("%s: encoded fixpoint differs from the reference steps\n--- before\n%s--- reference hoist\n%s--- reference\n%s--- encoded\n%s",
+					label, prev.Encode(), hoisted.Encode(), got, state.Encode())
+			}
+			checkLocalPredicates(t, label, state)
+			prev = state
+		}
+	}
+}
+
+// referenceHoist is one hoisting step written against the reference
+// predicates: in every block it drops each pattern's hoisting candidate
+// (CandidateIndex) and inserts instances at aht's N-INSERT and X-INSERT
+// points — a branch node's X-INSERTs at the entry of its successors,
+// before their own N-INSERTs — each point's patterns in order of first
+// occurrence in g.
+func referenceHoist(g *ir.Graph) *ir.Graph {
+	info := aht.Analyze(g)
+	rank := map[ir.AssignPattern]int{}
+	for _, b := range g.Blocks {
+		for _, in := range b.Instrs {
+			if in.Kind != ir.KindAssign {
+				continue
+			}
+			if _, seen := rank[in.Pattern()]; !seen {
+				rank[in.Pattern()] = len(rank)
+			}
+		}
+	}
+	instances := func(v bitvec.Vec) []ir.Instr {
+		var ps []ir.AssignPattern
+		for id := 0; id < v.Len(); id++ {
+			if v.Get(id) {
+				ps = append(ps, info.U.Pattern(id))
+			}
+		}
+		sort.Slice(ps, func(i, j int) bool { return rank[ps[i]] < rank[ps[j]] })
+		var out []ir.Instr
+		for _, p := range ps {
+			out = append(out, ir.NewAssign(p.LHS, p.RHS))
+		}
+		return out
+	}
+	out := g.Clone()
+	for i, b := range g.Blocks {
+		var next []ir.Instr
+		if len(b.Preds) == 1 {
+			if _, branch := g.Block(b.Preds[0]).Cond(); branch {
+				next = append(next, instances(info.XInsert[int(b.Preds[0])])...)
+			}
+		}
+		next = append(next, instances(info.NInsert[i])...)
+		drop := map[int]bool{}
+		for id := 0; id < info.U.Len(); id++ {
+			if k, ok := analysis.CandidateIndex(b, info.U.PatternAt(id)); ok {
+				drop[k] = true
+			}
+		}
+		for k, in := range b.Instrs {
+			if !drop[k] {
+				next = append(next, in)
+			}
+		}
+		if _, branch := b.Cond(); !branch {
+			next = append(next, instances(info.XInsert[i])...)
+		}
+		out.Blocks[i].Instrs = next
+	}
+	return out.Normalize()
+}
+
+// referenceEliminate is one block-level elimination step written against
+// the reference predicates: from the availability at each block's entry
+// (N-REDUNDANT of its first instruction, as the instruction-level
+// analysis solves it) a walk drops every occurrence whose pattern is
+// available, keeping availability by Executed, AssTransp and the
+// self-reference side condition of Table 2.
+func referenceEliminate(g *ir.Graph) *ir.Graph {
+	info := rae.Analyze(g)
+	u := info.U
+	out := g.Clone()
+	for i, b := range g.Blocks {
+		avail := info.NRedundant[info.Prog.Index(analysis.Point{Block: b.ID})].Copy()
+		var kept []ir.Instr
+		for k := range b.Instrs {
+			in := &b.Instrs[k]
+			occ := -1
+			for id := 0; id < u.Len(); id++ {
+				if analysis.Executed(in, u.PatternAt(id)) {
+					occ = id
+				}
+			}
+			if occ >= 0 && avail.Get(occ) {
+				continue
+			}
+			for id := 0; id < u.Len(); id++ {
+				if !analysis.AssTransp(in, u.PatternAt(id)) {
+					avail.Clear(id)
+				}
+			}
+			if occ >= 0 && !u.PatternAt(occ).SelfReferential() {
+				avail.Set(occ)
+			}
+			kept = append(kept, *in)
+		}
+		out.Blocks[i].Instrs = kept
+	}
+	return out.Normalize()
 }
 
 // predicateCases is a graph built directly in post-initialization form
@@ -153,7 +304,7 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 		fail("session universe has %d patterns, the graph %d", u.Len(), ref.Len())
 	}
 	bits := u.Len()
-	hoist := aht.AnalyzeWith(g, s)
+	code := analysis.NewCode(g, s)
 	prog := analysis.NewProg(g)
 
 	for i, b := range g.Blocks {
@@ -183,17 +334,45 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 			}
 		}
 
-		// Table 1, as aht solves it, and the hoisting candidates at the
-		// first occurrence.
-		locH, locB := hoist.LocHoistable[i], hoist.LocBlocked[i]
-		cands := analysis.Candidates(ids, locH, false, nil)
+		// The encoding: one entry per instruction but skips, the pattern
+		// ID of each assignment and a side entry for out and branches.
+		enc := code.Blocks[i]
+		var pos []int // encoded position -> instruction index
+		for k := range b.Instrs {
+			if b.Instrs[k].Kind != ir.KindSkip {
+				pos = append(pos, k)
+			}
+		}
+		if len(enc) != len(pos) {
+			fail("block %s: %d encoded entries for %d instructions but skips", b.Name, len(enc), len(pos))
+		}
+		for j, e := range enc {
+			in := &b.Instrs[pos[j]]
+			if (e >= 0) != (in.Kind == ir.KindAssign) || (e >= 0 && u.Pattern(e) != in.Pattern()) {
+				fail("%v: encoded as %d", *in, e)
+			}
+		}
+		if _, branch := b.Cond(); code.Branch(i) != branch {
+			fail("block %s: encoded branch %v", b.Name, code.Branch(i))
+		}
+
+		// Table 1, as aht solves it on the encoding, and the hoisting
+		// candidates at the first occurrence.
+		locH, locB := code.Locals(i, nil)
+		cands := bitvec.New(len(b.Instrs))
+		encCands := analysis.Candidates(enc, locH, false, nil)
+		for j := range enc {
+			if encCands.Get(j) {
+				cands.Set(pos[j])
+			}
+		}
 		locS, locBR := px.BlockLocalsReverse(b, ids, nil)
 		sinks := analysis.Candidates(ids, locS, true, nil)
 		if !locBR.Equal(locB) {
 			fail("block %s: forward and reverse LOC-BLOCKED differ", b.Name)
 		}
 		gen, kill := bitvec.New(bits), bitvec.New(bits)
-		px.BlockTransfer(b, ids, gen, kill)
+		code.Transfer(i, gen, kill)
 		for id := 0; id < bits; id++ {
 			p := u.PatternAt(id)
 			if locB.Get(id) != analysis.LocBlocked(b, p) {
@@ -215,6 +394,13 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 		if cands.PopCount() != locH.PopCount() || sinks.PopCount() != locS.PopCount() {
 			fail("block %s: candidate count differs from LOC-HOISTABLE/LOC-SINKABLE", b.Name)
 		}
+	}
+
+	// Encoding and writing back is the identity on a normalized graph.
+	round := g.Clone()
+	analysis.NewCode(round, nil).WriteBack()
+	if got, want := round.Encode(), g.Encode(); got != want {
+		fail("encode and write-back changed the graph\n--- want\n%s--- got\n%s", want, got)
 	}
 
 	// Table 3, as flush computes it.
