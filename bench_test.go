@@ -418,18 +418,17 @@ func solverProblem(g *ir.Graph, bits int, dense bool) dataflow.Problem {
 }
 
 // BenchmarkSolverOrder is experiment D1: the same availability problem
-// solved with the legacy FIFO worklist, with the RPO priority worklist,
-// and with the RPO worklist reading dense Gen/Kill vectors through the
-// fused word kernel instead of a Transfer closure. The reported
-// visits/sweeps metrics show why RPO wins (long acyclic stretches
-// propagate in one pass); the genkill row shows what the kernel saves per
-// visit: no scratch clear/compare, one fused pass over the words with the
-// change bit folded in. The vector width is each graph's real
+// solved by the RPO sweep through a Transfer closure and reading dense
+// Gen/Kill vectors through the fused word kernel. The reported
+// visits/sweeps metrics show the RPO order at work (long acyclic
+// stretches propagate in one pass); the genkill row shows what the kernel
+// saves per visit: no scratch clear/compare, one fused pass over the words
+// with the change bit folded in. The vector width is each graph's real
 // assignment-pattern universe (what the motion analyses would solve at),
-// and the priority modes share one precomputed visit order exactly as
-// production solves do through analysis.Session — a fixpoint round runs
-// dozens of solves per order computation, so folding the order build into
-// every solve would measure graph traversal, not solving.
+// and both modes share one precomputed visit order exactly as production
+// solves do through analysis.Session — a fixpoint round runs dozens of
+// solves per order computation, so folding the order build into every
+// solve would measure graph traversal, not solving.
 func BenchmarkSolverOrder(b *testing.B) {
 	for _, row := range []struct {
 		name string
@@ -439,18 +438,15 @@ func BenchmarkSolverOrder(b *testing.B) {
 		{"structured80", cfggen.Structured(1, cfggen.Config{Size: 80})},
 		{"unstructured80", cfggen.Unstructured(1, cfggen.Config{Size: 80})},
 	} {
-		for _, mode := range []string{"fifo", "rpo", "genkill"} {
+		for _, mode := range []string{"rpo", "genkill"} {
 			p := solverProblem(row.g, ir.AssignUniverse(row.g).Len(), mode == "genkill")
-			p.FIFO = mode == "fifo"
-			if !p.FIFO {
-				var roots []int
-				for i := 0; i < p.N; i++ {
-					if len(p.Preds(i)) == 0 {
-						roots = append(roots, i)
-					}
+			var roots []int
+			for i := 0; i < p.N; i++ {
+				if len(p.Preds(i)) == 0 {
+					roots = append(roots, i)
 				}
-				p.Order = dataflow.FlowOrder(p.N, roots, p.Succs)
 			}
+			p.Order = dataflow.FlowOrder(p.N, roots, p.Succs)
 			b.Run(row.name+"/"+mode, func(b *testing.B) {
 				b.ReportAllocs()
 				var res dataflow.Result
@@ -461,53 +457,6 @@ func BenchmarkSolverOrder(b *testing.B) {
 				b.ReportMetric(float64(res.Sweeps), "sweeps")
 			})
 		}
-	}
-}
-
-// BenchmarkSolverParallel is experiment D3: one availability solve over a
-// single large graph, serial vs fanned out over the SCC condensation to
-// one worker per core. Two workloads: the original cfggen.Structured size
-// 1000 (~2.7k blocks at its real ~2.9k-pattern universe width, ~2 MB of
-// live fact vectors) and a 10k-block variant (size 3800: 10,249 blocks,
-// ~6.7k-pattern universe, ~35 MB of fact vectors) that stresses the
-// per-component scheduling at an order of magnitude more state. On a
-// multi-core host the parallel rows must win on the acyclic spine
-// (independent components solve concurrently); on a single-core host the
-// rows tie and the CI bench-record job supplies the real numbers. Work
-// counters stay deterministic either way.
-func BenchmarkSolverParallel(b *testing.B) {
-	small := cfggen.Structured(11, cfggen.Config{Size: 1000})
-	big := cfggen.Structured(11, cfggen.Config{Size: 3800})
-	for _, row := range []struct {
-		name    string
-		g       *ir.Graph
-		workers int
-	}{
-		{"serial", small, 1},
-		{fmt.Sprintf("parallel%d", runtime.GOMAXPROCS(0)), small, runtime.GOMAXPROCS(0)},
-		{"10k_serial", big, 1},
-		{fmt.Sprintf("10k_parallel%d", runtime.GOMAXPROCS(0)), big, runtime.GOMAXPROCS(0)},
-	} {
-		g := row.g
-		p := solverProblem(g, ir.AssignUniverse(g).Len(), true)
-		p.Workers = row.workers
-		var roots []int
-		for i := 0; i < p.N; i++ {
-			if len(p.Preds(i)) == 0 {
-				roots = append(roots, i)
-			}
-		}
-		p.Order = dataflow.FlowOrder(p.N, roots, p.Succs)
-		b.Run(row.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var res dataflow.Result
-			for i := 0; i < b.N; i++ {
-				res = dataflow.Solve(p)
-			}
-			b.ReportMetric(float64(len(g.Blocks)), "blocks")
-			b.ReportMetric(float64(res.Visits), "visits")
-			b.ReportMetric(float64(res.Sweeps), "sweeps")
-		})
 	}
 }
 

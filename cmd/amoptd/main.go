@@ -15,8 +15,6 @@
 //	                             configuration (0 = engine default)
 //	-workers N                   concurrent optimization jobs
 //	                             (0 = GOMAXPROCS)
-//	-solver-workers N            parallel dataflow solver goroutines per
-//	                             job (0 = GOMAXPROCS/workers, 1 = serial)
 //	-queue-depth N               jobs allowed to wait for a worker before
 //	                             requests shed with 429 (0 = 4*workers)
 //	-deadline D                  default per-request deadline (e.g. 10s)
@@ -90,7 +88,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		cacheMaxBytes = fs.Int64("cache-max-bytes", 0, "on-disk cache cap in bytes (0 = default, -1 = uncapped)")
 		cacheSize     = fs.Int("cache-size", 0, "in-memory cache entries per pipeline configuration (0 = default)")
 		workers       = fs.Int("workers", 0, "concurrent optimization jobs (0 = GOMAXPROCS)")
-		solverWorkers = fs.Int("solver-workers", 0, "parallel dataflow solver goroutines per job (0 = GOMAXPROCS/workers, 1 = serial)")
 		queueDepth    = fs.Int("queue-depth", 0, "jobs allowed to wait for a worker (0 = 4*workers)")
 		deadline      = fs.Duration("deadline", 10*time.Second, "default per-request deadline")
 		maxDeadline   = fs.Duration("max-deadline", 60*time.Second, "hard cap on requested deadlines")
@@ -144,7 +141,6 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	srv, err := server.New(server.Config{
 		Workers:         *workers,
-		SolverWorkers:   *solverWorkers,
 		QueueDepth:      *queueDepth,
 		CacheDir:        *cacheDir,
 		CacheMaxBytes:   *cacheMaxBytes,

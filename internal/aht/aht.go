@@ -119,16 +119,15 @@ func analyze(c *analysis.Code, s *analysis.Session) *Info {
 
 	exit := int(g.Exit)
 	res := dataflow.Solve(dataflow.Problem{
-		N:       n,
-		Bits:    bits,
-		Dir:     dataflow.Backward,
-		Meet:    dataflow.All,
-		Preds:   bv.Preds,
-		Succs:   bv.Succs,
-		Order:   bv.BwdOrder,
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
+		N:     n,
+		Bits:  bits,
+		Dir:   dataflow.Backward,
+		Meet:  dataflow.All,
+		Preds: bv.Preds,
+		Succs: bv.Succs,
+		Order: bv.BwdOrder,
+		Arena: ar,
+		Stats: s.DataflowStats(),
 		// For a Backward problem the solver's "in" is the fact at the
 		// block's exit (X-HOISTABLE) and "out" the fact at its entry
 		// (N-HOISTABLE): N-HOISTABLE = LOC-HOISTABLE ∨ (X-HOISTABLE ∧

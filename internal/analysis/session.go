@@ -51,17 +51,7 @@ type Session struct {
 	predsInt    [][]int
 	orderStruct uint64
 	orderValid  bool
-
-	solverWorkers int
 }
-
-// parallelSolveMinNodes is the graph size below which intra-graph
-// parallel solving is never worth the scheduling overhead: a solve over a
-// few dozen blocks finishes in microseconds, well under the cost of
-// fanning components out to goroutines. Large generated or inlined flow
-// graphs (thousands of blocks) are where the condensation has enough
-// independent regions to occupy a pool.
-const parallelSolveMinNodes = 512
 
 // NewSession returns a session backed by a pooled arena. Callers must
 // Close it to return the arena to the pool.
@@ -196,31 +186,6 @@ func (s *Session) CheckBudget(amIters int) error {
 		}
 	}
 	return nil
-}
-
-// SetSolverWorkers sets the worker-pool bound for intra-graph parallel
-// dataflow solving. 0 or 1 keeps every solve serial; n > 1 lets solves
-// over sufficiently large graphs (see SolverWorkersFor) condense the CFG
-// into SCC regions and solve independent regions on up to n goroutines.
-// Nil-safe no-op, so nil-session call sites stay serial.
-func (s *Session) SetSolverWorkers(n int) {
-	if s == nil {
-		return
-	}
-	s.solverWorkers = n
-}
-
-// SolverWorkersFor returns the dataflow.Problem.Workers value for a solve
-// over n nodes: the configured pool bound when the graph is large enough
-// for region-level parallelism to pay, otherwise 0 (serial). This is the
-// policy half of the mechanism/policy split — the solver itself obeys
-// whatever it is told, so tests can force parallel solves on small graphs
-// by setting Workers directly.
-func (s *Session) SolverWorkersFor(n int) int {
-	if s == nil || s.solverWorkers <= 1 || n < parallelSolveMinNodes {
-		return 0
-	}
-	return s.solverWorkers
 }
 
 // Universe returns the assignment-pattern universe of g, its

@@ -133,11 +133,10 @@ func propagate(g *ir.Graph, s *analysis.Session, prog *analysis.Prog, pats []cop
 	res := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
 		Preds: prog.Preds, Succs: prog.Succs,
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
-		Gen:     gen,
-		Kill:    kill,
+		Arena: ar,
+		Stats: s.DataflowStats(),
+		Gen:   gen,
+		Kill:  kill,
 		Boundary: func(i int, in bitvec.Vec) {
 			if i == entry {
 				in.ClearAll()

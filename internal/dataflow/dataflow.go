@@ -9,10 +9,10 @@
 // (classic RPO for forward problems, RPO of the reversed graph for
 // backward ones), sweeping the order and revisiting only nodes whose
 // input changed: facts propagate along long acyclic stretches in a single
-// pass and only back edges force another sweep. A FIFO worklist is kept
-// behind Problem.FIFO for the order-equivalence property tests and the
-// sweep-count benchmarks; both strategies reach the identical fixpoint
-// because the transfer functions are monotone over a finite lattice.
+// pass and only back edges force another sweep. Any fair visit order
+// reaches the identical fixpoint because the transfer functions are
+// monotone over a finite lattice; the property tests check the sweep
+// against an independent round-robin solver.
 package dataflow
 
 import (
@@ -97,24 +97,6 @@ type Problem struct {
 	// points into the arena: it is valid until the arena is released or
 	// reset. A nil arena means plain heap allocation.
 	Arena *arena.Arena
-	// FIFO selects the legacy first-in-first-out worklist instead of the
-	// priority order. It exists for the order-equivalence property tests
-	// and the sweep-count benchmarks; production analyses leave it false.
-	FIFO bool
-	// Workers > 1 enables intra-graph parallel solving: the flow graph is
-	// condensed into strongly connected components ordered by a weak
-	// topological order, and components whose upstream components have
-	// completed are solved concurrently on a bounded worker pool (see
-	// parallel.go). The fixpoint is identical to the serial solve — the
-	// transfer functions are monotone, so the greatest/least fixpoint is
-	// unique under any fair schedule — and the merge is deterministic.
-	// Requires Preds/Succs/Transfer/Boundary to be safe for concurrent
-	// calls (pure functions over read-only captures, which every analysis
-	// in this module satisfies). Ignored in FIFO mode. The threshold
-	// policy for when parallelism pays lives with the callers
-	// (analysis.Session.SolverWorkersFor); the solver itself obeys
-	// whatever it is told.
-	Workers int
 	// Stats, if non-nil, accumulates this solve's work counters into the
 	// given tally. Analyses running under an analysis.Session point this at
 	// the session's tally so the pass pipeline can report per-pass solver
@@ -163,8 +145,7 @@ type Result struct {
 	Visits int
 	// Sweeps counts monotone passes over the visit order: 1 for an acyclic
 	// graph in topological order, +1 for every extra pass a back edge
-	// forces. Zero in FIFO mode, which has no notion of a pass. Exposed
-	// for the complexity experiments.
+	// forces. Exposed for the complexity experiments.
 	Sweeps int
 }
 
@@ -341,7 +322,7 @@ func Solve(p Problem) Result {
 	}
 
 	order := p.Order
-	if order == nil && !p.FIFO {
+	if order == nil {
 		var roots []int
 		for i := 0; i < p.N; i++ {
 			if len(upstream(i)) == 0 {
@@ -351,56 +332,16 @@ func Solve(p Problem) Result {
 		order = FlowOrder(p.N, roots, downstream)
 	}
 
-	if p.Workers > 1 && !p.FIFO {
-		return solveParallel(&p, in, out, order, upstream, downstream)
-	}
-
 	var scratch bitvec.Vec
 	if p.Gen == nil || p.Irregular.Len() != 0 {
 		scratch = ar.Vec(p.Bits)
 	}
-	visits := 0
-	apply := func(i int) bool {
-		visits++
-		return p.applyNode(i, in, out, upstream, scratch)
-	}
 
-	if p.FIFO || order == nil {
-		// Legacy FIFO worklist: a ring queue with membership dedupe.
-		work := ar.Ints(p.N)[:0]
-		inWork := ar.Vec(p.N)
-		var head int
-		push := func(i int) {
-			if !inWork.Get(i) {
-				inWork.Set(i)
-				work = append(work, i)
-			}
-		}
-		for i := 0; i < p.N; i++ {
-			push(i)
-		}
-		for len(work)-head > 0 {
-			i := work[head]
-			head++
-			if head == len(work) { // drained: rewind the ring
-				work, head = work[:0], 0
-			}
-			inWork.Clear(i)
-			if apply(i) {
-				for _, d := range downstream(i) {
-					push(d)
-				}
-			}
-		}
-		p.Stats.record(visits, 0)
-		return Result{In: in, Out: out, Visits: visits, Sweeps: 0}
-	}
-
-	// Priority mode: monotone sweeps over the visit order, revisiting only
-	// nodes whose input changed. A downstream node later in the current
-	// sweep is picked up in place; one earlier (a back edge) waits for the
-	// next sweep. An acyclic graph in topological order converges in a
-	// single sweep.
+	// Monotone sweeps over the visit order, revisiting only nodes whose
+	// input changed. A downstream node later in the current sweep is
+	// picked up in place; one earlier (a back edge) waits for the next
+	// sweep. An acyclic graph in topological order converges in a single
+	// sweep.
 	// The dirty set is a flat byte array, not a bit vector: the sweep loop
 	// tests membership once per node per sweep and the plain load/store
 	// beats bit arithmetic on that path.
@@ -409,7 +350,7 @@ func Solve(p Problem) Result {
 		dirty[i] = true
 	}
 	pending := p.N
-	sweeps := 0
+	visits, sweeps := 0, 0
 	for pending > 0 {
 		sweeps++
 		for _, i := range order {
@@ -418,7 +359,8 @@ func Solve(p Problem) Result {
 			}
 			dirty[i] = false
 			pending--
-			if apply(i) {
+			visits++
+			if p.applyNode(i, in, out, upstream, scratch) {
 				for _, d := range downstream(i) {
 					if !dirty[d] {
 						dirty[d] = true

@@ -1,10 +1,11 @@
 package dataflow_test
 
 // Order- and storage-equivalence property tests for the solver: the
-// RPO-priority worklist, the legacy FIFO worklist, and the arena-backed
-// runs must all compute the identical fixpoint — the transfer functions
-// are monotone over a finite lattice, so the greatest (All) and least
-// (Any) fixpoints are unique regardless of visit order or backing store.
+// RPO sweep, an independent round-robin reference solver, and the
+// arena-backed runs must all compute the identical fixpoint — the
+// transfer functions are monotone over a finite lattice, so the greatest
+// (All) and least (Any) fixpoints are unique regardless of visit order or
+// backing store.
 
 import (
 	"math/rand"
@@ -121,9 +122,59 @@ var propCases = []struct {
 	{"bwd-any", dataflow.Backward, dataflow.Any},
 }
 
-// TestRPOSolverMatchesFIFO: the priority order must not change any
-// fixpoint, on any graph shape, for any direction/meet combination.
-func TestRPOSolverMatchesFIFO(t *testing.T) {
+// referenceSolve is the order oracle: a round-robin solver that visits
+// every node in index order, recomputing its incoming fact from scratch,
+// until a whole round changes no outgoing fact. It shares no scheduling
+// code with dataflow.Solve — no visit order, no dirty set, no meet helper
+// — and evaluates the problem only through its Transfer closure.
+func referenceSolve(p dataflow.Problem) (in, out []bitvec.Vec) {
+	upstream := p.Preds
+	if p.Dir == dataflow.Backward {
+		upstream = p.Succs
+	}
+	in = make([]bitvec.Vec, p.N)
+	out = make([]bitvec.Vec, p.N)
+	for i := 0; i < p.N; i++ {
+		in[i], out[i] = bitvec.New(p.Bits), bitvec.New(p.Bits)
+		if p.Meet == dataflow.All {
+			out[i].SetAll()
+		}
+	}
+	next := bitvec.New(p.Bits)
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < p.N; i++ {
+			ups := upstream(i)
+			if p.Meet == dataflow.All {
+				in[i].SetAll()
+			} else {
+				in[i].ClearAll()
+			}
+			for _, u := range ups {
+				if p.Meet == dataflow.All {
+					in[i].And(out[u])
+				} else {
+					in[i].Or(out[u])
+				}
+			}
+			if len(ups) == 0 && p.Boundary != nil {
+				p.Boundary(i, in[i])
+			}
+			next.ClearAll()
+			p.Transfer(i, in[i], next)
+			if !next.Equal(out[i]) {
+				out[i].CopyFrom(next)
+				changed = true
+			}
+		}
+	}
+	return in, out
+}
+
+// TestRPOSolverMatchesReference: the RPO sweep must reach the reference
+// solver's fixpoint on every graph shape, for every direction/meet
+// combination.
+func TestRPOSolverMatchesReference(t *testing.T) {
 	graphs := propGraphs()
 	if len(graphs) < 200 {
 		t.Fatalf("corpus too small: %d graphs", len(graphs))
@@ -132,14 +183,12 @@ func TestRPOSolverMatchesFIFO(t *testing.T) {
 		a := adjOf(g)
 		for _, c := range propCases {
 			p := randomProblem(a, int64(gi)*17+int64(c.dir)*3+int64(c.meet), c.dir, c.meet)
-			p.FIFO = true
-			fifo := dataflow.Solve(p)
-			p.FIFO = false
+			in, out := referenceSolve(p)
 			rpo := dataflow.Solve(p)
-			sameResult(t, g.Name+"/"+c.name, p.N, fifo, rpo)
-			if rpo.Sweeps > fifo.Visits {
+			sameResult(t, g.Name+"/"+c.name, p.N, dataflow.Result{In: in, Out: out}, rpo)
+			if rpo.Sweeps > rpo.Visits {
 				t.Fatalf("%s/%s: sweep accounting broken: %d sweeps > %d visits",
-					g.Name, c.name, rpo.Sweeps, fifo.Visits)
+					g.Name, c.name, rpo.Sweeps, rpo.Visits)
 			}
 		}
 	}
@@ -234,8 +283,8 @@ func TestFlowOrderIsPermutation(t *testing.T) {
 }
 
 // TestChainSolvesInOneSweep pins the point of the priority order: a
-// redundant chain (acyclic, the adversarial case for FIFO) reaches its
-// fixpoint in a single monotone pass.
+// redundant chain (acyclic, the adversarial case for a FIFO worklist)
+// reaches its fixpoint in a single monotone pass.
 func TestChainSolvesInOneSweep(t *testing.T) {
 	g := cfggen.RedundantChain(40)
 	a := adjOf(g)
@@ -243,10 +292,5 @@ func TestChainSolvesInOneSweep(t *testing.T) {
 	res := dataflow.Solve(p)
 	if res.Sweeps != 1 {
 		t.Fatalf("acyclic chain took %d sweeps in RPO order, want 1", res.Sweeps)
-	}
-	p.FIFO = true
-	fifo := dataflow.Solve(p)
-	if fifo.Visits < res.Visits {
-		t.Fatalf("FIFO visits %d < RPO visits %d on a chain", fifo.Visits, res.Visits)
 	}
 }

@@ -106,7 +106,6 @@ func runOnce(g *ir.Graph, s *analysis.Session) int {
 		Preds: prog.Preds, Succs: prog.Succs,
 		Arena:     ar,
 		Stats:     s.DataflowStats(),
-		Workers:   s.SolverWorkersFor(n),
 		Gen:       obsUse,
 		Kill:      kill,
 		Irregular: irregular,

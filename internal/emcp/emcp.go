@@ -69,19 +69,12 @@ type Stats struct {
 	Numbered int
 }
 
-// Run applies the EM/CP interleaving to g in place.
+// Run applies the EM/CP interleaving to g in place. Budget and
+// cancellation failures panic (legacy contract); fault-aware callers use
+// TryRunWith.
 func Run(g *ir.Graph) Stats {
 	s := analysis.NewSession()
 	defer s.Close()
-	return RunWith(g, s)
-}
-
-// RunWith is Run against an existing session: every EM and CP round
-// shares one arena and one universe cache instead of rebuilding them per
-// round, which is where the legacy facade loop spent most of its
-// allocations. Budget and cancellation failures panic (legacy contract);
-// fault-aware callers use TryRunWith.
-func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 	st, err := TryRunWith(g, s)
 	if err != nil {
 		panic("emcp: " + err.Error())
@@ -89,7 +82,9 @@ func RunWith(g *ir.Graph, s *analysis.Session) Stats {
 	return st
 }
 
-// TryRunWith is the fallible form of RunWith: each EM+CP round honours
+// TryRunWith applies the EM/CP interleaving to g in place against an
+// existing session: every EM and CP round shares one arena and one
+// universe cache instead of rebuilding them per round. Each round honours
 // the session's budget and cancellation context, so an engine deadline
 // interrupts the interleaving between rounds instead of between graphs.
 // On error the graph is left valid and semantics-preserved (see
@@ -98,24 +93,13 @@ func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	return interleave(g, s, false)
 }
 
-// RunGVN applies the GVN/EM/CP interleaving to g in place: every round
-// first rewrites equivalent recomputations into copies by global value
-// numbering, then runs lazy code motion and copy propagation. Running GVN
-// first shrinks the expression-pattern universe the motion analyses range
-// over — the second-order interaction the gvn-emcp composite exists to
-// measure.
-func RunGVN(g *ir.Graph) Stats {
-	s := analysis.NewSession()
-	defer s.Close()
-	st, err := TryRunGVNWith(g, s)
-	if err != nil {
-		panic("gvn-emcp: " + err.Error())
-	}
-	return st
-}
-
-// TryRunGVNWith is the fallible form of RunGVN against an existing session,
-// with the same budget/cancellation contract as TryRunWith.
+// TryRunGVNWith applies the GVN/EM/CP interleaving to g in place: every
+// round first rewrites equivalent recomputations into copies by global
+// value numbering, then runs lazy code motion and copy propagation.
+// Running GVN first shrinks the expression-pattern universe the motion
+// analyses range over — the second-order interaction the gvn-emcp
+// composite exists to measure. The session, budget and cancellation
+// contract is TryRunWith's.
 func TryRunGVNWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	return interleave(g, s, true)
 }

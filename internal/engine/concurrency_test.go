@@ -123,7 +123,7 @@ func TestPanicIsolation(t *testing.T) {
 // graph times out, fast neighbours in the same batch succeed.
 func TestTimeoutIsolation(t *testing.T) {
 	graphs := []*ir.Graph{
-		cfggen.RedundantChain(128), // ≈ hundreds of ms of AM fixpoint
+		cfggen.RedundantChain(256), // ≈ 200 ms of AM fixpoint, several times the timeout
 		cfggen.Structured(3, cfggen.Config{Size: 4}),
 	}
 	e := New(Options{Parallelism: 2, Timeout: 30 * time.Millisecond})

@@ -119,24 +119,9 @@ type Options struct {
 	// goroutine that finished it. The daemon's metrics hang off this; the
 	// callee must synchronize.
 	OutcomeHook func(r GraphResult)
-	// SolverWorkers bounds intra-graph parallel dataflow solving: solves
-	// over large graphs condense the CFG into SCC regions and fan
-	// independent regions out to up to this many goroutines (see
-	// internal/dataflow). <= 0 selects GOMAXPROCS divided by the batch
-	// parallelism, so graph-level and region-level workers together stay
-	// near the core count; 1 forces every solve serial.
+	// SolverWorkers is inert: the parallel solver it bounded was removed,
+	// and the field stays only because the benchmark module still sets it.
 	SolverWorkers int
-}
-
-func (o Options) solverWorkers() int {
-	if o.SolverWorkers > 0 {
-		return o.SolverWorkers
-	}
-	w := runtime.GOMAXPROCS(0) / o.parallelism()
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (o Options) parallelism() int {
@@ -602,7 +587,6 @@ func (e *Engine) compute(ctx context.Context, g *ir.Graph) computation {
 		// the pooled arena and the universe caches.
 		s := analysis.NewSession()
 		defer s.Close()
-		s.SetSolverWorkers(e.opts.solverWorkers())
 
 		hook := func(ev pass.Event) {
 			c.events = append(c.events, ev)

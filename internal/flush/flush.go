@@ -112,11 +112,10 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	delay := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
 		Preds: prog.Preds, Succs: prog.Succs,
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
-		Gen:     isInst,
-		Kill:    stop,
+		Arena: ar,
+		Stats: s.DataflowStats(),
+		Gen:   isInst,
+		Kill:  stop,
 		Boundary: func(i int, in bitvec.Vec) {
 			if i == entry {
 				in.ClearAll()
@@ -131,11 +130,10 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	use := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Backward, Meet: dataflow.Any,
 		Preds: prog.Preds, Succs: prog.Succs,
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
-		Gen:     used,
-		Kill:    isInst,
+		Arena: ar,
+		Stats: s.DataflowStats(),
+		Gen:   used,
+		Kill:  isInst,
 	})
 	info.XUsable, info.NUsable = use.In, use.Out
 

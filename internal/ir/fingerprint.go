@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Fingerprint is a content address of a graph: a collision-resistant hash
@@ -21,31 +21,20 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Short returns the first 12 hex digits, for logs and reports.
 func (f Fingerprint) Short() string { return f.String()[:12] }
 
-// Fingerprint computes the graph's content address. The canonical form
-// renames blocks to their rank in a deterministic depth-first traversal
-// from the entry node (successor order preserved, since it selects branch
-// arms), appends unreachable blocks in declaration order, and records
-// every instruction, edge, and occurring temporary binding h_ε ↦ ε.
-// Graph and block names are deliberately excluded, so structurally equal
-// programs parsed from differently named sources coincide.
-//
-// The digest composes from per-region digests over the deterministic
-// region decomposition (see Regionize/RegionDigests): each region hashes
-// its own canonical block serialization, and the whole-graph fingerprint
-// hashes the header plus the region digest sequence. Regions partition
-// the canonical order, so the composition carries exactly the
-// information the flat traversal did. Nothing else reads the per-region
-// digests; they stay because a flat hash would change every fingerprint
-// and so every cache key.
+// Fingerprint computes the graph's content address: one SHA-256 stream
+// over the canonical form. The canonical form renames blocks to their
+// rank in a deterministic depth-first traversal from the entry node
+// (successor order preserved, since it selects branch arms), appends
+// unreachable blocks in declaration order, and records every
+// instruction, edge, and occurring temporary binding h_ε ↦ ε. Graph and
+// block names are deliberately excluded, so structurally equal programs
+// parsed from differently named sources coincide.
 func (g *Graph) Fingerprint() Fingerprint {
 	order, rank := g.canonicalOrder()
-	_, digests := g.RegionDigests()
 
 	h := sha256.New()
 	fmt.Fprintf(h, "entry %d exit %d\n", rank[g.Entry], rank[g.Exit])
-	for i, d := range digests {
-		fmt.Fprintf(h, "region %d %s\n", i, d)
-	}
+	writeBlocksCanon(h, order, func(id NodeID) string { return "n" + strconv.Itoa(rank[id]) })
 	var temps []Var
 	seen := map[Var]bool{}
 	note := func(v Var) {
@@ -79,10 +68,38 @@ func (g *Graph) Fingerprint() Fingerprint {
 	return f
 }
 
-// FingerprintString is a debugging aid: the hex fingerprint plus a terse
-// shape summary ("12ab34cd56ef (7 blocks, 23 instrs)").
-func (g *Graph) FingerprintString() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (%d blocks, %d instrs)", g.Fingerprint().Short(), len(g.Blocks), g.InstrCount())
-	return sb.String()
+// canonicalOrder computes the deterministic entry-first DFS traversal
+// that canonical encoding and fingerprinting use: successor order
+// preserved (it selects branch arms), unreachable blocks appended in
+// declaration order. rank[id] is the 1-based canonical position.
+func (g *Graph) canonicalOrder() (order []*Block, rank []int) {
+	rank = make([]int, len(g.Blocks))
+	order = make([]*Block, 0, len(g.Blocks))
+	visit := func(id NodeID) {
+		stack := []NodeID{id}
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if rank[n] != 0 {
+				continue
+			}
+			order = append(order, g.Block(n))
+			rank[n] = len(order)
+			succs := g.Block(n).Succs
+			for i := len(succs) - 1; i >= 0; i-- {
+				if rank[succs[i]] == 0 {
+					stack = append(stack, succs[i])
+				}
+			}
+		}
+	}
+	if len(g.Blocks) > 0 {
+		visit(g.Entry)
+	}
+	for _, b := range g.Blocks {
+		if rank[b.ID] == 0 {
+			visit(b.ID)
+		}
+	}
+	return order, rank
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 func fpGraph(t *testing.T, name, b1, b2 string) *Graph {
 	t.Helper()
@@ -96,5 +99,64 @@ func TestFingerprintUnreachableBlocks(t *testing.T) {
 	}
 	if mk(false).Fingerprint() == mk(true).Fingerprint() {
 		t.Error("unreachable block not reflected in fingerprint")
+	}
+}
+
+// declOrderGraph builds nd diamonds in a row (s → d0 → {a0|b0} → j0 →
+// d1 → … → done) with a back edge from the last join to diamond 1. When
+// reversed, blocks are declared in the opposite order; the structure,
+// and therefore the canonical form, is the same.
+func declOrderGraph(t *testing.T, nd int, reversed bool) *Graph {
+	t.Helper()
+	b := NewBuilder("decl")
+	declare := func(i int) {
+		n := strconv.Itoa(i)
+		b.Block("d"+n).Cond(OpLT, BinTerm(OpAdd, VarOp("u"), VarOp("v")), ConstTerm(7))
+		b.Block("a"+n).AssignBin(Var("x"+n), OpAdd, VarOp("p"), VarOp("q"))
+		b.Block("b"+n).AssignBin(Var("z"+n), OpSub, VarOp("p"), VarOp("q"))
+		b.Block("j"+n).AssignVar(Var("w"+n), Var("x"+n))
+		if i == nd-1 {
+			b.Block("j"+n).Cond(OpLT, VarTerm(Var("w"+n)), ConstTerm(0))
+		}
+	}
+	if reversed {
+		b.Block("done").Out(VarOp("u"))
+		for i := nd - 1; i >= 0; i-- {
+			declare(i)
+		}
+		b.Block("s").AssignBin("pre", OpAdd, VarOp("u"), VarOp("v"))
+	} else {
+		b.Block("s").AssignBin("pre", OpAdd, VarOp("u"), VarOp("v"))
+		for i := 0; i < nd; i++ {
+			declare(i)
+		}
+		b.Block("done").Out(VarOp("u"))
+	}
+	b.Edge("s", "d0")
+	for i := 0; i < nd; i++ {
+		n := strconv.Itoa(i)
+		b.Edge("d"+n, "a"+n)
+		b.Edge("d"+n, "b"+n)
+		b.Edge("a"+n, "j"+n)
+		b.Edge("b"+n, "j"+n)
+		next := "done"
+		if i < nd-1 {
+			next = "d" + strconv.Itoa(i+1)
+		}
+		b.Edge("j"+n, next)
+	}
+	b.Edge("j"+strconv.Itoa(nd-1), "d1")
+	g, err := b.Finish("s", "done")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestFingerprintDeclarationOrderInvariant(t *testing.T) {
+	fwd := declOrderGraph(t, 25, false)
+	rev := declOrderGraph(t, 25, true)
+	if fwd.Fingerprint() != rev.Fingerprint() {
+		t.Fatalf("declaration order changed the fingerprint:\n%s\n%s", fwd.Encode(), rev.Encode())
 	}
 }

@@ -97,11 +97,10 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	entry := int(g.Entry)
 	res := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
-		Preds:   func(i int) []int { return nodeIDs(g.Blocks[i].Preds) },
-		Succs:   func(i int) []int { return nodeIDs(g.Blocks[i].Succs) },
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
+		Preds: func(i int) []int { return nodeIDs(g.Blocks[i].Preds) },
+		Succs: func(i int) []int { return nodeIDs(g.Blocks[i].Succs) },
+		Arena: ar,
+		Stats: s.DataflowStats(),
 		// Forward: solver "in" is the fact at the block entry
 		// (N-SINKABLE), "out" at its exit (X-SINKABLE) = LOC-SINKABLE ∨
 		// (N-SINKABLE ∧ ¬LOC-BLOCKED), the dense gen/kill form.

@@ -72,14 +72,13 @@ func Step(c *analysis.Code, s *analysis.Session) int {
 	entry := int(c.G.Entry)
 	res := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
-		Preds:   bv.Preds,
-		Succs:   bv.Succs,
-		Order:   bv.FwdOrder,
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
-		Gen:     gen,
-		Kill:    kill,
+		Preds: bv.Preds,
+		Succs: bv.Succs,
+		Order: bv.FwdOrder,
+		Arena: ar,
+		Stats: s.DataflowStats(),
+		Gen:   gen,
+		Kill:  kill,
 		Boundary: func(i int, in bitvec.Vec) {
 			if i == entry {
 				in.ClearAll()

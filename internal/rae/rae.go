@@ -74,17 +74,16 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 
 	entry := prog.EntryIndex()
 	res := dataflow.Solve(dataflow.Problem{
-		N:       n,
-		Bits:    bits,
-		Dir:     dataflow.Forward,
-		Meet:    dataflow.All,
-		Preds:   prog.Preds,
-		Succs:   prog.Succs,
-		Arena:   ar,
-		Stats:   s.DataflowStats(),
-		Workers: s.SolverWorkersFor(n),
-		Gen:     gen,
-		Kill:    kill,
+		N:     n,
+		Bits:  bits,
+		Dir:   dataflow.Forward,
+		Meet:  dataflow.All,
+		Preds: prog.Preds,
+		Succs: prog.Succs,
+		Arena: ar,
+		Stats: s.DataflowStats(),
+		Gen:   gen,
+		Kill:  kill,
 		Boundary: func(i int, in bitvec.Vec) {
 			if i == entry {
 				in.ClearAll()

@@ -443,11 +443,23 @@ func TestReadyzSingleNode(t *testing.T) {
 // TestClusterMetricsExposed: /metrics on a cluster node carries the
 // cluster section — peer-up gauge, ring shares, forward counters.
 func TestClusterMetricsExposed(t *testing.T) {
-	_, tss, _ := newTestCluster(t, 2, nil)
-	// Drive one forwarded request so the forward counter has a row.
-	for i := 0; i < 8; i++ {
-		postJSON(t, tss[0].URL+"/v1/optimize", OptimizeRequest{Program: distinctProgram(6000 + i)}, nil)
+	srvs, tss, urls := newTestCluster(t, 2, nil)
+	// Drive one forwarded request so the forward counter has a row: pick
+	// the first program the ring assigns to the peer.
+	prog := ""
+	for i := 6000; prog == "" && i < 7000; i++ {
+		g, err := parseProgram("", "", distinctProgram(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srvs[0].node.Owner(g.Fingerprint().String()) == urls[1] {
+			prog = distinctProgram(i)
+		}
 	}
+	if prog == "" {
+		t.Fatal("no program in 1000 is owned by the peer")
+	}
+	postJSON(t, tss[0].URL+"/v1/optimize", OptimizeRequest{Program: prog}, nil)
 	_, body := getBody(t, tss[0].URL+"/metrics")
 	for _, want := range []string{
 		"amoptd_cluster_peer_up{",
@@ -462,6 +474,6 @@ func TestClusterMetricsExposed(t *testing.T) {
 		}
 	}
 	if !bytes.Contains([]byte(body), []byte("amoptd_cluster_forwards_total{")) {
-		t.Errorf("/metrics has no per-peer forward counter after %d spread requests", 8)
+		t.Error("/metrics has no per-peer forward counter after a forwarded request")
 	}
 }

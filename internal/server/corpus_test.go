@@ -88,7 +88,9 @@ func TestCorpusRoundTripMatchesInProcess(t *testing.T) {
 		disk[i] = send(tsB.URL, p)
 	}
 
-	uncached := engine.New(engine.Options{CacheSize: -1})
+	// The reference engine runs one job at a time, as `amopt -parallel 1`
+	// does; the solver work it reports must not depend on that choice.
+	uncached := engine.New(engine.Options{CacheSize: -1, Parallelism: 1})
 	for i, p := range progs {
 		t.Run(p.name, func(t *testing.T) {
 			g, err := parseProgram(p.dialect, p.name, p.src)
@@ -119,8 +121,10 @@ func TestCorpusRoundTripMatchesInProcess(t *testing.T) {
 					continue
 				}
 				for k, ev := range m.resp.Passes {
-					if ev.Pass != ref.Passes[k].Pass || ev.Stats != ref.Passes[k].Stats {
-						t.Errorf("%s: pass event %d = %s %+v, want %s %+v", mode, k, ev.Pass, ev.Stats, ref.Passes[k].Pass, ref.Passes[k].Stats)
+					r := ref.Passes[k]
+					if ev.Pass != r.Pass || ev.Stats != r.Stats || ev.Dataflow != r.Dataflow {
+						t.Errorf("%s: pass event %d = %s %+v %+v, want %s %+v %+v",
+							mode, k, ev.Pass, ev.Stats, ev.Dataflow, r.Pass, r.Stats, r.Dataflow)
 					}
 				}
 			}

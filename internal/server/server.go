@@ -81,11 +81,6 @@ type Config struct {
 	// Inject is the test-only fault-injection seam, threaded through to
 	// engine.Options.Inject. Production callers leave it nil.
 	Inject func(index int, p pass.Pass) pass.Pass
-	// SolverWorkers bounds intra-graph parallel dataflow solving per job
-	// (engine.Options.SolverWorkers). <= 0 divides GOMAXPROCS by Workers
-	// so job-level and region-level concurrency together stay near the
-	// core count; 1 forces serial solves.
-	SolverWorkers int
 	// Incremental is inert: the region tier it enabled was removed, and
 	// the field stays only because the benchmark module still sets it.
 	Incremental bool
@@ -119,12 +114,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
-	}
-	if c.SolverWorkers <= 0 {
-		c.SolverWorkers = runtime.GOMAXPROCS(0) / c.Workers
-		if c.SolverWorkers < 1 {
-			c.SolverWorkers = 1
-		}
 	}
 }
 
@@ -239,13 +228,12 @@ func (s *Server) engineFor(cfg engineConfig) *engine.Engine {
 		}
 	}
 	opts := engine.Options{
-		Parallelism:   1, // concurrency is the server's worker budget, not the engine pool
-		SolverWorkers: s.cfg.SolverWorkers,
-		CacheSize:     s.cfg.CacheSize,
-		Recovery:      cfg.recovery,
-		Budget:        cfg.budget,
-		Inject:        s.cfg.Inject,
-		Hook:          func(_ string, ev pass.Event) { s.met.passEvent(ev) },
+		Parallelism: 1, // concurrency is the server's worker budget, not the engine pool
+		CacheSize:   s.cfg.CacheSize,
+		Recovery:    cfg.recovery,
+		Budget:      cfg.budget,
+		Inject:      s.cfg.Inject,
+		Hook:        func(_ string, ev pass.Event) { s.met.passEvent(ev) },
 		OutcomeHook: func(r engine.GraphResult) {
 			if r.Err == nil {
 				s.met.cacheOutcome(r.CacheHit, r.CacheTier)
