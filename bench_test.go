@@ -369,6 +369,19 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
+// cloneSink keeps BenchmarkClone's result live.
+var cloneSink *ir.Graph
+
+// BenchmarkClone measures the deep copy the engine hands out on every
+// cache hit and takes before running the pipeline.
+func BenchmarkClone(b *testing.B) {
+	g := cfggen.Structured(1, cfggen.Config{Size: 200})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cloneSink = g.Clone()
+	}
+}
+
 // solverProblem builds the block-level availability problem (the shape of
 // rae's solve) over g with synthetic gen/kill vectors, for the solver
 // micro-benchmarks. With dense set the problem carries the vectors in the

@@ -3,8 +3,7 @@ package ir
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -31,42 +30,89 @@ func (f Fingerprint) Short() string { return f.String()[:12] }
 // parsed from differently named sources coincide.
 func (g *Graph) Fingerprint() Fingerprint {
 	order, rank := g.canonicalOrder()
+	rankName := func(buf []byte, id NodeID) []byte {
+		return strconv.AppendInt(append(buf, 'n'), int64(rank[id]), 10)
+	}
 
+	// The canonical form is appended into one buffer that is hashed and
+	// reset whenever it reaches fingerprintChunk bytes.
 	h := sha256.New()
-	fmt.Fprintf(h, "entry %d exit %d\n", rank[g.Entry], rank[g.Exit])
-	writeBlocksCanon(h, order, func(id NodeID) string { return "n" + strconv.Itoa(rank[id]) })
-	var temps []Var
-	seen := map[Var]bool{}
+	buf := make([]byte, 0, 2*fingerprintChunk)
+	flushFull := func() {
+		if len(buf) >= fingerprintChunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	buf = append(buf, "entry "...)
+	buf = strconv.AppendInt(buf, int64(rank[g.Entry]), 10)
+	buf = append(buf, " exit "...)
+	buf = strconv.AppendInt(buf, int64(rank[g.Exit]), 10)
+	buf = append(buf, '\n')
+	for i := range order {
+		buf = appendBlocksCanon(buf, order[i:i+1], rankName)
+		flushFull()
+	}
+
+	// Temporary bindings are semantic state (IsTemp / TempExpr steer the
+	// phases), so the temporaries the instructions read or write
+	// contribute their bound patterns, in sorted order. The instructions
+	// are walked in place: Uses and Defs would copy each one.
+	temps := make([]Var, 0, len(g.exprByTemp))
+	seen := make(map[Var]bool, len(g.exprByTemp))
 	note := func(v Var) {
 		if !seen[v] && g.IsTemp(v) {
 			seen[v] = true
 			temps = append(temps, v)
 		}
 	}
-	var uses []Var
+	noteOperand := func(o *Operand) {
+		if !o.IsConst {
+			note(o.Var)
+		}
+	}
+	noteTerm := func(t *Term) {
+		noteOperand(&t.Args[0])
+		if !t.Trivial() {
+			noteOperand(&t.Args[1])
+		}
+	}
 	for _, b := range order {
 		for i := range b.Instrs {
-			uses = b.Instrs[i].Uses(uses[:0])
-			for _, v := range uses {
-				note(v)
-			}
-			if v, ok := b.Instrs[i].Defs(); ok {
-				note(v)
+			switch in := &b.Instrs[i]; in.Kind {
+			case KindAssign:
+				note(in.LHS)
+				noteTerm(&in.RHS)
+			case KindOut:
+				for j := range in.Args {
+					noteOperand(&in.Args[j])
+				}
+			case KindCond:
+				noteTerm(&in.CondL)
+				noteTerm(&in.CondR)
 			}
 		}
 	}
-	// Temporary bindings are semantic state (IsTemp / TempExpr steer the
-	// phases), so occurring temporaries contribute their bound patterns.
-	sort.Slice(temps, func(i, j int) bool { return temps[i] < temps[j] })
+	slices.Sort(temps)
 	for _, v := range temps {
 		e, _ := g.TempExpr(v)
-		fmt.Fprintf(h, "temp %s=%s\n", v, e.Key())
+		buf = append(buf, "temp "...)
+		buf = append(buf, v...)
+		buf = append(buf, '=')
+		buf = e.appendKey(buf)
+		buf = append(buf, '\n')
+		flushFull()
 	}
+	h.Write(buf)
 
 	var f Fingerprint
 	h.Sum(f[:0])
 	return f
 }
+
+// fingerprintChunk is the buffer length at which Fingerprint hands the
+// canonical form to the hash.
+const fingerprintChunk = 4096
 
 // canonicalOrder computes the deterministic entry-first DFS traversal
 // that canonical encoding and fingerprinting use: successor order

@@ -2,9 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strings"
 )
 
 // NodeID identifies a basic block within one Graph. IDs are dense indices
@@ -256,50 +254,76 @@ func (g *Graph) Normalize() *Graph {
 // the motion passes no longer re-encode the graph to detect change; they
 // use the precise change signals of aht.Apply and rae elimination counts.)
 func (g *Graph) Encode() string {
-	var sb strings.Builder
-	writeBlocksCanon(&sb, g.Blocks, func(id NodeID) string { return g.Block(id).Name })
-	return sb.String()
+	// The length estimate lets one buffer usually hold the rendering.
+	buf := make([]byte, 0, 16*len(g.Blocks)+12*g.InstrCount())
+	buf = appendBlocksCanon(buf, g.Blocks, func(buf []byte, id NodeID) []byte {
+		return append(buf, g.Blocks[id].Name...)
+	})
+	return string(buf)
 }
 
-// writeBlocksCanon writes the shared canonical block rendering —
+// appendBlocksCanon appends the shared canonical block rendering —
 // "name[instr;instr]->succ,succ\n" per block, in the given order, naming
-// blocks via name — to w. It is the single serialization used by both
-// Encode (declaration order, source names) and Fingerprint (canonical DFS
-// order, rank names), so the printer and the cache key cannot drift.
-func writeBlocksCanon(w io.Writer, blocks []*Block, name func(NodeID) string) {
+// blocks via appendName — to buf and returns the extended buffer. It is
+// the single serialization used by both Encode (declaration order, source
+// names) and Fingerprint (canonical DFS order, rank names), so the
+// printer and the cache key cannot drift.
+func appendBlocksCanon(buf []byte, blocks []*Block, appendName func([]byte, NodeID) []byte) []byte {
 	for _, b := range blocks {
-		io.WriteString(w, name(b.ID))
-		io.WriteString(w, "[")
-		for i, in := range b.Instrs {
+		buf = appendName(buf, b.ID)
+		buf = append(buf, '[')
+		for i := range b.Instrs {
 			if i > 0 {
-				io.WriteString(w, ";")
+				buf = append(buf, ';')
 			}
-			io.WriteString(w, in.Key())
+			buf = b.Instrs[i].appendKey(buf)
 		}
-		io.WriteString(w, "]->")
+		buf = append(buf, "]->"...)
 		for i, s := range b.Succs {
 			if i > 0 {
-				io.WriteString(w, ",")
+				buf = append(buf, ',')
 			}
-			io.WriteString(w, name(s))
+			buf = appendName(buf, s)
 		}
-		io.WriteString(w, "\n")
+		buf = append(buf, '\n')
 	}
+	return buf
 }
 
-// Clone returns a deep copy of g sharing no mutable state.
+// Clone returns a deep copy of g sharing no mutable state. The copy's
+// blocks, instructions and edge lists are carved from one slab each (every
+// block's slices with capacity equal to length, so an append on one block
+// reallocates instead of overwriting its neighbour). A slab stays alive
+// while any block still points into it.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.Name)
-	c.Entry, c.Exit = g.Entry, g.Exit
-	c.nextTemp, c.nextSynth = g.nextTemp, g.nextSynth
-	c.version, c.structVersion = g.version, g.structVersion
+	c := &Graph{
+		Name:          g.Name,
+		Entry:         g.Entry,
+		Exit:          g.Exit,
+		tempByExpr:    make(map[Term]Var, len(g.tempByExpr)),
+		exprByTemp:    make(map[Var]Term, len(g.exprByTemp)),
+		nextTemp:      g.nextTemp,
+		nextSynth:     g.nextSynth,
+		version:       g.version,
+		structVersion: g.structVersion,
+	}
+	nInstrs, nEdges := 0, 0
+	for _, b := range g.Blocks {
+		nInstrs += len(b.Instrs)
+		nEdges += len(b.Succs) + len(b.Preds)
+	}
+	blocks := make([]Block, len(g.Blocks))
+	instrs := make([]Instr, 0, nInstrs)
+	edges := make([]NodeID, 0, nEdges)
 	c.Blocks = make([]*Block, len(g.Blocks))
 	for i, b := range g.Blocks {
-		nb := &Block{ID: b.ID, Name: b.Name}
-		nb.Instrs = make([]Instr, len(b.Instrs))
-		copy(nb.Instrs, b.Instrs)
-		nb.Succs = append([]NodeID(nil), b.Succs...)
-		nb.Preds = append([]NodeID(nil), b.Preds...)
+		nb := &blocks[i]
+		nb.ID, nb.Name = b.ID, b.Name
+		lo := len(instrs)
+		instrs = append(instrs, b.Instrs...)
+		nb.Instrs = instrs[lo:len(instrs):len(instrs)]
+		nb.Succs, edges = carve(edges, b.Succs)
+		nb.Preds, edges = carve(edges, b.Preds)
 		c.Blocks[i] = nb
 	}
 	for h, e := range g.exprByTemp {
@@ -307,6 +331,17 @@ func (g *Graph) Clone() *Graph {
 		c.tempByExpr[e] = h
 	}
 	return c
+}
+
+// carve appends ids to slab and returns them as a full slice expression
+// over it (nil when ids is empty) together with the grown slab.
+func carve(slab, ids []NodeID) (carved, grown []NodeID) {
+	if len(ids) == 0 {
+		return nil, slab
+	}
+	lo := len(slab)
+	slab = append(slab, ids...)
+	return slab[lo:len(slab):len(slab)], slab
 }
 
 // Restore overwrites g in place with the contents of snapshot, adopting

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,6 +105,37 @@ func TestCloneIndependence(t *testing.T) {
 	if !c.IsTemp("h1") {
 		t.Error("clone lost temp registry")
 	}
+
+	// The clone's blocks share slabs, so growing one block's instructions,
+	// successors or predecessors must leave its neighbours and the
+	// original alone.
+	g = diamond(t)
+	c = g.Clone()
+	want := blockStates(g)
+	for i, b := range c.Blocks {
+		before := blockStates(c)
+		b.Instrs = append(b.Instrs, NewAssign("z", ConstTerm(int64(i))))
+		b.Succs = append(b.Succs, NodeID(i))
+		b.Preds = append(b.Preds, NodeID(i))
+		after := blockStates(c)
+		for j := range after {
+			if j != i && after[j] != before[j] {
+				t.Errorf("growing clone block %s changed block %s:\n%s\nwas\n%s", b.Name, c.Blocks[j].Name, after[j], before[j])
+			}
+		}
+		if got := blockStates(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("growing clone block %s changed the original:\n%v\nwas\n%v", b.Name, got, want)
+		}
+	}
+}
+
+// blockStates renders each block's instructions and edge lists.
+func blockStates(g *Graph) []string {
+	out := make([]string, len(g.Blocks))
+	for i, b := range g.Blocks {
+		out[i] = fmt.Sprint(b.Instrs, b.Succs, b.Preds)
+	}
+	return out
 }
 
 func TestNormalize(t *testing.T) {

@@ -144,20 +144,32 @@ func (in Instr) Terms(dst []Term) []Term {
 }
 
 // Key returns the canonical spelling of the instruction.
-func (in Instr) Key() string {
+func (in Instr) Key() string { return string(in.appendKey(make([]byte, 0, 64))) }
+
+// appendKey appends the canonical spelling of the instruction to buf. It
+// takes a pointer because Instr is large and the canonical serialization
+// calls it once per instruction.
+func (in *Instr) appendKey(buf []byte) []byte {
 	switch in.Kind {
 	case KindSkip:
-		return "skip"
+		return append(buf, "skip"...)
 	case KindAssign:
-		return string(in.LHS) + ":=" + in.RHS.Key()
+		buf = append(buf, in.LHS...)
+		buf = append(buf, ":="...)
+		return in.RHS.appendKey(buf)
 	case KindOut:
-		parts := make([]string, len(in.Args))
+		buf = append(buf, "out("...)
 		for i, o := range in.Args {
-			parts[i] = o.Key()
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = o.appendKey(buf)
 		}
-		return "out(" + strings.Join(parts, ",") + ")"
+		return append(buf, ')')
 	case KindCond:
-		return in.CondL.Key() + string(in.CondOp) + in.CondR.Key()
+		buf = in.CondL.appendKey(buf)
+		buf = append(buf, in.CondOp...)
+		return in.CondR.appendKey(buf)
 	}
 	panic("ir: unknown instruction kind")
 }

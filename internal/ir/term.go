@@ -71,11 +71,14 @@ func VarOp(v Var) Operand { return Operand{Var: v} }
 func ConstOp(c int64) Operand { return Operand{IsConst: true, Const: c} }
 
 // Key returns the canonical spelling of the operand.
-func (o Operand) Key() string {
+func (o Operand) Key() string { return string(o.appendKey(make([]byte, 0, 24))) }
+
+// appendKey appends the canonical spelling of the operand to buf.
+func (o Operand) appendKey(buf []byte) []byte {
 	if o.IsConst {
-		return strconv.FormatInt(o.Const, 10)
+		return strconv.AppendInt(buf, o.Const, 10)
 	}
-	return string(o.Var)
+	return append(buf, o.Var...)
 }
 
 // Equal reports structural equality.
@@ -142,11 +145,16 @@ func (t Term) UsesVar(v Var) bool {
 // Key returns the canonical spelling of t, e.g. "a+b", "a", "3".
 // Keys identify expression patterns: two terms denote the same pattern
 // iff their keys are equal (patterns are syntactic; a+b and b+a differ).
-func (t Term) Key() string {
+func (t Term) Key() string { return string(t.appendKey(make([]byte, 0, 48))) }
+
+// appendKey appends the canonical spelling of t to buf.
+func (t Term) appendKey(buf []byte) []byte {
+	buf = t.Args[0].appendKey(buf)
 	if t.Trivial() {
-		return t.Args[0].Key()
+		return buf
 	}
-	return t.Args[0].Key() + string(t.Op) + t.Args[1].Key()
+	buf = append(buf, t.Op...)
+	return t.Args[1].appendKey(buf)
 }
 
 // Equal reports structural equality.

@@ -35,7 +35,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("exit node %s has successors", g.ExitBlock().Name)
 	}
 
-	names := map[string]bool{}
+	names := make(map[string]bool, len(g.Blocks))
 	for i, b := range g.Blocks {
 		if int(b.ID) != i {
 			return fmt.Errorf("block %s: id %d does not match slice index %d", b.Name, b.ID, i)
@@ -98,9 +98,13 @@ func (g *Graph) validateInstr(b *Block, in Instr) error {
 		if !t.Trivial() && !t.Op.IsArith() {
 			return fmt.Errorf("block %s: term %s has non-arithmetic operator", b.Name, t)
 		}
-		for _, v := range t.Vars(nil) {
-			if IsTempName(v) && !g.IsTemp(v) {
-				return fmt.Errorf("block %s: unregistered temporary %s", b.Name, v)
+		args := t.Args[:]
+		if t.Trivial() {
+			args = args[:1]
+		}
+		for _, o := range args {
+			if !o.IsConst && IsTempName(o.Var) && !g.IsTemp(o.Var) {
+				return fmt.Errorf("block %s: unregistered temporary %s", b.Name, o.Var)
 			}
 		}
 		return nil

@@ -209,7 +209,10 @@ func (l *lexer) next() (token, error) {
 // lexAll tokenizes the whole input; used by the parser.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
+	// Printed .fg programs run about four source bytes to a token, so one
+	// token per three bytes usually fits without regrowing, and it never
+	// exceeds the one token per byte that regrowing could reach.
+	toks := make([]token, 0, len(src)/3+1)
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -236,3 +239,19 @@ var keywords = map[string]bool{
 }
 
 func isKeyword(s string) bool { return keywords[strings.ToLower(s)] }
+
+// IsGraphName reports whether the parser accepts name after "graph": one
+// identifier token (a letter or '_', then letters, digits and '_') that is
+// not a keyword. The printer writes a graph's name verbatim, so only such
+// names print back into a program that parses.
+func IsGraphName(name string) bool {
+	if name == "" || !isIdentStart(name[0]) || isKeyword(name) {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if !isIdentCont(name[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -325,3 +325,24 @@ func TestMustMessageWithoutPosition(t *testing.T) {
 		t.Errorf("positionless error must format without a caret: %q", msg)
 	}
 }
+
+// TestIsGraphNameMatchesParser: IsGraphName accepts a name exactly when a
+// program declaring "graph <name>" parses and carries that name.
+func TestIsGraphNameMatchesParser(t *testing.T) {
+	names := []string{
+		"", "g", "_", "_9", "x1", "Prog", "my_prog", "h1", "outer", "entries",
+		"graph", "Graph", "BLOCK", "exit", "fn", "while", "int",
+		"9lives", "my prog", "a{b", "a-b", "a.b", "x\n", " x", "x ", "x#c", "x//c", "é", "\xe9t\xe9",
+	}
+	for c := 0; c < 256; c++ {
+		names = append(names, string([]byte{byte(c)}), "a"+string([]byte{byte(c)}))
+	}
+	for _, name := range names {
+		src := "graph " + name + " {\n entry a\n exit b\n block a { goto b }\n block b { skip }\n}\n"
+		g, err := Parse(src)
+		parses := err == nil && g.Name == name
+		if got := IsGraphName(name); got != parses {
+			t.Errorf("IsGraphName(%q) = %v, but the program parses to that name: %v (err %v)", name, got, parses, err)
+		}
+	}
+}

@@ -6,66 +6,103 @@ package printer
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"assignmentmotion/internal/ir"
 )
 
-// Fprint writes g in .fg syntax to w. The output parses back (with
-// AllowTemps) to a graph with the same Encode() value.
+// Fprint writes g in .fg syntax to w in one Write. The output parses back
+// (with AllowTemps) to a graph with the same Encode() value.
 func Fprint(w io.Writer, g *ir.Graph) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "graph %s {\n", g.Name)
-	fmt.Fprintf(&sb, "  entry %s\n", g.EntryBlock().Name)
-	fmt.Fprintf(&sb, "  exit %s\n", g.ExitBlock().Name)
+	_, err := w.Write(render(g))
+	return err
+}
+
+// String renders g in .fg syntax.
+func String(g *ir.Graph) string { return string(render(g)) }
+
+// render returns g in .fg syntax, appended into one buffer whose size,
+// estimated from the block and instruction counts, usually holds it all.
+func render(g *ir.Graph) []byte {
+	buf := make([]byte, 0, 64+len(g.Name)+40*len(g.Blocks)+20*g.InstrCount())
+	buf = append(buf, "graph "...)
+	buf = append(buf, g.Name...)
+	buf = append(buf, " {\n  entry "...)
+	buf = append(buf, g.EntryBlock().Name...)
+	buf = append(buf, "\n  exit "...)
+	buf = append(buf, g.ExitBlock().Name...)
+	buf = append(buf, '\n')
 	for _, b := range g.Blocks {
-		fmt.Fprintf(&sb, "  block %s {\n", b.Name)
-		for _, in := range b.Instrs {
+		buf = append(buf, "  block "...)
+		buf = append(buf, b.Name...)
+		buf = append(buf, " {\n"...)
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
 			switch in.Kind {
 			case ir.KindSkip:
 				// A lone skip keeps otherwise-empty blocks parseable;
 				// skips next to real instructions are not printed.
 				if len(b.Instrs) == 1 {
-					sb.WriteString("    skip\n")
+					buf = append(buf, "    skip\n"...)
 				}
 			case ir.KindAssign:
-				fmt.Fprintf(&sb, "    %s := %s\n", in.LHS, formatTerm(in.RHS))
+				buf = append(buf, "    "...)
+				buf = append(buf, in.LHS...)
+				buf = append(buf, " := "...)
+				buf = appendTerm(buf, in.RHS)
+				buf = append(buf, '\n')
 			case ir.KindOut:
-				args := make([]string, len(in.Args))
-				for i, o := range in.Args {
-					args[i] = o.Key()
+				buf = append(buf, "    out("...)
+				for j, o := range in.Args {
+					if j > 0 {
+						buf = append(buf, ", "...)
+					}
+					buf = appendOperand(buf, o)
 				}
-				fmt.Fprintf(&sb, "    out(%s)\n", strings.Join(args, ", "))
+				buf = append(buf, ")\n"...)
 			case ir.KindCond:
-				fmt.Fprintf(&sb, "    if %s %s %s then %s else %s\n",
-					formatTerm(in.CondL), in.CondOp, formatTerm(in.CondR),
-					g.Block(b.Succs[0]).Name, g.Block(b.Succs[1]).Name)
+				buf = append(buf, "    if "...)
+				buf = appendTerm(buf, in.CondL)
+				buf = append(buf, ' ')
+				buf = append(buf, in.CondOp...)
+				buf = append(buf, ' ')
+				buf = appendTerm(buf, in.CondR)
+				buf = append(buf, " then "...)
+				buf = append(buf, g.Block(b.Succs[0]).Name...)
+				buf = append(buf, " else "...)
+				buf = append(buf, g.Block(b.Succs[1]).Name...)
+				buf = append(buf, '\n')
 			}
 		}
 		if _, hasCond := b.Cond(); !hasCond && len(b.Succs) == 1 {
-			fmt.Fprintf(&sb, "    goto %s\n", g.Block(b.Succs[0]).Name)
+			buf = append(buf, "    goto "...)
+			buf = append(buf, g.Block(b.Succs[0]).Name...)
+			buf = append(buf, '\n')
 		}
-		sb.WriteString("  }\n")
+		buf = append(buf, "  }\n"...)
 	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return append(buf, "}\n"...)
 }
 
-// String renders g in .fg syntax.
-func String(g *ir.Graph) string {
-	var sb strings.Builder
-	if err := Fprint(&sb, g); err != nil {
-		panic(err) // strings.Builder never errors
-	}
-	return sb.String()
-}
-
-func formatTerm(t ir.Term) string {
+// appendTerm appends t as "a" or "a op b".
+func appendTerm(buf []byte, t ir.Term) []byte {
+	buf = appendOperand(buf, t.Args[0])
 	if t.Trivial() {
-		return t.Args[0].Key()
+		return buf
 	}
-	return fmt.Sprintf("%s %s %s", t.Args[0].Key(), t.Op, t.Args[1].Key())
+	buf = append(buf, ' ')
+	buf = append(buf, t.Op...)
+	buf = append(buf, ' ')
+	return appendOperand(buf, t.Args[1])
+}
+
+// appendOperand appends o as a variable name or a decimal constant.
+func appendOperand(buf []byte, o ir.Operand) []byte {
+	if o.IsConst {
+		return strconv.AppendInt(buf, o.Const, 10)
+	}
+	return append(buf, o.Var...)
 }
 
 // Dot renders g as a Graphviz digraph. Blocks become record-shaped nodes

@@ -158,6 +158,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
 		return
 	}
+	if err := checkName(req.Name); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
+		return
+	}
 	g, err := parseProgram(req.Dialect, req.Name, req.Program)
 	if err != nil {
 		outcome = "parse-error"

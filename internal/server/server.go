@@ -361,6 +361,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// checkName rejects a request name that the .fg grammar cannot print
+// back. The name replaces the parsed graph's and is written verbatim into
+// "graph <name> {", so the served program, and the disk-tier entry stored
+// from it, must parse again.
+func checkName(name string) error {
+	if name != "" && !parse.IsGraphName(name) {
+		return fmt.Errorf("name %q is not an identifier (a letter or '_', then letters, digits or '_') or is a keyword", name)
+	}
+	return nil
+}
+
 // parseProgram parses one program in the requested dialect.
 func parseProgram(dialect, name, src string) (*ir.Graph, error) {
 	var g *ir.Graph
@@ -486,6 +497,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
 		return
 	}
+	if err := checkName(req.Name); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
+		return
+	}
 	g, err := parseProgram(req.Dialect, req.Name, req.Program)
 	if err != nil {
 		outcome = "parse-error"
@@ -585,6 +600,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	graphs := make([]*ir.Graph, len(req.Programs))
 	for i, p := range req.Programs {
+		if err := checkName(p.Name); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{
+				Error:     fmt.Sprintf("program %d: %v", i, err),
+				ErrorKind: "bad-request",
+			})
+			return
+		}
 		g, err := parseProgram(req.Dialect, p.Name, p.Program)
 		if err != nil {
 			outcome = "parse-error"
