@@ -97,11 +97,6 @@ func MustParse(src string) *Graph { return parse.MustParse(src) }
 // front-end transformation of Figure 18.
 func ParseNested(src string) (*Graph, error) { return parse.ParseNested(src) }
 
-// ParseProgram reads the structured mini-language (prog/if/else/while/do/
-// break/continue with nested expressions) and desugars it into a flow
-// graph ready for optimization. See the README for the grammar.
-func ParseProgram(src string) (*Graph, error) { return parse.ParseProgram(src) }
-
 // Format renders g in .fg syntax (round-trippable through Parse).
 func Format(g *Graph) string { return printer.String(g) }
 
@@ -409,12 +404,6 @@ func RandomUnstructured(seed int64, cfg GenConfig) *Graph {
 func RandomEnvs(vars []Var, count int, seed int64) []map[Var]int64 {
 	return metrics.RandomEnvs(vars, count, seed)
 }
-
-// ParseFun parses the typed front-end dialect (functions, let
-// declarations, typed parameters) and lowers it — inlining every call —
-// to a flow graph. Scope rules are enforced; full type checking is
-// CompileFun's job.
-func ParseFun(src string) (*Graph, error) { return parse.ParseFun(src) }
 
 // TypeResult carries the inferred types, signatures, implicit inputs,
 // and diagnostics of one typed-front-end unit.

@@ -37,6 +37,7 @@ import (
 	"assignmentmotion/internal/pde"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/rae"
+	"assignmentmotion/internal/typeinference"
 )
 
 // BenchmarkFigure runs the global algorithm on every embedded paper
@@ -516,7 +517,7 @@ prog checksum {
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := parse.ParseProgram(src)
+		g, _, err := typeinference.Compile(src)
 		if err != nil {
 			b.Fatal(err)
 		}

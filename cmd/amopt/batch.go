@@ -74,9 +74,7 @@ func batchInputs(args []string, figure string, random int64) (bool, []string, er
 
 type batchConfig struct {
 	passSpec string
-	nested   bool
-	prog     bool
-	fun      bool
+	parse    func(string) (*assignmentmotion.Graph, error) // the dialect's front end (sourceParser)
 	parallel int
 	timeout  time.Duration
 	verify   int
@@ -149,17 +147,7 @@ func runBatch(files []string, cfg batchConfig, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var g *assignmentmotion.Graph
-		switch {
-		case cfg.fun:
-			g, _, err = assignmentmotion.CompileFun(string(data))
-		case cfg.prog:
-			g, err = assignmentmotion.ParseProgram(string(data))
-		case cfg.nested:
-			g, err = assignmentmotion.ParseNested(string(data))
-		default:
-			g, err = assignmentmotion.Parse(string(data))
-		}
+		g, err := cfg.parse(string(data))
 		if err != nil {
 			return exitf(exitParse, "%s: %v", path, err)
 		}

@@ -32,11 +32,13 @@
 //	                             a file (see -list)
 //	-nested                      accept nested expressions (decomposed
 //	                             to 3-address form, §6)
-//	-prog                        input is the structured mini-language
 //	-fun                         input is the typed front-end (functions,
 //	                             let declarations, type inference); the
 //	                             program is type-checked strictly before
 //	                             lowering
+//	-prog                        another spelling of -fun, for the
+//	                             structured mini-language: a prog source
+//	                             is a typed unit without functions
 //	-random N [-size S]          use a random structured program
 //	-json                        machine-readable report
 //	-list                        list passes and built-in figures
@@ -153,7 +155,7 @@ func run(args []string, out io.Writer) error {
 	verifyFlag := fs.Int("verify", 0, "verify semantics on N random inputs")
 	figureFlag := fs.String("figure", "", "load a built-in paper figure")
 	nestedFlag := fs.Bool("nested", false, "accept nested expressions and decompose to 3-address form (§6)")
-	progFlag := fs.Bool("prog", false, "input is the structured mini-language (prog/if/while/do)")
+	progFlag := fs.Bool("prog", false, "input is the structured mini-language (prog/if/while/do); another spelling of -fun")
 	funFlag := fs.Bool("fun", false, "input is the typed front-end (functions, let declarations, type inference)")
 	randomFlag := fs.Int64("random", -1, "use a random structured program with this seed instead of a file")
 	randomSize := fs.Int("size", 10, "size of the random program (with -random)")
@@ -221,14 +223,13 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
+	parseSrc := sourceParser(*nestedFlag, *progFlag, *funFlag)
 	if batch, files, err := batchInputs(fs.Args(), *figureFlag, *randomFlag); err != nil {
 		return err
 	} else if batch {
 		return runBatch(files, batchConfig{
 			passSpec: passSpec,
-			nested:   *nestedFlag,
-			prog:     *progFlag,
-			fun:      *funFlag,
+			parse:    parseSrc,
 			parallel: *parallelFlag,
 			timeout:  *timeoutFlag,
 			verify:   *verifyFlag,
@@ -245,7 +246,7 @@ func run(args []string, out io.Writer) error {
 	if *randomFlag >= 0 {
 		g = assignmentmotion.RandomStructured(*randomFlag, assignmentmotion.GenConfig{Size: *randomSize})
 	} else {
-		g, err = load(fs, *figureFlag, *nestedFlag, *progFlag, *funFlag)
+		g, err = load(fs, *figureFlag, parseSrc)
 		if err != nil {
 			return err
 		}
@@ -465,7 +466,23 @@ type jsonReport struct {
 	Program           string                       `json:"program"`
 }
 
-func load(fs *flag.FlagSet, figure string, nested, prog, fun bool) (*assignmentmotion.Graph, error) {
+// sourceParser returns the front end the dialect flags select. -prog is
+// another spelling of -fun: a prog source is a typed unit without
+// functions.
+func sourceParser(nested, prog, fun bool) func(string) (*assignmentmotion.Graph, error) {
+	switch {
+	case fun || prog:
+		return func(src string) (*assignmentmotion.Graph, error) {
+			g, _, err := assignmentmotion.CompileFun(src)
+			return g, err
+		}
+	case nested:
+		return assignmentmotion.ParseNested
+	}
+	return assignmentmotion.Parse
+}
+
+func load(fs *flag.FlagSet, figure string, parseSrc func(string) (*assignmentmotion.Graph, error)) (*assignmentmotion.Graph, error) {
 	if figure != "" {
 		for _, f := range figures.Names() {
 			if f == figure {
@@ -492,18 +509,7 @@ func load(fs *flag.FlagSet, figure string, nested, prog, fun bool) (*assignmentm
 		}
 		src = string(data)
 	}
-	var g *assignmentmotion.Graph
-	var err error
-	switch {
-	case fun:
-		g, _, err = assignmentmotion.CompileFun(src)
-	case prog:
-		g, err = assignmentmotion.ParseProgram(src)
-	case nested:
-		g, err = assignmentmotion.ParseNested(src)
-	default:
-		g, err = assignmentmotion.Parse(src)
-	}
+	g, err := parseSrc(src)
 	if err != nil {
 		return nil, exitf(exitParse, "%s:%v", path, err)
 	}

@@ -173,6 +173,25 @@ prog p {
 	}
 }
 
+// TestProgSkipOnly: -prog compiles a body of skips to a one-block graph;
+// the separate prog parser this replaced failed with "unknown entry block
+// b1".
+func TestProgSkipOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "skip.prog")
+	for _, src := range []string{"prog p { skip }", "prog p { skip skip }"} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := runCLI(t, "-prog", "-pass", "none", path)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if n := strings.Count(out, "block "); n != 1 {
+			t.Errorf("%s: %d blocks, want one:\n%s", src, n, out)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	if _, err := runCLI(t, "-figure", "nope"); err == nil || !strings.Contains(err.Error(), "unknown figure") {
 		t.Errorf("err = %v", err)

@@ -1,6 +1,7 @@
 // Minilang demonstrates the structured front end: write an ordinary
 // imperative program (if/while/do, nested expressions), desugar it into
-// the paper's flow-graph model, optimize, and measure.
+// the paper's flow-graph model, optimize, and measure. A prog source is a
+// typed unit without functions, so CompileFun reads it.
 package main
 
 import (
@@ -30,7 +31,7 @@ prog checksum {
 `
 
 func main() {
-	g, err := assignmentmotion.ParseProgram(source)
+	g, _, err := assignmentmotion.CompileFun(source)
 	if err != nil {
 		log.Fatal(err)
 	}

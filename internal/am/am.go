@@ -114,7 +114,7 @@ func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			return st, err
 		}
 		hoisted := aht.Step(c, s, bitvec.Vec{})
-		removed := rae.Step(c, s)
+		removed := rae.Step(c, s, bitvec.Vec{})
 		st.Eliminated += removed
 		// aht's report is change-precise and rae only deletes, so a
 		// hoisting round can never be silently undone by the elimination
@@ -158,7 +158,7 @@ func RunBounded(g *ir.Graph, maxIterations int) Stats {
 	for st.Iterations < maxIterations {
 		st.Iterations++
 		hoisted := aht.Step(c, s, bitvec.Vec{})
-		removed := rae.Step(c, s)
+		removed := rae.Step(c, s, bitvec.Vec{})
 		st.Eliminated += removed
 		if !hoisted && removed == 0 {
 			return st
@@ -190,7 +190,7 @@ func RunEliminateFirst(g *ir.Graph) (Stats, error) {
 			st.Iterations--
 			return st, err
 		}
-		removed := rae.Step(c, s)
+		removed := rae.Step(c, s, bitvec.Vec{})
 		st.Eliminated += removed
 		hoisted := aht.Step(c, s, bitvec.Vec{})
 		if removed == 0 && !hoisted {
@@ -240,7 +240,7 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			st.Iterations--
 			return st, err
 		}
-		removed := rae.Step(c, s)
+		removed := rae.Step(c, s, bitvec.Vec{})
 		st.Eliminated += removed
 		changed := removed > 0
 
@@ -249,7 +249,7 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			only.Set(id)
 			hoisted := aht.Step(c, s, only)
 			only.Clear(id)
-			r := rae.Step(c, s)
+			r := rae.Step(c, s, bitvec.Vec{})
 			st.Eliminated += r
 			if hoisted || r > 0 {
 				changed = true
@@ -297,7 +297,7 @@ func profitableSet(c *analysis.Code, s *analysis.Session, prof bitvec.Vec) {
 	}
 	trial := c.Copy(ar)
 	aht.Step(trial, s, bitvec.Vec{})
-	rae.Step(trial, s)
+	rae.Step(trial, s, bitvec.Vec{})
 	after := countIDs(trial, ar)
 	for id, n := range before {
 		if n > 0 && after[id] < n {

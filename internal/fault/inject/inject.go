@@ -157,12 +157,6 @@ func (in *Injector) Reset() {
 	in.fired = nil
 }
 
-// WillFault reports what the injector would do at the given site —
-// chaos tests use it to predict which graphs of a batch degrade.
-func (in *Injector) WillFault(graph string, index int, passName string) (Kind, bool) {
-	return in.decide(graph, index, passName)
-}
-
 func (in *Injector) record(i Injection) {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -363,22 +363,14 @@ func Run(g *ir.Graph) int {
 	return replaced
 }
 
-// RunWith is Run against session s (nil for the uncached path): the block
-// iteration order comes from the session's cache and the analysis work is
-// tallied into the session's solver counters for per-pass reporting. It
-// additionally returns the number of fixpoint sweeps over the block order.
-func RunWith(g *ir.Graph, s *analysis.Session) (replaced, sweeps int) {
-	replaced, sweeps, err := TryRunWith(g, s)
-	if err != nil {
-		panic("gvn: " + err.Error())
-	}
-	return replaced, sweeps
-}
-
-// TryRunWith is the fallible form of RunWith: each analysis sweep honours
-// the session's budget and cancellation context, and a fixpoint overrun
-// surfaces as fault.ErrNoFixpoint instead of spinning. On error the graph
-// is unchanged (the rewrite happens only after the analysis converges).
+// TryRunWith is Run against session s (nil for the uncached path): the
+// block iteration order comes from the session's cache, the analysis work
+// is tallied into the session's solver counters for per-pass reporting,
+// and it additionally returns the number of fixpoint sweeps over the block
+// order. Each analysis sweep honours the session's budget and cancellation
+// context, and a fixpoint overrun surfaces as fault.ErrNoFixpoint instead
+// of spinning. On error the graph is unchanged (the rewrite happens only
+// after the analysis converges).
 func TryRunWith(g *ir.Graph, s *analysis.Session) (replaced, sweeps int, err error) {
 	ins, sweeps, visits, err := analyze(g, s)
 	if st := s.DataflowStats(); st != nil {

@@ -71,39 +71,56 @@ func Run(g *ir.Graph) Stats {
 
 // RunWith is Run against an existing session, so a caller driving several
 // passes (the pass pipeline, the §6 EM/CP interleaving) shares one arena
-// and one universe cache across all of them. Each hoist+eliminate round
-// honours the session's budget and cancellation context, and an
-// iteration-limit overrun returns a *fault.NoFixpointError. On error the
-// graph is the valid, semantics-preserved program of the last completed
-// round, not yet flushed.
+// and one universe cache across all of them. Like the AM phase, the
+// hoist+eliminate rounds run on one encoding of the graph (aht.Step and
+// rae.Step), written back once. Each round honours the session's budget
+// and cancellation context, and an iteration-limit overrun returns a
+// *fault.NoFixpointError. On error the graph is the valid,
+// semantics-preserved program of the last completed round, not yet
+// flushed.
 func RunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	g.SplitCriticalEdges()
 	st.Decomposed = core.Initialize(g)
-
-	isInit := func(p ir.AssignPattern) bool {
-		e, ok := g.TempExpr(p.LHS)
-		return ok && e.Equal(p.RHS)
+	if err := motion(g, s, &st); err != nil {
+		return st, err
 	}
+	st.Flush = flush.RunWith(g, s)
+	return st, nil
+}
+
+// motion runs the hoist+eliminate rounds over the initialization patterns
+// on one encoding of g, written back on every return path.
+func motion(g *ir.Graph, s *analysis.Session, st *Stats) error {
 	n := g.InstrCount() + len(g.Blocks)
 	limit := 4*n*n + 64
+	ar := s.Arena()
+	defer ar.Release(ar.Mark())
+	c := analysis.NewCode(g, s)
+	defer c.WriteBack()
+	// The universe and the temp registry are fixed for the phase, so the
+	// initialization patterns h_ε := ε are one vector.
+	isInit := ar.Vec(c.U.Len())
+	for id, p := range c.U.Patterns() {
+		if e, ok := g.TempExpr(p.LHS); ok && e.Equal(p.RHS) {
+			isInit.Set(id)
+		}
+	}
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
 			st.Iterations = limit
-			return st, &fault.NoFixpointError{Proc: "em", Iterations: limit, Limit: limit}
+			return &fault.NoFixpointError{Proc: "em", Iterations: limit, Limit: limit}
 		}
 		if err := s.CheckBudget(st.Iterations); err != nil {
 			st.Iterations--
-			return st, err
+			return err
 		}
-		hoisted := aht.ApplyWith(g, s, isInit)
-		removed := rae.EliminateMaskedWith(g, s, isInit)
+		hoisted := aht.Step(c, s, isInit)
+		removed := rae.Step(c, s, isInit)
 		st.Eliminated += removed
 		if !hoisted && removed == 0 {
-			break
+			return nil
 		}
 	}
-	st.Flush = flush.RunWith(g, s)
-	return st, nil
 }

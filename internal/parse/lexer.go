@@ -17,6 +17,13 @@
 //
 // Line comments start with "//" or "#". Every non-exit block must end in a
 // goto or an if; the exit block must end in neither.
+//
+// Two more front ends share the lexer. ParseNested accepts nested
+// expressions in .fg blocks and decomposes them into 3-address form (§6).
+// ParseUnit reads the typed dialect, and Unit.Lower lowers its structured
+// statements (if, while, do … while, break, continue) to blocks. A source
+// of the structured mini-language ("prog") is a typed unit without
+// functions, so it takes the same path.
 package parse
 
 import (
@@ -226,7 +233,7 @@ func lexAll(src string) ([]token, error) {
 }
 
 // keywords that may not be used as identifiers for blocks or variables,
-// across both the .fg flow-graph syntax and the structured mini-language.
+// across both the .fg flow-graph syntax and the typed dialect.
 var keywords = map[string]bool{
 	"graph": true, "entry": true, "exit": true, "block": true,
 	"out": true, "skip": true, "goto": true,

@@ -66,6 +66,7 @@ func (u *Unit) Lower() (*ir.Graph, error) {
 		l.funcs[fn.Name] = fn
 	}
 	entry := l.newBlock()
+	l.b.Block(entry) // an empty body still has its entry block
 	l.cur = entry
 	terminated, err := l.lowerStmts(u.Prog.Body, &loweringFrame{})
 	if err != nil {

@@ -7,8 +7,9 @@ import (
 )
 
 // ParseUnit parses a source file of the typed dialect into its syntax
-// tree. The grammar extends the structured mini-language (ParseProgram)
-// with functions, typed let declarations, calls, and booleans:
+// tree. A unit without functions is a program of the structured
+// mini-language ("prog"); functions, typed let declarations, calls, and
+// booleans extend it:
 //
 //	unit    = fndecl* progdecl
 //	fndecl  = "fn" IDENT "(" [ param { "," param } ] ")" [ ":" type ] "{" stmt* "}"
@@ -388,6 +389,16 @@ func (p *typedParser) parseUnary() (Expr, error) {
 	t := p.cur()
 	if t.kind == tokOp && t.text == "-" {
 		p.advance()
+		if it := p.cur(); it.kind == tokInt {
+			// The sign belongs to the literal, as in the flat dialects:
+			// the int64 minimum has no positive magnitude to negate.
+			p.advance()
+			n, err := strconv.ParseInt("-"+it.text, 10, 64)
+			if err != nil {
+				return nil, p.errorf(it, "integer -%q out of range", it.text)
+			}
+			return &IntLit{Pos: pos(t), Value: n}, nil
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

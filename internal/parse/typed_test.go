@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -217,6 +218,33 @@ func TestFunErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestFunMinInt64Literal(t *testing.T) {
+	// The sign belongs to the literal, as in the flat dialects, so the
+	// int64 minimum is a literal on its own and as the right operand of *.
+	res := runFun(t, `
+		prog p {
+			x := -9223372036854775808
+			y := a * -9223372036854775808
+			out(x, y, --5)
+		}
+	`, map[ir.Var]int64{"a": 1})
+	wantTrace(t, res, math.MinInt64, math.MinInt64, 5)
+	if _, err := ParseFun(`prog p { x := -9223372036854775809 }`); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("-9223372036854775809: err = %v, want out of range", err)
+	}
+}
+
+func TestFunEmptyProgram(t *testing.T) {
+	g, err := ParseFun(`prog p { }`)
+	if err != nil {
+		t.Fatalf("ParseFun: %v", err)
+	}
+	if len(g.Blocks) != 1 || g.Entry != g.Exit {
+		t.Fatalf("want one block that is entry and exit, got %d blocks", len(g.Blocks))
+	}
+	wantTrace(t, interp.Run(g, nil, interp.DefaultMaxSteps))
 }
 
 func TestFunUnreachableAfterBreakDropped(t *testing.T) {

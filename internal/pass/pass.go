@@ -42,12 +42,6 @@ type Stats struct {
 	Iterations int `json:"iterations"`
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Changes += other.Changes
-	s.Iterations += other.Iterations
-}
-
 // Pass is one registered transformation.
 type Pass struct {
 	// Name is the registry key, as accepted by Apply / amopt -passes.

@@ -145,15 +145,6 @@ type Report struct {
 // fixpoint output.
 func (r *Report) Degraded() bool { return len(r.Failures) > 0 }
 
-// Total sums the uniform stats over all executed passes.
-func (r *Report) Total() Stats {
-	var t Stats
-	for i := range r.Events {
-		t.Add(r.Events[i].Stats)
-	}
-	return t
-}
-
 // InvariantError reports that a pass broke an inter-pass invariant in
 // Debug mode: it names the offending pass and wraps the underlying
 // validation or trace-divergence detail.

@@ -42,16 +42,17 @@ func EliminateBlocksWith(g *ir.Graph, s *analysis.Session) int {
 	if c.U.Len() == 0 {
 		return 0
 	}
-	removed := Step(c, s)
+	removed := Step(c, s, bitvec.Vec{})
 	c.WriteBack()
 	return removed
 }
 
 // Step performs one block-level elimination on the encoded program c,
 // rewriting its blocks in place, and returns the number of removed
-// occurrences. Analysis storage comes from s's arena and is released
-// before returning.
-func Step(c *analysis.Code, s *analysis.Session) int {
+// occurrences. keep restricts the removals to the patterns it holds, as
+// in aht.Step: the zero Vec keeps every pattern. Analysis storage comes
+// from s's arena and is released before returning.
+func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
 	n, bits := len(c.Blocks), c.U.Len()
 	if bits == 0 {
 		return 0
@@ -87,18 +88,19 @@ func Step(c *analysis.Code, s *analysis.Session) int {
 	})
 
 	// The removal walk: starting from the availability at the block's
-	// entry, drop every occurrence whose pattern is available where it
-	// executes. A removed occurrence was redundant — its association
+	// entry, drop every kept occurrence whose pattern is available where
+	// it executes. A removed occurrence was redundant — its association
 	// already holds — so availability is unchanged by the removal.
 	removed := 0
 	avail := ar.Vec(bits)
 	selfRef := c.SelfRef()
+	all := keep.Len() == 0
 	for i, ids := range c.Blocks {
 		avail.CopyFrom(res.In[i])
 		kept := ids[:0]
 		for _, id := range ids {
 			if id >= 0 {
-				if avail.Get(id) {
+				if avail.Get(id) && (all || keep.Get(id)) {
 					removed++
 					continue
 				}

@@ -112,21 +112,12 @@ func Eliminate(g *ir.Graph) int {
 }
 
 // EliminateMasked is Eliminate restricted to the assignment patterns
-// accepted by mask (nil accepts all). The expression-motion baseline uses
-// this to eliminate only redundant temporary initializations h_ε := ε.
+// accepted by mask (nil accepts all), for example only the temporary
+// initializations h_ε := ε of the expression-motion baseline. The removal
+// count is the precise change signal (the procedure only removes
+// instructions).
 func EliminateMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) int {
-	return EliminateMaskedWith(g, nil, mask)
-}
-
-// EliminateMaskedWith is EliminateMasked running against session s: the
-// universe is reused across rounds and the analysis vectors come from the
-// session's arena, rewound before returning. The removal count is the
-// precise change signal (the procedure only removes instructions).
-func EliminateMaskedWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPattern) bool) int {
-	ar := s.Arena()
-	m := ar.Mark()
-	defer ar.Release(m)
-	info := AnalyzeWith(g, s)
+	info := Analyze(g)
 	removed := 0
 	idx := 0
 	for _, b := range g.Blocks {

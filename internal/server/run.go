@@ -42,8 +42,9 @@ const defaultMaxRunSteps = 1_000_000
 type RunRequest struct {
 	Name    string `json:"name,omitempty"`
 	Program string `json:"program"`
-	// Dialect selects the parser: "fg" (default), "nested", "prog", or
-	// "fun" (the typed front-end with functions).
+	// Dialect selects the parser: "fg" (default), "nested", or "fun" (the
+	// typed front-end with functions); "prog" is another spelling of
+	// "fun".
 	Dialect    string      `json:"dialect,omitempty"`
 	Passes     []string    `json:"passes,omitempty"`
 	OnError    string      `json:"onError,omitempty"`

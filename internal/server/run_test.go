@@ -88,6 +88,31 @@ func TestRunFunDialect(t *testing.T) {
 	}
 }
 
+// TestRunProgDialect: "prog" is another spelling of "fun". A do body whose
+// if/else leaves the loop on both branches runs; the separate prog parser
+// this replaced answered 400 ("block unreachable from entry"). Both
+// spellings compile the source to the same graph.
+func TestRunProgDialect(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	const src = `prog p { do { x := x + 1 if x > 3 { break } else { continue } } while x < 9 out(x) }`
+	var resp RunResponse
+	hr := postJSON(t, ts.URL+"/v1/run", RunRequest{Dialect: "prog", Program: src}, &resp)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %+v", hr.StatusCode, resp)
+	}
+	if !resp.TraceMatch || len(resp.Trace) != 1 || resp.Trace[0] != 4 {
+		t.Fatalf("traceMatch = %v trace = %v, want [4]", resp.TraceMatch, resp.Trace)
+	}
+	if resp.After.ExprEvals > resp.Before.ExprEvals {
+		t.Fatalf("exprEvals regressed: before %d after %d", resp.Before.ExprEvals, resp.After.ExprEvals)
+	}
+	var fun RunResponse
+	postJSON(t, ts.URL+"/v1/run", RunRequest{Dialect: "fun", Program: src}, &fun)
+	if fun.Fingerprint == "" || fun.Fingerprint != resp.Fingerprint {
+		t.Fatalf("fun fingerprint %q, prog %q", fun.Fingerprint, resp.Fingerprint)
+	}
+}
+
 func TestRunFunTypeErrorIs400(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	var eb errorBody

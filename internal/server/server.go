@@ -304,8 +304,9 @@ type OptimizeRequest struct {
 	// Program is the source text, in the dialect below.
 	Program string `json:"program"`
 	// Dialect selects the parser: "fg" (default), "nested" (§6 nested
-	// expressions), "prog" (the structured mini-language), or "fun" (the
-	// typed front-end with functions).
+	// expressions), or "fun" (the typed front-end with functions). "prog"
+	// (the structured mini-language, a typed unit without functions) is
+	// another spelling of "fun".
 	Dialect string `json:"dialect,omitempty"`
 	// Passes names the pipeline; empty (or ["globalg"]) selects the full
 	// global algorithm.
@@ -381,9 +382,7 @@ func parseProgram(dialect, name, src string) (*ir.Graph, error) {
 		g, err = parse.Parse(src)
 	case "nested":
 		g, err = parse.ParseNested(src)
-	case "prog":
-		g, err = parse.ParseProgram(src)
-	case "fun":
+	case "prog", "fun":
 		g, _, err = typeinference.Compile(src)
 	default:
 		return nil, fmt.Errorf("unknown dialect %q (want fg, nested, prog, or fun)", dialect)
@@ -763,7 +762,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 POST /v1/optimize        {"program": "graph g { ... }", "passes": [...], "onError": "fail|rollback|skip", "budget": {...}, "deadlineMs": N}
 POST /v1/optimize/batch  {"programs": [{"name": ..., "program": ...}, ...]} -> NDJSON stream
-POST /v1/run             {"program": ..., "dialect": "fg|nested|prog|fun", "inputs": {"x": 1}, "maxSteps": N, "trapDivZero": bool} -> trace + before/after cost counters
+POST /v1/run             {"program": ..., "dialect": "fg|nested|fun" ("prog" = "fun"), "inputs": {"x": 1}, "maxSteps": N, "trapDivZero": bool} -> trace + before/after cost counters
 GET  /v1/passes          pass registry
 GET  /healthz            liveness
 GET  /metrics            Prometheus text format
