@@ -20,7 +20,8 @@
 //
 //	g, err := assignmentmotion.Parse(src)
 //	...
-//	res := assignmentmotion.Optimize(g)
+//	res, err := assignmentmotion.Optimize(g)
+//	...
 //	fmt.Println(assignmentmotion.Format(g), res.AM.Iterations)
 package assignmentmotion
 
@@ -32,7 +33,6 @@ import (
 	"assignmentmotion/internal/bytecode"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
-	"assignmentmotion/internal/emcp"
 	"assignmentmotion/internal/engine"
 	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/interp"
@@ -51,6 +51,7 @@ import (
 	_ "assignmentmotion/internal/am"
 	_ "assignmentmotion/internal/copyprop"
 	_ "assignmentmotion/internal/dce"
+	_ "assignmentmotion/internal/emcp"
 	_ "assignmentmotion/internal/flush"
 	_ "assignmentmotion/internal/gvn"
 	_ "assignmentmotion/internal/lcm"
@@ -111,8 +112,18 @@ type Result = core.Result
 // assignment motion fixpoint, and the final flush. The result is
 // expression-optimal in the universe of programs reachable by admissible
 // EM and AM transformations (Theorem 5.2) and relatively assignment- and
-// temporary-optimal (Theorems 5.3, 5.4).
-func Optimize(g *Graph) Result { return core.Optimize(g) }
+// temporary-optimal (Theorems 5.3, 5.4). A failure (a fixpoint overrun)
+// returns as an error matching the ErrNoFixpoint sentinel; g is then
+// valid but not optimized to the end.
+func Optimize(g *Graph) (Result, error) {
+	s := analysis.NewSession()
+	defer s.Close()
+	res, err := core.Optimize(g, s)
+	if err != nil {
+		return res, fmt.Errorf("assignmentmotion: %w", err)
+	}
+	return res, nil
+}
 
 // BatchOptions tune OptimizeBatch: worker parallelism (default
 // GOMAXPROCS), a per-graph timeout, and the result cache size.
@@ -337,13 +348,6 @@ func ApplyPipeline(g *Graph, passes ...Pass) (PipelineReport, error) {
 // pipelines over related graphs and want to share one arena and one set
 // of caches (Pipeline.RunWith). Close it when done.
 func NewSession() *analysis.Session { return analysis.NewSession() }
-
-// RunEMCP alternates lazy code motion and copy propagation until the
-// program stabilizes — the classical workaround of §6 (Figure 20(a)). The
-// rounds share one analysis session (see internal/emcp).
-func RunEMCP(g *Graph) {
-	emcp.Run(g)
-}
 
 // ExecResult is the outcome of interpreting a program.
 type ExecResult = interp.Result

@@ -36,7 +36,10 @@ func TestFacadeOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := g.Clone()
-	res := Optimize(g)
+	res, err := Optimize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Decomposed == 0 || res.AM.Iterations == 0 {
 		t.Errorf("suspicious result: %+v", res)
 	}
@@ -104,7 +107,9 @@ func TestFacadeGenerators(t *testing.T) {
 			t.Fatal(err)
 		}
 		orig := g.Clone()
-		Optimize(g)
+		if _, err := Optimize(g); err != nil {
+			t.Fatal(err)
+		}
 		rep := Equivalent(orig, g, 6, 11)
 		if !rep.Equivalent {
 			t.Errorf("%s: semantics changed: %s", g.Name, rep.Detail)

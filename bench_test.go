@@ -29,16 +29,29 @@ import (
 	"assignmentmotion/internal/gvn"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
-	"assignmentmotion/internal/lcm"
 	"assignmentmotion/internal/metrics"
-	"assignmentmotion/internal/mr"
 	"assignmentmotion/internal/parse"
 	"assignmentmotion/internal/pass"
-	"assignmentmotion/internal/pde"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/rae"
 	"assignmentmotion/internal/typeinference"
 )
+
+// runPass runs the registered pass name on g under a fresh session: the
+// pass alone, without the pipeline around it.
+func runPass(tb testing.TB, name string, g *ir.Graph) pass.Stats {
+	p, ok := pass.Lookup(name)
+	if !ok {
+		tb.Fatalf("pass %s not registered", name)
+	}
+	s := analysis.NewSession()
+	defer s.Close()
+	st, err := p.RunWith(g, s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
 
 // BenchmarkFigure runs the global algorithm on every embedded paper
 // figure (rows F1–F20 of the experiment index).
@@ -48,7 +61,7 @@ func BenchmarkFigure(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.Optimize(base.Clone())
+				runPass(b, "globalg", base.Clone())
 			}
 		})
 	}
@@ -58,18 +71,11 @@ func BenchmarkFigure(b *testing.B) {
 // the running example.
 func BenchmarkPipeline(b *testing.B) {
 	base := figures.Load("running")
-	pipelines := map[string]func(*ir.Graph){
-		"em":            func(g *ir.Graph) { lcm.Run(g) },
-		"am":            func(g *ir.Graph) { am.Run(g) },
-		"am-restricted": func(g *ir.Graph) { am.RunRestricted(g) },
-		"globalg":       func(g *ir.Graph) { core.Optimize(g) },
-	}
 	for _, name := range []string{"em", "am", "am-restricted", "globalg"} {
-		run := pipelines[name]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run(base.Clone())
+				runPass(b, name, base.Clone())
 			}
 		})
 	}
@@ -84,9 +90,7 @@ func BenchmarkScalingStructured(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				g := base.Clone()
-				res := core.Optimize(g)
-				iters = res.AM.Iterations
+				iters = runPass(b, "globalg", base.Clone()).Iterations
 			}
 			b.ReportMetric(float64(base.InstrCount()), "instrs")
 			b.ReportMetric(float64(iters), "AMiters")
@@ -102,9 +106,7 @@ func BenchmarkScalingUnstructured(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				g := base.Clone()
-				res := core.Optimize(g)
-				iters = res.AM.Iterations
+				iters = runPass(b, "globalg", base.Clone()).Iterations
 			}
 			b.ReportMetric(float64(base.InstrCount()), "instrs")
 			b.ReportMetric(float64(iters), "AMiters")
@@ -121,8 +123,7 @@ func BenchmarkAdversarialChain(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				st := am.Run(base.Clone())
-				iters = st.Iterations
+				iters = runPass(b, "am", base.Clone()).Iterations
 			}
 			b.ReportMetric(float64(iters), "AMiters")
 		})
@@ -145,61 +146,53 @@ func BenchmarkPhases(b *testing.B) {
 		{"unstructured200", cfggen.Unstructured(2, cfggen.Config{Size: 200})},
 		{"structured1000", cfggen.Structured(2, cfggen.Config{Size: 1000})},
 	}
-	run := func(p pass.Pass, g *ir.Graph) {
-		s := analysis.NewSession()
-		defer s.Close()
-		if _, err := p.RunWith(g, s); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for _, prog := range programs {
 		in := prog.g
 		for _, name := range []string{"init", "am", "flush"} {
-			p, ok := pass.Lookup(name)
-			if !ok {
-				b.Fatalf("pass %s not registered", name)
-			}
 			b.Run(prog.name+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					g := in.Clone()
 					b.StartTimer()
-					run(p, g)
+					runPass(b, name, g)
 				}
 			})
 			next := in.Clone()
-			run(p, next)
+			runPass(b, name, next)
 			in = next
 		}
 	}
 }
 
 // BenchmarkAnalyses measures the individual bit-vector analyses
-// (Tables 1–3) without their transformations.
+// (Tables 1–3) without their transformations, each on one session whose
+// arena is rewound after every run.
 func BenchmarkAnalyses(b *testing.B) {
 	base := cfggen.Structured(3, cfggen.Config{Size: 40})
 	base.SplitCriticalEdges()
 	core.Initialize(base)
 
-	b.Run("rae", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rae.Analyze(base)
-		}
-	})
-	b.Run("aht", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			aht.Analyze(base)
-		}
-	})
-	b.Run("flush", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			flush.Analyze(base)
-		}
-	})
+	for _, a := range []struct {
+		name    string
+		analyze func(*ir.Graph, *analysis.Session)
+	}{
+		{"rae", func(g *ir.Graph, s *analysis.Session) { rae.Analyze(g, s) }},
+		{"aht", func(g *ir.Graph, s *analysis.Session) { aht.Analyze(g, s) }},
+		{"flush", func(g *ir.Graph, s *analysis.Session) { flush.Analyze(g, s) }},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			s := analysis.NewSession()
+			defer s.Close()
+			ar := s.Arena()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := ar.Mark()
+				a.analyze(base, s)
+				ar.Release(m)
+			}
+		})
+	}
 }
 
 // BenchmarkInterp measures interpreter throughput (the dynamic cost
@@ -243,13 +236,15 @@ func BenchmarkRAEGranularity(b *testing.B) {
 	b.Run("instruction-level", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rae.Eliminate(base.Clone())
+			s := analysis.NewSession()
+			rae.Eliminate(base.Clone(), s)
+			s.Close()
 		}
 	})
 	b.Run("block-level", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rae.EliminateBlocks(base.Clone())
+			runPass(b, "rae", base.Clone())
 		}
 	})
 }
@@ -261,13 +256,13 @@ func BenchmarkBaselines(b *testing.B) {
 	b.Run("mr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mr.Run(base.Clone())
+			runPass(b, "mr", base.Clone())
 		}
 	})
 	b.Run("pde", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pde.Run(base.Clone())
+			runPass(b, "pde", base.Clone())
 		}
 	})
 }
@@ -276,7 +271,7 @@ func BenchmarkBaselines(b *testing.B) {
 // program full of synthetic nodes.
 func BenchmarkTidy(b *testing.B) {
 	base := cfggen.Structured(6, cfggen.Config{Size: 40})
-	core.Optimize(base)
+	runPass(b, "globalg", base)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		base.Clone().Tidy()
@@ -521,14 +516,13 @@ prog checksum {
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.Optimize(g)
+		runPass(b, "globalg", g)
 	}
 }
 
-// BenchmarkApplyPasses measures the facade pass-composition path (Apply
-// and the §6 EM/CP interleaving) on a batch of random structured graphs —
-// the session-sharing benchmark behind the Apply/RunEMCP rows of
-// BENCH_engine.json.
+// BenchmarkApplyPasses measures the facade pass-composition path (Apply,
+// with the three phases and with the §6 EM/CP interleaving) on a batch of
+// random structured graphs.
 func BenchmarkApplyPasses(b *testing.B) {
 	graphs := make([]*Graph, 40)
 	for i := range graphs {
@@ -548,7 +542,9 @@ func BenchmarkApplyPasses(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, g := range graphs {
-				RunEMCP(g.Clone())
+				if err := Apply(g.Clone(), PassEMCP); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -575,8 +571,7 @@ func BenchmarkAMRestricted(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				st := am.RunRestricted(row.g.Clone())
-				iters = st.Iterations
+				iters = runPass(b, "am-restricted", row.g.Clone()).Iterations
 			}
 			b.ReportMetric(float64(iters), "AMiters")
 		})
@@ -607,15 +602,22 @@ func BenchmarkGVNUniverse(b *testing.B) {
 				var patterns, iters int
 				for i := 0; i < b.N; i++ {
 					g := base.g.Clone()
+					s := analysis.NewSession()
 					if mode == "gvn-first" {
-						gvn.Run(g)
+						if _, _, err := gvn.Run(g, s); err != nil {
+							b.Fatal(err)
+						}
 					}
 					g.SplitCriticalEdges()
 					core.Initialize(g)
 					patterns = ir.AssignUniverse(g).Len()
-					st := am.Run(g)
+					st, err := am.Run(g, s)
+					if err != nil {
+						b.Fatal(err)
+					}
 					iters = st.Iterations
-					flush.Run(g)
+					flush.Run(g, s)
+					s.Close()
 				}
 				b.ReportMetric(float64(patterns), "patterns")
 				b.ReportMetric(float64(iters), "AMiters")

@@ -19,21 +19,26 @@ import (
 	"time"
 
 	"assignmentmotion/internal/am"
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
-	"assignmentmotion/internal/copyprop"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/corpus"
 	"assignmentmotion/internal/figures"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
-	"assignmentmotion/internal/lcm"
 	"assignmentmotion/internal/metrics"
-	"assignmentmotion/internal/mr"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/paths"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/rae"
 	"assignmentmotion/internal/verify"
+
+	// The experiments run registered passes by name; these packages
+	// register the ones not imported above.
+	_ "assignmentmotion/internal/emcp"
+	_ "assignmentmotion/internal/lcm"
+	_ "assignmentmotion/internal/mr"
 )
 
 func main() {
@@ -87,40 +92,55 @@ var pipelineOrder = []string{"original", "mr", "em", "em+cp", "am-restricted", "
 // paperUniverse are the rivals Theorem 5.2 quantifies over.
 var paperUniverse = map[string]bool{"original": true, "mr": true, "em": true, "am-restricted": true, "am": true}
 
+// pipelines maps each pipeline to the registered passes it runs. em+cp is
+// the registered emcp, which alternates em and copyprop until the program
+// stops changing; globalg+cp repeats its passes the same way, at most
+// eight times.
+var pipelines = map[string]struct {
+	passes []string
+	repeat bool
+}{
+	"original":      {},
+	"mr":            {passes: []string{"mr"}},
+	"em":            {passes: []string{"em"}},
+	"em+cp":         {passes: []string{"emcp"}},
+	"am-restricted": {passes: []string{"am-restricted"}},
+	"am":            {passes: []string{"am"}},
+	"globalg":       {passes: []string{"globalg"}},
+	"globalg+cp":    {passes: []string{"globalg", "copyprop"}, repeat: true},
+}
+
 func applyPipeline(name string, g *ir.Graph) {
-	switch name {
-	case "original":
-	case "em":
-		lcm.Run(g)
-	case "mr":
-		mr.Run(g)
-	case "em+cp":
-		for i := 0; i < 8; i++ {
-			before := g.Encode()
-			lcm.Run(g)
-			copyprop.Run(g)
-			if g.Encode() == before {
-				return
-			}
-		}
-	case "am-restricted":
-		am.RunRestricted(g)
-	case "am":
-		am.Run(g)
-	case "globalg":
-		core.Optimize(g)
-	case "globalg+cp":
-		for i := 0; i < 8; i++ {
-			before := g.Encode()
-			core.Optimize(g)
-			copyprop.Run(g)
-			if g.Encode() == before {
-				return
-			}
-		}
-	default:
+	p, ok := pipelines[name]
+	if !ok {
 		panic("unknown pipeline " + name)
 	}
+	if !p.repeat {
+		runPasses(g, p.passes...)
+		return
+	}
+	for i := 0; i < 8; i++ {
+		before := g.Encode()
+		runPasses(g, p.passes...)
+		if g.Encode() == before {
+			return
+		}
+	}
+}
+
+// runPasses runs the registered passes on g in order through one
+// pipeline. The experiments set no budget or deadline, so only a fixpoint
+// overrun can fail, and that is a bug: it panics.
+func runPasses(g *ir.Graph, names ...string) pass.Report {
+	pl, err := pass.FromNames(names...)
+	if err != nil {
+		panic(err)
+	}
+	rep, err := pl.Run(g)
+	if err != nil {
+		panic(err)
+	}
+	return rep
 }
 
 // figuresExp — experiment F*: every embedded paper figure through every
@@ -171,10 +191,15 @@ func runningExp(w io.Writer) {
 	g.SplitCriticalEdges()
 	core.Initialize(g)
 	fmt.Fprintf(w, "\n-- Figure 12 (after initialization)\n%s", printer.String(g))
-	st := am.Run(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	st, err := am.Run(g, s)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Fprintf(w, "\n-- Figure 14 (after assignment motion; %d iterations, %d eliminated)\n%s",
 		st.Iterations, st.Eliminated, printer.String(g))
-	fst := flush.Run(g)
+	fst := flush.Run(g, s)
 	fmt.Fprintf(w, "\n-- Figure 15 (after final flush; %d inits dropped, %d placed, %d reconstructed)\n%s\n",
 		fst.DroppedInits, fst.InsertedInits, fst.Reconstructed, printer.String(g))
 }
@@ -259,11 +284,9 @@ func lifetimesExp(w io.Writer, nSeeds int) {
 	var totBusyLife, totLazyLife int
 	for seed := int64(0); seed < int64(nSeeds); seed++ {
 		busy := cfggen.Structured(seed, cfggen.Config{Size: 12})
-		busy.SplitCriticalEdges()
-		core.Initialize(busy)
-		am.Run(busy)
+		runPasses(busy, "init", "am")
 		lazy := busy.Clone()
-		flush.Run(lazy)
+		runPasses(lazy, "flush")
 
 		mb, ml := metrics.Measure(busy), metrics.Measure(lazy)
 		inputs := terminatingEnvs(busy, 6, seed+3)
@@ -350,9 +373,9 @@ func complexityExp(w io.Writer) {
 		g := cfggen.RedundantChain(k)
 		instrs := g.InstrCount()
 		start := time.Now()
-		st := am.Run(g)
+		st := runPasses(g, "am").Events[0].Stats
 		dur := time.Since(start)
-		fmt.Fprintf(w, "%8d %8d %12d %12d %12v\n", k, instrs, st.Iterations, st.Eliminated, dur.Round(time.Microsecond))
+		fmt.Fprintf(w, "%8d %8d %12d %12d %12v\n", k, instrs, st.Iterations, st.Changes, dur.Round(time.Microsecond))
 	}
 
 	fmt.Fprintln(w, "\n-- C2: single-pass costs on structured programs (near-linear flush)")
@@ -360,12 +383,14 @@ func complexityExp(w io.Writer) {
 	for _, size := range []int{10, 20, 40, 80, 160} {
 		g0 := cfggen.Structured(1, cfggen.Config{Size: size})
 		instrs := g0.InstrCount()
-		tGlob := timeIt(func() { core.Optimize(g0.Clone()) })
-		tAM := timeIt(func() { am.Run(g0.Clone()) })
+		tGlob := timeIt(func() { runPasses(g0.Clone(), "globalg") })
+		tAM := timeIt(func() { runPasses(g0.Clone(), "am") })
 		tRae := timeIt(func() {
 			g := g0.Clone()
 			g.SplitCriticalEdges()
-			rae.Eliminate(g)
+			s := analysis.NewSession()
+			defer s.Close()
+			rae.Eliminate(g, s)
 		})
 		fmt.Fprintf(w, "%8d %8d %14v %14v %14v\n", size, instrs, tGlob, tAM, tRae)
 	}
@@ -397,8 +422,7 @@ func sweepPoint(gen func(int64) *ir.Graph, n int) (iters, instrs, blocks float64
 		g := gen(seed)
 		instrs += float64(g.InstrCount())
 		blocks += float64(len(g.Blocks))
-		st := am.Run(g)
-		iters += float64(st.Iterations)
+		iters += float64(runPasses(g, "am").Events[0].Stats.Iterations)
 	}
 	return iters / float64(n), instrs / float64(n), blocks / float64(n),
 		(time.Since(start) / time.Duration(n)).Round(time.Microsecond)

@@ -171,6 +171,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		ErrorLog:          logger,
 	}
 
+	// Handle SIGTERM before serving: once /healthz answers, a terminate
+	// signal must drain, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	if *cacheDir != "" {
@@ -181,10 +187,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if clusterCfg != nil {
 		logger.Printf("cluster %s mode, advertising %s, peers %s", clusterCfg.Mode, clusterCfg.Self, strings.Join(clusterCfg.Peers, ","))
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	code := 0
 	select {

@@ -20,7 +20,10 @@ graph cse {
   block e { out(x, y) }
 }
 `)
-	assignmentmotion.Optimize(g)
+	if _, err := assignmentmotion.Optimize(g); err != nil {
+		fmt.Println(err)
+		return
+	}
 	r := assignmentmotion.Run(g, map[assignmentmotion.Var]int64{"p": 2, "q": 3}, 0)
 	fmt.Println("trace:", r.Trace)
 	fmt.Println("evaluations of p+q:", r.Counts.ExprEvals)
@@ -100,7 +103,10 @@ graph p {
 `
 	a := assignmentmotion.MustParse(src)
 	b := a.Clone()
-	assignmentmotion.Optimize(b)
+	if _, err := assignmentmotion.Optimize(b); err != nil {
+		fmt.Println(err)
+		return
+	}
 	rep := assignmentmotion.Equivalent(a, b, 20, 1)
 	fmt.Println("equivalent:", rep.Equivalent)
 	// Output:

@@ -40,8 +40,7 @@ func main() {
 	fmt.Println("=== desugared flow graph (3-address form) ===")
 	fmt.Print(assignmentmotion.Format(g))
 
-	assignmentmotion.Optimize(g)
-	if err := assignmentmotion.Apply(g, assignmentmotion.PassTidy); err != nil {
+	if err := assignmentmotion.Apply(g, assignmentmotion.PassGlobAlg, assignmentmotion.PassTidy); err != nil {
 		log.Fatal(err)
 	}
 

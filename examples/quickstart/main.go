@@ -49,7 +49,10 @@ func main() {
 	env := map[assignmentmotion.Var]int64{"a": 7, "b": 5}
 	before := assignmentmotion.Run(original, env, 0)
 
-	res := assignmentmotion.Optimize(g)
+	res, err := assignmentmotion.Optimize(g)
+	if err != nil {
+		log.Fatal(err)
+	}
 	after := assignmentmotion.Run(g, env, 0)
 
 	fmt.Println("=== optimized program ===")

@@ -137,7 +137,10 @@ func FuzzOptimize(f *testing.F) {
 			t.Skip("oversized graph")
 		}
 		g := base.Clone()
-		Optimize(g) // a panic here is a fuzz finding
+		// A panic or an error here is a fuzz finding.
+		if _, err := Optimize(g); err != nil {
+			t.Fatalf("%v\n--- input\n%s", err, src)
+		}
 		if err := checkOptimized(base, g, 3, 1); err != nil {
 			t.Fatalf("%v\n--- input\n%s\n--- optimized\n%s", err, src, Format(g))
 		}

@@ -73,13 +73,15 @@ func TestGoldenFGCorpus(t *testing.T) {
 			}
 			// Optimize, with a hook recording each phase's work.
 			var work strings.Builder
-			s := NewSession()
-			core.OptimizeWith(g, s, func(ev pass.Event) {
+			pl := pass.New(core.Phases(nil)...)
+			pl.Hook = func(ev pass.Event) {
 				fmt.Fprintf(&work, "%s changes=%d iterations=%d solves=%d visits=%d sweeps=%d\n",
 					ev.Pass, ev.Stats.Changes, ev.Stats.Iterations,
 					ev.Dataflow.Solves, ev.Dataflow.Visits, ev.Dataflow.Sweeps)
-			})
-			s.Close()
+			}
+			if _, err := pl.Run(g); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
 			g.Tidy()
 			if err := g.Validate(); err != nil {
 				t.Fatalf("%s: optimized graph invalid: %v", path, err)

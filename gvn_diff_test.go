@@ -17,12 +17,13 @@ package assignmentmotion
 //     equivalences).
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/gvn"
+	"path/filepath"
 )
 
 // gvnPipelines are the pass sequences the differential layer certifies.
@@ -49,6 +50,18 @@ func pipelineName(ps []Pass) string {
 // TestGVNPipelinesPreserveGoldenCorpus runs every certified pipeline over
 // every golden-corpus program and asserts trace equivalence plus the cost
 // inequalities against the untouched original.
+// runGVN is gvn.Run on a fresh session, failing t on an error.
+func runGVN(t *testing.T, g *Graph) int {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	n, _, err := gvn.Run(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestGVNPipelinesPreserveGoldenCorpus(t *testing.T) {
 	for _, path := range goldenInputs(t) {
 		base := strings.TrimSuffix(filepath.Base(path), ".fg")
@@ -134,9 +147,9 @@ func TestGVNIdempotent(t *testing.T) {
 	for _, v := range variants {
 		for s := 0; s < seeds; s++ {
 			g := v.gen(int64(s))
-			gvn.Run(g)
+			runGVN(t, g)
 			enc := g.Encode()
-			if n := gvn.Run(g); n != 0 {
+			if n := runGVN(t, g); n != 0 {
 				t.Errorf("%s/seed%d: second gvn run rewrote %d instructions", v.name, s, n)
 			}
 			if g.Encode() != enc {
@@ -169,11 +182,11 @@ func TestGVNCommutesWithTidy(t *testing.T) {
 			g1 := v.gen(int64(s))
 			g2 := g1.Clone()
 
-			gvn.Run(g1)
+			runGVN(t, g1)
 			g1.Tidy()
 
 			g2.Tidy()
-			gvn.Run(g2)
+			runGVN(t, g2)
 
 			if a, b := Format(g1), Format(g2); a != b {
 				t.Errorf("%s/seed%d: gvn and tidy do not commute.\n--- gvn,tidy\n%s\n--- tidy,gvn\n%s", v.name, s, a, b)

@@ -21,7 +21,8 @@
 //
 // The step runs on the pattern-ID encoding of the program (Step over an
 // analysis.Code), which the assignment motion phase keeps across all of its
-// rounds; the graph-level Apply forms encode, run one step and write back.
+// rounds; the registered "aht" pass encodes, runs one step and writes
+// back.
 package aht
 
 import (
@@ -42,8 +43,10 @@ func init() {
 		Ref:         "§4.3, Table 1, Figure 13",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
 			g.SplitCriticalEdges() // X-INSERT at branch nodes needs split edges
+			c, done := analysis.Encode(g, s)
+			defer done()
 			changes := 0
-			if ApplyWith(g, s, nil) {
+			if Step(c, s, bitvec.Vec{}) {
 				changes = 1
 			}
 			return pass.Stats{Changes: changes, Iterations: 1}, nil
@@ -51,9 +54,8 @@ func init() {
 	})
 }
 
-// Info holds the analysis result, indexed by block ID. When it was
-// computed through a session, the vectors live in the session's arena and
-// are only valid until the caller releases it.
+// Info holds the analysis result, indexed by block ID. The vectors live
+// in the session's arena and are only valid until the caller releases it.
 type Info struct {
 	U *ir.PatternSet
 
@@ -74,16 +76,11 @@ type Info struct {
 	occRank []int
 }
 
-// Analyze computes the hoistability analysis and insertion points for g.
-func Analyze(g *ir.Graph) *Info {
-	return AnalyzeWith(g, nil)
-}
-
-// AnalyzeWith is Analyze drawing its universe, iteration order, and vector
-// storage from s (which may be nil for the uncached path). The returned
-// Info shares the session's arena; it must be consumed before the arena is
-// released.
-func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
+// Analyze computes the hoistability analysis and insertion points for g,
+// drawing its universe, iteration order, and vector storage from s. The
+// returned Info shares the session's arena; it must be consumed before the
+// arena is released.
+func Analyze(g *ir.Graph, s *analysis.Session) *Info {
 	return analyze(analysis.NewCode(g, s), s)
 }
 
@@ -171,53 +168,19 @@ func analyze(c *analysis.Code, s *analysis.Session) *Info {
 	return info
 }
 
-// Apply performs one hoisting step on g: it inserts instances at all
-// N-INSERT/X-INSERT points and removes every hoisting candidate. It
-// reports whether the program changed. The graph must have its critical
-// edges split: X-INSERT at a branch node is realized by inserting at the
-// entry of each successor, which edge splitting guarantees to have that
-// branch node as its only predecessor.
-func Apply(g *ir.Graph) bool {
-	return ApplyWith(g, nil, nil)
-}
-
-// ApplyMasked is Apply restricted to the assignment patterns accepted by
-// mask (nil accepts all). The per-pattern analyses are independent, so
-// restricting the transformation to a subset of patterns is sound; the
-// Dhamdhere-style "immediately profitable" baseline uses this to hoist one
-// pattern at a time.
-func ApplyMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
-	return ApplyWith(g, nil, mask)
-}
-
-// ApplyWith is ApplyMasked running against session s: it encodes g, runs
-// one Step and writes the result back. All storage comes from the
-// session's arena, which is rewound before returning.
-func ApplyWith(g *ir.Graph, s *analysis.Session, mask func(ir.AssignPattern) bool) bool {
-	ar := s.Arena()
-	m := ar.Mark()
-	defer ar.Release(m)
-
-	c := analysis.NewCode(g, s)
-	var keep bitvec.Vec
-	if mask != nil {
-		keep = ar.Vec(c.U.Len())
-		for id, p := range c.U.Patterns() {
-			if mask(p) {
-				keep.Set(id)
-			}
-		}
-	}
-	changed := Step(c, s, keep)
-	c.WriteBack()
-	return changed
-}
-
-// Step performs one hoisting step on the encoded program c, rewriting its
-// blocks in place, and reports whether any block's sequence changed. keep
+// Step performs one hoisting step on the encoded program c: it inserts
+// instances at all N-INSERT/X-INSERT points, removes every hoisting
+// candidate, and reports whether any block's sequence changed. keep
 // restricts the step to the patterns it holds; the zero Vec keeps every
-// pattern. Analysis storage and scratch come from s's arena and are
-// released before returning.
+// pattern. The per-pattern analyses are independent, so restricting the
+// transformation to a subset of patterns is sound; the Dhamdhere-style
+// "immediately profitable" baseline hoists one pattern at a time this way.
+// Analysis storage and scratch come from s's arena and are released
+// before returning.
+//
+// c's graph must have its critical edges split: X-INSERT at a branch
+// node is realized by inserting at the entry of each successor, which edge
+// splitting guarantees to have that branch node as its only predecessor.
 //
 // A round may remove a candidate and re-insert the same pattern at the
 // same point (a candidate already at its earliest position); comparing

@@ -3,9 +3,31 @@ package aht
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
 )
+
+// apply is one graph-level hoisting step on a fresh session: it encodes
+// g, runs Step restricted to the patterns mask accepts (nil accepts all)
+// and writes the result back.
+func apply(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
+	s := analysis.NewSession()
+	defer s.Close()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	var keep bitvec.Vec
+	if mask != nil {
+		keep = s.Arena().Vec(c.U.Len())
+		for id, p := range c.U.Patterns() {
+			if mask(p) {
+				keep.Set(id)
+			}
+		}
+	}
+	return Step(c, s, keep)
+}
 
 func blockKeys(b *ir.Block) []string {
 	var out []string
@@ -40,7 +62,7 @@ graph g {
   block e { out(x, q) }
 }
 `)
-	if !Apply(g) {
+	if !apply(g, nil) {
 		t.Fatal("no change reported")
 	}
 	a := g.BlockByName("a")
@@ -48,7 +70,7 @@ graph g {
 		t.Errorf("block a = %v", got)
 	}
 	// Second application is the identity.
-	if Apply(g) {
+	if apply(g, nil) {
 		t.Error("not idempotent")
 	}
 }
@@ -66,7 +88,7 @@ graph g {
   block e { out(x) }
 }
 `)
-	if Apply(g) {
+	if apply(g, nil) {
 		t.Error("hoisted past a := 1 which defines an operand")
 	}
 }
@@ -87,7 +109,7 @@ graph g {
   block e { out(x, q) }
 }
 `)
-	Apply(g)
+	apply(g, nil)
 	g.MustValidate()
 	a := g.BlockByName("a")
 	// q := 1 is itself a candidate inserted at the same point; order among
@@ -126,7 +148,7 @@ graph fig02 {
 }
 `)
 	g.SplitCriticalEdges()
-	for Apply(g) {
+	for apply(g, nil) {
 	}
 	g.MustValidate()
 
@@ -175,7 +197,7 @@ graph g {
 }
 `)
 	g.SplitCriticalEdges()
-	for Apply(g) {
+	for apply(g, nil) {
 	}
 	g.MustValidate()
 	for _, name := range []string{"pre", "hdr", "body"} {
@@ -210,7 +232,7 @@ graph g {
 }
 `)
 	g.SplitCriticalEdges()
-	for Apply(g) {
+	for apply(g, nil) {
 	}
 	g.MustValidate()
 	if !hasInstr(g.BlockByName("pre"), "x:=a+b") {
@@ -243,7 +265,7 @@ graph g {
   block e { out(x, q) }
 }
 `)
-	for Apply(g) {
+	for apply(g, nil) {
 	}
 	g.MustValidate()
 	m := g.BlockByName("m")
@@ -282,7 +304,7 @@ graph g {
 }
 `)
 	g.SplitCriticalEdges()
-	for Apply(g) {
+	for apply(g, nil) {
 	}
 	g.MustValidate()
 	l, r := g.BlockByName("l"), g.BlockByName("r")
@@ -313,7 +335,7 @@ graph g {
   block e { out(x) }
 }
 `)
-	for Apply(g) {
+	for apply(g, nil) {
 	}
 	g.MustValidate()
 	s := g.BlockByName("s")
@@ -349,7 +371,9 @@ graph g {
   block e { out(x, q) }
 }
 `)
-	info := Analyze(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	info := Analyze(g, s)
 	p := ir.AssignPattern{LHS: "x", RHS: ir.BinTerm(ir.OpAdd, ir.VarOp("a"), ir.VarOp("b"))}
 	id, ok := info.U.ID(p)
 	if !ok {
@@ -392,7 +416,7 @@ graph g {
   block e { out(x, y, q) }
 }
 `)
-	changed := ApplyMasked(g, func(p ir.AssignPattern) bool { return p.Key() == "x:=a+b" })
+	changed := apply(g, func(p ir.AssignPattern) bool { return p.Key() == "x:=a+b" })
 	if !changed {
 		t.Fatal("masked apply did nothing")
 	}

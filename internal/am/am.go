@@ -10,23 +10,25 @@
 // hoistings — those that enable the elimination of an occurrence of the
 // hoisted pattern — and therefore misses second-order effects (Figure 8).
 //
-// Every loop encodes its graph once (analysis.NewCode): each block
+// Every loop encodes its graph once (analysis.Encode): each block
 // becomes the pattern IDs of its assignments plus references to its out
 // and branch instructions, which aht and rae never move. All rounds run
 // aht.Step and rae.Step on that encoding, rewriting blocks in place, and
 // Block.Instrs is written back once, followed by one Normalize — on every
 // return path, so an error leaves the graph at the last completed round.
+// Fixpoint is the one aht/rae loop: Run drives it over every pattern, and
+// lazy code motion (internal/lcm) over the initialization patterns.
 //
 // Fixpoint detection is signal-based: aht.Step reports precisely whether
 // it changed any block's ID sequence and rae's removal count is zero
 // exactly when it left the program alone, so a round with
-// !hoisted && removed == 0 is the fixpoint. The iteration limit stays as
-// a backstop that turns a termination bug into a typed failure instead of
-// a hang: TryRunWith, TryRunRestrictedWith and RunEliminateFirst return
-// it as a *fault.NoFixpointError, and each round additionally honours the
-// session's budget and cancellation context (fault.ErrBudgetExceeded /
-// fault.ErrCanceled). Run and RunRestricted are the panicking forms on a
-// fresh session; RunBounded caps the rounds instead of failing.
+// !hoisted && removed == 0 is the fixpoint. The iteration limit
+// (analysis.RoundLimit) stays as a backstop that turns a termination bug
+// into a *fault.NoFixpointError instead of a hang, and each round
+// additionally honours the session's budget and cancellation context
+// (fault.ErrBudgetExceeded / fault.ErrCanceled). The budget's
+// MaxAMIterations caps the rounds: the §7 mitigation for time-critical
+// compilation.
 package am
 
 import (
@@ -37,7 +39,7 @@ import (
 	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
-	"assignmentmotion/internal/rae" // block-level elimination: identical results (see rae.EliminateBlocks), smaller solver
+	"assignmentmotion/internal/rae"
 )
 
 func init() {
@@ -46,7 +48,7 @@ func init() {
 		Description: "exhaustive assignment motion: the aht/rae fixpoint capturing all second-order effects",
 		Ref:         "§4.3, Tables 1–2, Lemma 4.2",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st, err := TryRunWith(g, s)
+			st, err := Run(g, s)
 			return pass.Stats{Changes: st.Eliminated, Iterations: st.Iterations}, err
 		},
 	})
@@ -55,7 +57,7 @@ func init() {
 		Description: "Dhamdhere-style restricted AM: only immediately profitable hoistings (misses second-order effects)",
 		Ref:         "§1.4, Figure 8; Dhamdhere [6]",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st, err := TryRunRestrictedWith(g, s)
+			st, err := RunRestricted(g, s)
 			return pass.Stats{Changes: st.Eliminated, Iterations: st.Iterations}, err
 		},
 	})
@@ -76,33 +78,32 @@ type Stats struct {
 // Run applies the assignment motion phase to g in place: it splits
 // critical edges, then alternates aht and rae until the program is
 // invariant under both. The result is relatively assignment-optimal in the
-// universe G* (Lemma 4.2). It panics if the fixpoint fails (see
-// TryRunWith).
-func Run(g *ir.Graph) Stats {
-	s := analysis.NewSession()
-	defer s.Close()
-	st, err := TryRunWith(g, s)
-	if err != nil {
-		panic("am: " + err.Error())
-	}
-	return st
+// universe G* (Lemma 4.2). The session shares one arena and one universe
+// cache with the caller's other phases (core.Phases). An iteration-limit
+// overrun returns a *fault.NoFixpointError; an exhausted session budget or
+// a canceled session context returns the corresponding typed fault error.
+// In every error case the graph is left in the valid, semantics-preserved
+// state of the last completed round — each round is a complete admissible
+// transformation, so stopping between rounds never corrupts the program
+// (it is merely not optimal yet).
+func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
+	split := g.SplitCriticalEdges()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	st, err := Fixpoint(c, s, bitvec.Vec{})
+	st.SplitEdges = split
+	return st, err
 }
 
-// TryRunWith is the fallible core of the assignment-motion phase, against
-// an existing session so a caller driving several phases (core.Optimize)
-// shares one arena and one universe cache across all of them. An
-// iteration-limit overrun returns a *fault.NoFixpointError; an exhausted
-// session budget or a canceled session context returns the corresponding
-// typed fault error. In every error case the graph is left in the valid,
-// semantics-preserved state of the last completed round — each round is a
-// complete admissible transformation, so stopping between rounds never
-// corrupts the program (it is merely not optimal yet).
-func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
+// Fixpoint alternates aht.Step and rae.Step on the encoded program c
+// until a round changes nothing, with Run's error contract. keep
+// restricts both procedures to the patterns it holds, as in aht.Step: the
+// zero Vec keeps every pattern, and the initialization patterns h_ε := ε
+// make the loop expression motion (Lemma 4.1, internal/lcm). SplitEdges is
+// left zero; c's graph must have its critical edges split.
+func Fixpoint(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) (Stats, error) {
 	var st Stats
-	st.SplitEdges = g.SplitCriticalEdges()
-	limit := iterationLimit(g)
-	c, done := encode(g, s)
-	defer done()
+	limit := analysis.RoundLimit(c.G)
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
@@ -113,87 +114,13 @@ func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			st.Iterations--
 			return st, err
 		}
-		hoisted := aht.Step(c, s, bitvec.Vec{})
-		removed := rae.Step(c, s, bitvec.Vec{})
+		hoisted := aht.Step(c, s, keep)
+		removed := rae.Step(c, s, keep)
 		st.Eliminated += removed
 		// aht's report is change-precise and rae only deletes, so a
 		// hoisting round can never be silently undone by the elimination
 		// that follows it: no change in either procedure is the fixpoint.
 		if !hoisted && removed == 0 {
-			return st, nil
-		}
-	}
-}
-
-// encode encodes g for a fixpoint loop, with storage from s's arena. The
-// returned done writes the encoding back to g and releases the storage;
-// loops defer it, so every return path leaves g at the last completed
-// round.
-func encode(g *ir.Graph, s *analysis.Session) (*analysis.Code, func()) {
-	ar := s.Arena()
-	m := ar.Mark()
-	c := analysis.NewCode(g, s)
-	return c, func() {
-		c.WriteBack()
-		ar.Release(m)
-	}
-}
-
-// RunBounded is Run with the number of hoist+eliminate rounds capped at
-// maxIterations — the §7 mitigation for time-critical compilation
-// ("alternatively, one may limit the number of allowed hoisting and
-// elimination steps heuristically"). The result is still semantics
-// preserving and never worse than the input; it is simply not guaranteed
-// to be relatively optimal when the cap bites. A cap <= 0 means one round.
-func RunBounded(g *ir.Graph, maxIterations int) Stats {
-	if maxIterations <= 0 {
-		maxIterations = 1
-	}
-	s := analysis.NewSession()
-	defer s.Close()
-	var st Stats
-	st.SplitEdges = g.SplitCriticalEdges()
-	c, done := encode(g, s)
-	defer done()
-	for st.Iterations < maxIterations {
-		st.Iterations++
-		hoisted := aht.Step(c, s, bitvec.Vec{})
-		removed := rae.Step(c, s, bitvec.Vec{})
-		st.Eliminated += removed
-		if !hoisted && removed == 0 {
-			return st
-		}
-	}
-	return st
-}
-
-// RunEliminateFirst is Run with the two procedures applied in the
-// opposite order within each round (rae before aht), reporting fixpoint
-// failure as a typed error like TryRunWith. By the local confluence of
-// the rewrite relation (Lemma 3.6) both orders reach cost-equivalent
-// fixpoints; the verify package checks this empirically.
-func RunEliminateFirst(g *ir.Graph) (Stats, error) {
-	s := analysis.NewSession()
-	defer s.Close()
-	var st Stats
-	st.SplitEdges = g.SplitCriticalEdges()
-	limit := iterationLimit(g)
-	c, done := encode(g, s)
-	defer done()
-	for {
-		st.Iterations++
-		if st.Iterations > limit {
-			st.Iterations = limit
-			return st, &fault.NoFixpointError{Proc: "am (eliminate-first)", Iterations: limit, Limit: limit}
-		}
-		if err := s.CheckBudget(st.Iterations); err != nil {
-			st.Iterations--
-			return st, err
-		}
-		removed := rae.Step(c, s, bitvec.Vec{})
-		st.Eliminated += removed
-		hoisted := aht.Step(c, s, bitvec.Vec{})
-		if removed == 0 && !hoisted {
 			return st, nil
 		}
 	}
@@ -205,25 +132,12 @@ func RunEliminateFirst(g *ir.Graph) (Stats, error) {
 // elimination) strictly decreases the number of occurrences of α. Rounds
 // repeat until no profitable hoisting remains. Redundant assignment
 // elimination itself is always applied — the restriction is on hoisting
-// only, matching [6]. Panics on fixpoint failure (see
-// TryRunRestrictedWith).
-func RunRestricted(g *ir.Graph) Stats {
-	s := analysis.NewSession()
-	defer s.Close()
-	st, err := TryRunRestrictedWith(g, s)
-	if err != nil {
-		panic("am: " + err.Error())
-	}
-	return st
-}
-
-// TryRunRestrictedWith is the fallible core of restricted AM, with the
-// same error contract as TryRunWith.
-func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
+// only, matching [6]. The error contract is Run's.
+func RunRestricted(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	st.SplitEdges = g.SplitCriticalEdges()
-	limit := iterationLimit(g)
-	c, done := encode(g, s)
+	limit := analysis.RoundLimit(g)
+	c, done := analysis.Encode(g, s)
 	defer done()
 	// The universe may carry patterns whose occurrences are all gone by
 	// now; profitableSet never admits those (occurrence count 0), so the
@@ -276,7 +190,7 @@ func TryRunRestrictedWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
 // count — for every pattern of the universe in ONE batched trial: copy the
 // encoded blocks once, hoist all patterns simultaneously, eliminate, and
 // compare the per-pattern occurrence counts against the originals. The
-// per-pattern hoisting analyses are independent (see aht.ApplyMasked), so
+// per-pattern hoisting analyses are independent (see aht.Step), so
 // the combined trial observes the same per-pattern deltas as one solo
 // trial per pattern would — the pin tests in restricted_pin_test.go
 // certify batched admission byte-identical to the historical
@@ -291,10 +205,9 @@ func profitableSet(c *analysis.Code, s *analysis.Session, prof bitvec.Vec) {
 	// The trial's solver work is scratch, not the phase's: it is taken
 	// back out of the session's tally, so per-pass Dataflow counts and
 	// the MaxSolverVisits budget see only the rounds that rewrite g.
-	if df := s.DataflowStats(); df != nil {
-		saved := *df
-		defer func() { *df = saved }()
-	}
+	df := s.DataflowStats()
+	saved := *df
+	defer func() { *df = saved }()
 	trial := c.Copy(ar)
 	aht.Step(trial, s, bitvec.Vec{})
 	rae.Step(trial, s, bitvec.Vec{})
@@ -318,13 +231,4 @@ func countIDs(c *analysis.Code, ar *arena.Arena) []int {
 		}
 	}
 	return counts
-}
-
-// iterationLimit bounds the fixpoint loop. §4.5 shows the number of
-// procedure applications is at most quadratic in the program size; the
-// limit is well above that and only exists to turn a termination bug into
-// a loud failure instead of a hang.
-func iterationLimit(g *ir.Graph) int {
-	n := g.InstrCount() + len(g.Blocks)
-	return 4*n*n + 64
 }

@@ -3,11 +3,37 @@ package am
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
 	"assignmentmotion/internal/printer"
 )
+
+// run applies f to g on a fresh session and fails t on an error.
+func run(t *testing.T, f func(*ir.Graph, *analysis.Session) (Stats, error), g *ir.Graph) Stats {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	st, err := f(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// bounded is Run with its rounds capped at k by the session budget (§7:
+// "limit the number of allowed hoisting and elimination steps
+// heuristically"). When the cap bites, Run stops with
+// fault.ErrBudgetExceeded and leaves g at round k.
+func bounded(g *ir.Graph, k int) Stats {
+	s := analysis.NewSession()
+	defer s.Close()
+	s.SetBudget(fault.Budget{MaxAMIterations: k})
+	st, _ := Run(g, s)
+	return st
+}
 
 func hasInstr(b *ir.Block, key string) bool {
 	for _, in := range b.Instrs {
@@ -65,7 +91,7 @@ graph fig02 {
 func TestFigure02FullAM(t *testing.T) {
 	g := parse.MustParse(fig02)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(t, Run, g)
 	g.MustValidate()
 
 	if !hasInstr(g.BlockByName("n1"), "x:=a+b") {
@@ -126,7 +152,7 @@ graph fig08 {
 func TestFigure08RestrictedAMGetsStuck(t *testing.T) {
 	g := parse.MustParse(fig08)
 	orig := g.Clone()
-	RunRestricted(g)
+	run(t, RunRestricted, g)
 	g.MustValidate()
 
 	// Hoisting a := x+y is not immediately profitable (it removes no
@@ -147,7 +173,7 @@ func TestFigure08RestrictedAMGetsStuck(t *testing.T) {
 func TestFigure09UnrestrictedAMSucceeds(t *testing.T) {
 	g := parse.MustParse(fig08)
 	orig := g.Clone()
-	Run(g)
+	run(t, Run, g)
 	g.MustValidate()
 
 	// Figure 9(b): n2 = [x := y+z; a := x+y], n3 = [a := x+y; x := y+z],
@@ -208,7 +234,7 @@ graph fig10 {
 func TestFigure10CriticalEdgeSplitting(t *testing.T) {
 	g := parse.MustParse(fig10)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(t, Run, g)
 	g.MustValidate()
 	if st.SplitEdges == 0 {
 		t.Error("no critical edges split")
@@ -244,9 +270,9 @@ func TestFigure10CriticalEdgeSplitting(t *testing.T) {
 func TestRunIsIdempotent(t *testing.T) {
 	for _, src := range []string{fig02, fig08, fig10} {
 		g := parse.MustParse(src)
-		Run(g)
+		run(t, Run, g)
 		enc := g.Encode()
-		st := Run(g)
+		st := run(t, Run, g)
 		if g.Encode() != enc {
 			t.Errorf("%s: second Run changed the program", g.Name)
 		}
@@ -260,8 +286,8 @@ func TestRestrictedNeverBeatsUnrestricted(t *testing.T) {
 	for _, src := range []string{fig02, fig08, fig10} {
 		gu := parse.MustParse(src)
 		gr := parse.MustParse(src)
-		Run(gu)
-		RunRestricted(gr)
+		run(t, Run, gu)
+		run(t, RunRestricted, gr)
 		envs := []map[ir.Var]int64{
 			{"c": -1, "d": -5, "a": 1, "b": 2, "x": 3, "y": 4, "z": 5},
 			{"c": 1, "d": 5, "a": 1, "b": 2, "x": 3, "y": 4, "z": 5},

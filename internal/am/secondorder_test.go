@@ -52,9 +52,9 @@ graph he {
 }
 `
 	one := parse.MustParse(src)
-	RunBounded(one, 1)
+	bounded(one, 1)
 	full := parse.MustParse(src)
-	Run(full)
+	run(t, Run, full)
 	if got := occurrences(one, "x:=y+z"); got < 2 {
 		t.Errorf("single round already eliminated the redundancy (%d occurrences) — witness too weak", got)
 	}
@@ -88,9 +88,9 @@ graph eh {
 }
 `
 	one := parse.MustParse(src)
-	RunBounded(one, 1)
+	bounded(one, 1)
 	full := parse.MustParse(src)
-	Run(full)
+	run(t, Run, full)
 	// After the fixpoint, the loop body must not assign x anymore.
 	for _, in := range full.BlockByName("n2").Instrs {
 		if in.Key() == "x:=y+z" {
@@ -135,7 +135,7 @@ graph hh {
 }
 `
 	full := parse.MustParse(src)
-	st := Run(full)
+	st := run(t, Run, full)
 	// The fixpoint merges ALL of x := a+b above the branch (the arm
 	// occurrences hoist to n0, making n3's redundant), and v := x+1 then
 	// hoists out of n3 up to the branch's exits — stopped there by the
@@ -188,12 +188,12 @@ graph ee {
 }
 `
 	one := parse.MustParse(src)
-	RunBounded(one, 1)
+	bounded(one, 1)
 	if got := occurrences(one, "v2:=v1+1"); got != 2 {
 		t.Errorf("after one round v2 := v1+1 occurs %d times, want 2 (not yet redundant)", got)
 	}
 	full := parse.MustParse(src)
-	st := Run(full)
+	st := run(t, Run, full)
 	if got := occurrences(full, "v1:=v0+1") + occurrences(full, "v2:=v1+1"); got != 2 {
 		t.Errorf("fixpoint left %d occurrences, want 2:\n%s", got, printer.String(full))
 	}

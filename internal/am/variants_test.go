@@ -1,28 +1,43 @@
 package am
 
 import (
+	"errors"
 	"testing"
 
+	"assignmentmotion/internal/aht"
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/cfggen"
+	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/rae"
 )
 
+// TestRunBoundedCapBites: a run bounded by fault.Budget.MaxAMIterations
+// stops with ErrBudgetExceeded after the capped round and leaves a
+// correct program.
 func TestRunBoundedCapBites(t *testing.T) {
 	// The cross-block redundant chain needs one round per link (the
-	// within-block cascade of EliminateBlocks does not apply across
-	// blocks); with a cap of 1, later links survive.
+	// within-block cascade of rae.Step does not apply across blocks); with
+	// a cap of 1, later links survive.
 	g := cfggen.RedundantChain(4)
 	full := g.Clone()
-	st := RunBounded(g, 1)
+	s := analysis.NewSession()
+	defer s.Close()
+	s.SetBudget(fault.Budget{MaxAMIterations: 1})
+	st, err := Run(g, s)
+	if !errors.Is(err, fault.ErrBudgetExceeded) {
+		t.Errorf("err = %v, want ErrBudgetExceeded", err)
+	}
 	if st.Iterations != 1 {
 		t.Errorf("iterations = %d", st.Iterations)
 	}
 	if st.Eliminated >= 4 {
 		t.Errorf("eliminated = %d; the cap did not bite", st.Eliminated)
 	}
-	stFull := Run(full)
+	stFull := run(t, Run, full)
 	if stFull.Eliminated != 4 {
 		t.Errorf("full run eliminated %d, want 4", stFull.Eliminated)
 	}
@@ -35,36 +50,33 @@ func TestRunBoundedCapBites(t *testing.T) {
 	}
 }
 
-func TestRunBoundedZeroMeansOne(t *testing.T) {
-	g := parse.MustParse(`
-graph g {
-  entry a
-  exit e
-  block a {
-    x := p + q
-    x := p + q
-    goto e
-  }
-  block e { out(x) }
-}
-`)
-	st := RunBounded(g, 0)
-	if st.Iterations != 1 {
-		t.Errorf("iterations = %d, want 1", st.Iterations)
+// eliminateFirst is Run with the two procedures in the opposite order
+// within each round (rae before aht), on one encoding of g. By the local
+// confluence of the rewrite relation (Lemma 3.6) both orders reach
+// cost-equivalent fixpoints.
+func eliminateFirst(t *testing.T, g *ir.Graph) {
+	t.Helper()
+	g.SplitCriticalEdges()
+	limit := analysis.RoundLimit(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	for round := 1; round <= limit; round++ {
+		removed := rae.Step(c, s, bitvec.Vec{})
+		if hoisted := aht.Step(c, s, bitvec.Vec{}); removed == 0 && !hoisted {
+			return
+		}
 	}
-	if st.Eliminated != 1 {
-		t.Errorf("eliminated = %d", st.Eliminated)
-	}
+	t.Fatalf("%s: no fixpoint after %d rounds", g.Name, limit)
 }
 
 func TestEliminateFirstReachesSameCosts(t *testing.T) {
 	for _, src := range []string{fig02, fig08, fig10} {
 		g1 := parse.MustParse(src)
 		g2 := parse.MustParse(src)
-		Run(g1)
-		if _, err := RunEliminateFirst(g2); err != nil {
-			t.Fatal(err)
-		}
+		run(t, Run, g1)
+		eliminateFirst(t, g2)
 		g1.MustValidate()
 		g2.MustValidate()
 		envs := []map[ir.Var]int64{

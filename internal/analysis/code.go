@@ -90,6 +90,20 @@ func NewCode(g *ir.Graph, s *Session) *Code {
 	return c
 }
 
+// Encode is NewCode bracketed by s's arena: done writes the encoding back
+// to g (WriteBack) and releases everything carved from the arena since
+// the encode. Callers defer it, so every return path, an error included,
+// leaves g at its last completed step.
+func Encode(g *ir.Graph, s *Session) (c *Code, done func()) {
+	ar := s.Arena()
+	m := ar.Mark()
+	c = NewCode(g, s)
+	return c, func() {
+		c.WriteBack()
+		ar.Release(m)
+	}
+}
+
 // WriteBack rewrites G's instruction sequences from the encoding, each
 // block into its own storage, and normalizes G once. The blocks that
 // outgrew their storage share one new array.

@@ -24,9 +24,8 @@ import (
 // only when the block/edge structure changed, which inside a motion
 // fixpoint is never (edges are split up front).
 //
-// A nil *Session is valid everywhere one is accepted and means "no
-// caching, no arena": every helper falls back to fresh allocation. A
-// Session must not be shared between goroutines.
+// Every pass and analysis takes a non-nil session; the pass pipeline
+// supplies one per run. A Session must not be shared between goroutines.
 type Session struct {
 	ar *arena.Arena
 	df dataflow.SolveStats
@@ -56,93 +55,48 @@ type Session struct {
 // NewSession returns a session backed by a pooled arena. Callers must
 // Close it to return the arena to the pool.
 func NewSession() *Session {
-	return &Session{ar: arena.Get()}
+	return &Session{ar: arena.Get(), ctx: context.Background()}
 }
 
 // Close releases the session's arena back to the pool. The session (and
 // any analysis result carved from its arena) must not be used afterwards.
 func (s *Session) Close() {
-	if s == nil {
-		return
-	}
 	arena.Put(s.ar)
 	s.ar = nil
 }
 
-// Arena returns the session's arena (nil for a nil session). Passes
-// bracket each round with Mark/Release on it so that the steady state of a
-// fixpoint allocates nothing.
-func (s *Session) Arena() *arena.Arena {
-	if s == nil {
-		return nil
-	}
-	return s.ar
-}
+// Arena returns the session's arena. Passes bracket each round with
+// Mark/Release on it so that the steady state of a fixpoint allocates
+// nothing.
+func (s *Session) Arena() *arena.Arena { return s.ar }
 
 // DataflowStats returns the session's solver-work tally, which every
 // analysis run under this session points its dataflow.Problem.Stats at.
 // The pass pipeline snapshots it around each pass to report per-pass
-// Visits/Sweeps. Nil for a nil session (and dataflow treats a nil tally as
-// "don't count").
-func (s *Session) DataflowStats() *dataflow.SolveStats {
-	if s == nil {
-		return nil
-	}
-	return &s.df
-}
+// Visits/Sweeps.
+func (s *Session) DataflowStats() *dataflow.SolveStats { return &s.df }
 
-// DataflowSnapshot returns a copy of the current solver-work tally (zero
-// for a nil session), for delta computations with SolveStats.Delta.
-func (s *Session) DataflowSnapshot() dataflow.SolveStats {
-	if s == nil {
-		return dataflow.SolveStats{}
-	}
-	return s.df
-}
+// DataflowSnapshot returns a copy of the current solver-work tally, for
+// delta computations with SolveStats.Delta.
+func (s *Session) DataflowSnapshot() dataflow.SolveStats { return s.df }
 
 // SetContext attaches the run's cancellation context to the session, so
 // fixpoint procedures observe engine deadlines between rounds (through
-// CheckBudget), not only between graphs. Nil-safe no-op.
-func (s *Session) SetContext(ctx context.Context) {
-	if s == nil {
-		return
-	}
-	s.ctx = ctx
-}
+// CheckBudget), not only between graphs.
+func (s *Session) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// Context returns the attached context, or context.Background when none
-// was set (or the session is nil).
-func (s *Session) Context() context.Context {
-	if s == nil || s.ctx == nil {
-		return context.Background()
-	}
-	return s.ctx
-}
+// Context returns the attached context: context.Background until
+// SetContext attaches another.
+func (s *Session) Context() context.Context { return s.ctx }
 
 // SetBudget attaches a resource budget to the session. The pass pipeline
-// sets it from Pipeline.Budget; a nil session accepts (and ignores) it.
-func (s *Session) SetBudget(b fault.Budget) {
-	if s == nil {
-		return
-	}
-	s.budget = b
-}
-
-// Budget returns the attached budget (zero for a nil session).
-func (s *Session) Budget() fault.Budget {
-	if s == nil {
-		return fault.Budget{}
-	}
-	return s.budget
-}
+// sets it from Pipeline.Budget.
+func (s *Session) SetBudget(b fault.Budget) { s.budget = b }
 
 // BeginPass marks a pass boundary for budget accounting: the per-pass
 // wall clock and solver-visit baselines reset here. The pipeline calls it
-// immediately before running each pass. Nil-safe no-op.
+// immediately before running each pass.
 func (s *Session) BeginPass() {
-	if s == nil {
-		return
-	}
 	s.passVisits = s.df.Visits
 	if !s.budget.Zero() {
 		s.passStart = time.Now()
@@ -150,23 +104,18 @@ func (s *Session) BeginPass() {
 }
 
 // CheckBudget reports the first violated constraint of the session's
-// budget or context as a typed fault error, or nil. Fixpoint procedures
-// (the AM phase, lazy code motion, the EM/CP interleaving) call it once
-// per round with their current round count, which turns runaway
-// fixpoints and expired engine deadlines into typed failures at the next
-// round boundary instead of hangs. amIters is the caller's current fixpoint round (pass 0 from
-// non-iterating contexts). Nil-safe: a nil session has no budget and no
-// context, so the check is free and always passes.
+// budget or context as a typed fault error, or nil. Every fixpoint pass
+// calls it once per round, which turns runaway fixpoints and expired
+// engine deadlines into typed failures at the next round boundary instead
+// of hangs. amIters is the caller's current round for the loops that
+// MaxAMIterations caps (am, am-restricted, em, emcp, gvn-emcp, pde), and 0
+// from gvn, dce and copyprop, which only observe the context and the
+// other caps.
 func (s *Session) CheckBudget(amIters int) error {
-	if s == nil {
-		return nil
-	}
-	if s.ctx != nil {
-		select {
-		case <-s.ctx.Done():
-			return &fault.CanceledError{Err: s.ctx.Err()}
-		default:
-		}
+	select {
+	case <-s.ctx.Done():
+		return &fault.CanceledError{Err: s.ctx.Err()}
+	default:
 	}
 	b := s.budget
 	if b.Zero() {
@@ -188,6 +137,15 @@ func (s *Session) CheckBudget(amIters int) error {
 	return nil
 }
 
+// RoundLimit bounds the rounds of a fixpoint over g (am, em, pde). §4.5
+// shows the number of procedure applications is at most quadratic in the
+// program size; the limit is well above that and only exists to turn a
+// termination bug into a *fault.NoFixpointError instead of a hang.
+func RoundLimit(g *ir.Graph) int {
+	n := g.InstrCount() + len(g.Blocks)
+	return 4*n*n + 64
+}
+
 // Universe returns the assignment-pattern universe of g, its
 // PatternIndex, and the pattern ID of every instruction of g's current
 // version, cached across calls. On a graph mutation one scan re-syncs the
@@ -207,11 +165,6 @@ func (s *Session) CheckBudget(amIters int) error {
 // (not arena-carved: it must outlive the Mark/Release bracket of the
 // analysis that filled it). It is valid until g's next mutation.
 func (s *Session) Universe(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurrences) {
-	if s == nil {
-		u, occ := &ir.PatternSet{}, &Occurrences{}
-		occ.scan(g, u)
-		return u, NewPatternIndex(u), occ
-	}
 	if s.g != g || !s.uValid {
 		s.invalidate(g)
 		s.u = &ir.PatternSet{}
@@ -230,31 +183,32 @@ func (s *Session) Universe(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurre
 	return s.u, s.px, &s.occ
 }
 
+// NewUniverse builds the assignment-pattern universe of g, its
+// PatternIndex and occurrence table from scratch, outside any session
+// cache: pattern IDs follow first occurrence in g's current program,
+// with no entries for patterns that no longer occur.
+func NewUniverse(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurrences) {
+	u, occ := &ir.PatternSet{}, &Occurrences{}
+	occ.scan(g, u)
+	return u, NewPatternIndex(u), occ
+}
+
 // BlockView is the cached block-level solver geometry of one graph: int
 // adjacency (so the solver's hot loop does not convert NodeIDs per visit)
 // and the two iteration orders — reverse postorder from the entry along
 // successors for forward problems, reverse postorder from the exit along
 // predecessors for backward ones.
 type BlockView struct {
-	Preds func(i int) []int
-	Succs func(i int) []int
-	// FwdOrder / BwdOrder are nil when no session caches them (the solver
-	// then derives its own order).
+	Preds    func(i int) []int
+	Succs    func(i int) []int
 	FwdOrder []int
 	BwdOrder []int
 }
 
 // Blocks returns the solver geometry for g's basic blocks, cached until
 // the graph's block/edge structure changes — which inside a motion
-// fixpoint is never, since critical edges are split up front. Works on a
-// nil session (no caching, per-call adjacency conversion).
+// fixpoint is never, since critical edges are split up front.
 func (s *Session) Blocks(g *ir.Graph) BlockView {
-	if s == nil {
-		return BlockView{
-			Preds: func(i int) []int { return nodeInts(g.Blocks[i].Preds) },
-			Succs: func(i int) []int { return nodeInts(g.Blocks[i].Succs) },
-		}
-	}
 	if s.g != g {
 		s.invalidate(g)
 	}

@@ -34,8 +34,8 @@ func init() {
 		Description: "unified copy+constant propagation: replace uses through available (variable or literal) copies and fold literal terms, iterated to a fixpoint",
 		Ref:         "§6, Figure 20(a); cf. [8]; Sreekala & Paleri, arXiv:2207.03894",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			replaced, rounds := RunWith(g, s)
-			return pass.Stats{Changes: replaced, Iterations: rounds}, nil
+			replaced, rounds, err := Run(g, s)
+			return pass.Stats{Changes: replaced, Iterations: rounds}, err
 		},
 	})
 }
@@ -48,25 +48,23 @@ type copyPat struct {
 
 // Run propagates copies and constants in g until no further replacement or
 // fold is possible and returns the number of rewritten operand occurrences
-// plus folded terms. Chains (t := s; u := t; use of u) and fold cascades
-// (x := 2+3 creating the literal copy x := 5) are resolved by iterating to
-// a fixpoint.
-func Run(g *ir.Graph) int {
-	replaced, _ := RunWith(g, nil)
-	return replaced
-}
-
-// RunWith is Run against session s (nil for the uncached path): the
-// availability vectors come from the session's arena and solver work is
-// tallied into the session for per-pass reporting. It additionally returns
-// the number of analysis+replacement rounds until the fixpoint.
-func RunWith(g *ir.Graph, s *analysis.Session) (replaced, rounds int) {
+// plus folded terms, and the number of analysis+replacement rounds. Chains
+// (t := s; u := t; use of u) and fold cascades (x := 2+3 creating the
+// literal copy x := 5) are resolved by iterating to a fixpoint. The
+// availability vectors come from session s's arena and solver work is
+// tallied into the session for per-pass reporting. Each round first
+// checks the session's budget and context; on such a failure the graph is
+// the valid result of the last completed round.
+func Run(g *ir.Graph, s *analysis.Session) (replaced, rounds int, err error) {
 	for {
+		if err := s.CheckBudget(0); err != nil {
+			return replaced, rounds, err
+		}
 		rounds++
 		n := runOnce(g, s)
 		replaced += n
 		if n == 0 {
-			return replaced, rounds
+			return replaced, rounds, nil
 		}
 	}
 }

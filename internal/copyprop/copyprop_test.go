@@ -3,6 +3,7 @@ package copyprop
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
@@ -15,6 +16,18 @@ func instrKeys(g *ir.Graph, name string) []string {
 		out = append(out, in.Key())
 	}
 	return out
+}
+
+// run is Run on a fresh session, failing t on an error.
+func run(t *testing.T, g *ir.Graph) int {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	n, _, err := Run(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestStraightLinePropagation(t *testing.T) {
@@ -31,7 +44,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	n := Run(g)
+	n := run(t, g)
 	if n == 0 {
 		t.Fatal("nothing propagated")
 	}
@@ -61,7 +74,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "a"); keys[2] != "x:=t+1" {
 		t.Errorf("propagated past kill of s: %v", keys)
 	}
@@ -83,7 +96,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	// The dead copy t := s must NOT reach the use — but the literal copy
 	// t := 9 that killed it does, and 9+1 folds.
 	if keys := instrKeys(g, "a"); keys[2] != "x:=10" {
@@ -114,7 +127,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "j"); keys[0] != "x:=t+1" {
 		t.Errorf("unsafe propagation at join: %v", keys)
 	}
@@ -136,7 +149,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "a"); keys[2] != "x:=s+1" {
 		t.Errorf("chain not resolved: %v", keys)
 	}
@@ -158,7 +171,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	for _, in := range g.BlockByName("a").Instrs {
 		if in.Key() == "x:=y" {
 			t.Errorf("x := y not simplified: %v", instrKeys(g, "a"))
@@ -182,7 +195,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	cond, _ := g.BlockByName("a").Cond()
 	if cond.Key() != "s<10" {
 		t.Errorf("cond = %v", cond)
@@ -208,7 +221,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	// x := t+1 sits after the kill of s; must not become x := s+1.
 	if keys := instrKeys(g, "body"); keys[2] != "x:=t+1" {
 		t.Errorf("body = %v", keys)

@@ -40,41 +40,17 @@ type Result struct {
 	Flush flush.Stats
 }
 
-// Optimize runs the full global algorithm on g in place and returns the
-// per-phase statistics. The graph is edge-split, normalized, and valid on
-// return.
-func Optimize(g *ir.Graph) Result {
-	// One session carries the arena, pattern universe, and iteration orders
-	// across the whole run: every aht/rae round of the motion fixpoint and
-	// the final flush draw from the same pooled storage.
-	s := analysis.NewSession()
-	defer s.Close()
-	return OptimizeWith(g, s, nil)
-}
-
-// OptimizeWith is Optimize as a three-pass pipeline (init, am, flush) over
-// an existing session. The optional hook receives one instrumented event
-// per phase — wall time, instruction deltas, solver work — which is how
-// amopt observes the global algorithm per phase. It panics on a pipeline
-// failure (the legacy contract); fault-aware callers use TryOptimizeWith
-// or run Phases under their own pipeline, as internal/engine does.
-func OptimizeWith(g *ir.Graph, s *analysis.Session, hook func(pass.Event)) Result {
-	res, err := TryOptimizeWith(g, s, hook)
-	if err != nil {
-		panic("core: global pipeline failed: " + err.Error())
-	}
-	return res
-}
-
-// TryOptimizeWith is OptimizeWith returning pipeline failures (fixpoint
-// overrun, exhausted session budget, cancellation) as typed fault errors.
-// The run inherits the session's context, so a deadline attached there
-// interrupts the AM fixpoint between rounds.
-func TryOptimizeWith(g *ir.Graph, s *analysis.Session, hook func(pass.Event)) (Result, error) {
+// Optimize runs the full global algorithm on g in place as a three-pass
+// pipeline (init, am, flush) over session s and returns the per-phase
+// statistics. Pipeline failures (fixpoint overrun, exhausted session
+// budget, cancellation) return as typed fault errors. The run inherits
+// the session's context, so a deadline attached there interrupts the AM
+// fixpoint between rounds. On success the graph is edge-split,
+// normalized, and valid. Callers that want the per-phase events run
+// Phases under their own pipeline, as internal/engine does.
+func Optimize(g *ir.Graph, s *analysis.Session) (Result, error) {
 	var res Result
-	pl := pass.New(Phases(&res)...)
-	pl.Hook = hook
-	_, err := pl.RunWith(nil, g, s)
+	_, err := pass.New(Phases(&res)...).RunWith(s.Context(), g, s)
 	return res, err
 }
 
@@ -97,11 +73,11 @@ func Phases(res *Result) []pass.Pass {
 		}),
 		phase("am", func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
 			var err error
-			res.AM, err = am.TryRunWith(g, s)
+			res.AM, err = am.Run(g, s)
 			return pass.Stats{Changes: res.AM.Eliminated, Iterations: res.AM.Iterations}, err
 		}),
 		phase("flush", func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			res.Flush = flush.RunWith(g, s)
+			res.Flush = flush.Run(g, s)
 			changes := res.Flush.DroppedInits + res.Flush.InsertedInits + res.Flush.Reconstructed
 			return pass.Stats{Changes: changes, Iterations: 1}, nil
 		}),
@@ -136,7 +112,7 @@ func init() {
 		Description: "the full global algorithm: init, exhaustive assignment motion, final flush",
 		Ref:         "§4, Theorems 5.2–5.4",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			res, err := TryOptimizeWith(g, s, nil)
+			res, err := Optimize(g, s)
 			return pass.Stats{
 				Changes: res.Decomposed + res.AM.Eliminated +
 					res.Flush.DroppedInits + res.Flush.InsertedInits + res.Flush.Reconstructed,

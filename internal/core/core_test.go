@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
@@ -43,6 +44,18 @@ func keys(b *ir.Block) []string {
 		out = append(out, in.Key())
 	}
 	return out
+}
+
+// optimize is Optimize on a fresh session, failing t on an error.
+func optimize(t *testing.T, g *ir.Graph) Result {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	res, err := Optimize(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestFigure12Initialization(t *testing.T) {
@@ -101,7 +114,7 @@ func TestInitializeSemantics(t *testing.T) {
 func TestFigure15GlobalAlgorithm(t *testing.T) {
 	g := parse.MustParse(running)
 	orig := g.Clone()
-	Optimize(g)
+	optimize(t, g)
 	g.MustValidate()
 
 	// Figure 5 / Figure 15: the unique result of the uniform algorithm.
@@ -122,7 +135,7 @@ func TestFigure15GlobalAlgorithm(t *testing.T) {
 func TestGlobAlgSemanticsAndWins(t *testing.T) {
 	g := parse.MustParse(running)
 	orig := g.Clone()
-	Optimize(g)
+	optimize(t, g)
 	for _, env := range runningEnvs() {
 		r1 := interp.Run(orig, env, 0)
 		r2 := interp.Run(g, env, 0)
@@ -143,9 +156,9 @@ func TestGlobAlgSemanticsAndWins(t *testing.T) {
 
 func TestOptimizeIdempotent(t *testing.T) {
 	g := parse.MustParse(running)
-	Optimize(g)
+	optimize(t, g)
 	enc := g.Encode()
-	Optimize(g)
+	optimize(t, g)
 	if g.Encode() != enc {
 		t.Errorf("Optimize not idempotent:\n%s\nvs\n%s", enc, g.Encode())
 	}
@@ -172,7 +185,7 @@ graph fig03 {
 }
 `)
 	orig := g.Clone()
-	Optimize(g)
+	optimize(t, g)
 	g.MustValidate()
 	// a+b must be evaluated exactly once on every execution — the
 	// lazy placement may keep one static site per path, so the check is
@@ -229,7 +242,7 @@ graph condonly {
 }
 `)
 	orig := g.Clone()
-	Optimize(g)
+	optimize(t, g)
 	g.MustValidate()
 	env := map[ir.Var]int64{"x": 5, "z": 5, "i": 0}
 	r1 := interp.Run(orig, env, 0)
@@ -262,7 +275,7 @@ graph cse {
 }
 `)
 	orig := g.Clone()
-	Optimize(g)
+	optimize(t, g)
 	env := map[ir.Var]int64{"a": 3, "b": 4}
 	r := interp.Run(g, env, 0)
 	if r.Counts.ExprEvals != 1 {
@@ -285,7 +298,7 @@ graph single {
   block e { out(x) }
 }
 `)
-	Optimize(g)
+	optimize(t, g)
 	for _, b := range g.Blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == ir.KindAssign && g.IsTemp(in.LHS) {

@@ -3,15 +3,30 @@ package corpus
 import (
 	"testing"
 
-	"assignmentmotion/internal/am"
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
-	"assignmentmotion/internal/lcm"
 	"assignmentmotion/internal/metrics"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/verify"
+
+	// Registers the passes the tests run by name: em, and through its
+	// imports am, am-restricted and globalg.
+	_ "assignmentmotion/internal/lcm"
 )
+
+// apply runs the registered passes on g in order through one pipeline.
+// It panics on an error: the graphs here run without a budget or
+// deadline, so only a fixpoint bug can fail.
+func apply(g *ir.Graph, names ...string) {
+	pl, err := pass.FromNames(names...)
+	if err == nil {
+		_, err = pl.Run(g)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
 
 func TestCorpusLoadsAndTerminates(t *testing.T) {
 	names := Names()
@@ -32,17 +47,11 @@ func TestCorpusLoadsAndTerminates(t *testing.T) {
 }
 
 func TestCorpusPipelinesPreserveSemantics(t *testing.T) {
-	pipelines := map[string]func(*ir.Graph){
-		"em":            func(g *ir.Graph) { lcm.Run(g) },
-		"am":            func(g *ir.Graph) { am.Run(g) },
-		"am-restricted": func(g *ir.Graph) { am.RunRestricted(g) },
-		"globalg":       func(g *ir.Graph) { core.Optimize(g) },
-	}
 	for _, name := range Names() {
 		base := Load(name)
-		for pname, run := range pipelines {
+		for _, pname := range []string{"em", "am", "am-restricted", "globalg"} {
 			g := base.Clone()
-			run(g)
+			apply(g, pname)
 			g.MustValidate()
 			rep := verify.Equivalent(base, g, 12, 9)
 			if !rep.Equivalent {
@@ -57,7 +66,7 @@ func TestCorpusGlobAlgDominates(t *testing.T) {
 	for _, name := range Names() {
 		base := Load(name)
 		glob := base.Clone()
-		core.Optimize(glob)
+		apply(glob, "globalg")
 		rep := verify.Equivalent(base, glob, 12, 5)
 		if !rep.Equivalent {
 			t.Fatalf("%s: semantics changed: %s", name, rep.Detail)
@@ -81,9 +90,9 @@ func TestCorpusGlobAlgDominates(t *testing.T) {
 func TestQuantizeNeedsAssignmentMotion(t *testing.T) {
 	base := Load("quantize")
 	em := base.Clone()
-	lcm.Run(em)
+	apply(em, "em")
 	glob := base.Clone()
-	core.Optimize(glob)
+	apply(glob, "globalg")
 
 	env := map[ir.Var]int64{"num": 9, "den": 2, "v": 50}
 	rBase := interp.Run(base, env, 0)
@@ -105,7 +114,7 @@ func TestQuantizeNeedsAssignmentMotion(t *testing.T) {
 func TestDotprodCSE(t *testing.T) {
 	base := Load("dotprod")
 	glob := base.Clone()
-	core.Optimize(glob)
+	apply(glob, "globalg")
 	env := map[ir.Var]int64{"u0": 1, "v0": 2, "u1": 3, "v1": 4, "u2": 5, "v2": 6}
 	rBase := interp.Run(base, env, 0)
 	rGlob := interp.Run(glob, env, 0)

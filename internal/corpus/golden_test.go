@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/typeinference"
 )
@@ -23,7 +22,7 @@ var updateGolden = flag.Bool("update-corpus-golden", false, "rewrite the golden 
 func TestGoldenOutputs(t *testing.T) {
 	for _, name := range Names() {
 		g := Load(name)
-		core.Optimize(g)
+		apply(g, "globalg")
 		g.Tidy()
 		got := printer.String(g)
 		path := "golden/" + name + ".globalg.fg"
@@ -58,7 +57,7 @@ func TestGoldenFunOutputs(t *testing.T) {
 			continue
 		}
 		g := LoadFun(name)
-		core.Optimize(g)
+		apply(g, "globalg")
 		g.Tidy()
 		got := printer.String(g)
 		path := "golden/" + name + ".globalg.fg"

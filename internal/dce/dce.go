@@ -28,32 +28,30 @@ func init() {
 		Description: "dead assignment elimination by strong liveness (faint code), iterated to a fixpoint",
 		Ref:         "§3 footnote 3; cf. [11, 17]",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			removed, rounds := RunWith(g, s)
-			return pass.Stats{Changes: removed, Iterations: rounds}, nil
+			removed, rounds, err := Run(g, s)
+			return pass.Stats{Changes: removed, Iterations: rounds}, err
 		},
 	})
 }
 
 // Run removes assignments whose targets are not strongly live at the
-// assignment's exit and returns the number of removed instructions. It
-// iterates to a fixpoint (removal can expose further dead code, although
-// strong liveness already handles most cascades in one pass).
-func Run(g *ir.Graph) int {
-	removed, _ := RunWith(g, nil)
-	return removed
-}
-
-// RunWith is Run against session s (nil for the uncached path): the
-// liveness vectors come from the session's arena and solver work is
-// tallied into the session for per-pass reporting. It additionally returns
-// the number of analysis+removal rounds until the fixpoint.
-func RunWith(g *ir.Graph, s *analysis.Session) (removed, rounds int) {
+// assignment's exit and returns the number of removed instructions and of
+// analysis+removal rounds. It iterates to a fixpoint (removal can expose
+// further dead code, although strong liveness already handles most
+// cascades in one pass). The liveness vectors come from session s's arena
+// and solver work is tallied into the session for per-pass reporting.
+// Each round first checks the session's budget and context; on such a
+// failure the graph is the valid result of the last completed round.
+func Run(g *ir.Graph, s *analysis.Session) (removed, rounds int, err error) {
 	for {
+		if err := s.CheckBudget(0); err != nil {
+			return removed, rounds, err
+		}
 		rounds++
 		n := runOnce(g, s)
 		removed += n
 		if n == 0 {
-			return removed, rounds
+			return removed, rounds, nil
 		}
 	}
 }

@@ -3,10 +3,23 @@ package dce
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
 )
+
+// run is Run on a fresh session, failing t on an error.
+func run(t *testing.T, g *ir.Graph) int {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	n, _, err := Run(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
 
 func TestRemovesDeadAssignment(t *testing.T) {
 	g := parse.MustParse(`
@@ -21,7 +34,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Run(g); n != 1 {
+	if n := run(t, g); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 	for _, in := range g.BlockByName("a").Instrs {
@@ -46,7 +59,7 @@ graph g {
   block e { out(z) }
 }
 `)
-	if n := Run(g); n != 2 {
+	if n := run(t, g); n != 2 {
 		t.Fatalf("removed %d, want 2", n)
 	}
 }
@@ -65,7 +78,7 @@ graph g {
   block e { skip }
 }
 `)
-	if n := Run(g); n != 0 {
+	if n := run(t, g); n != 0 {
 		t.Errorf("removed %d live assignments", n)
 	}
 }
@@ -88,7 +101,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	if n := Run(g); n != 0 {
+	if n := run(t, g); n != 0 {
 		t.Errorf("removed %d", n)
 	}
 	r1, r2 := interp.Run(orig, nil, 0), interp.Run(g, nil, 0)
@@ -116,7 +129,7 @@ graph g {
   block e { out(i) }
 }
 `)
-	if n := Run(g); n != 2 {
+	if n := run(t, g); n != 2 {
 		t.Errorf("removed %d, want 2 (both s assignments)", n)
 	}
 	var envs []map[ir.Var]int64
@@ -143,7 +156,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Run(g); n != 0 {
+	if n := run(t, g); n != 0 {
 		t.Errorf("removed %d (x is read by the condition)", n)
 	}
 }

@@ -29,7 +29,7 @@ func init() {
 		Description: "EM/CP interleaving: lazy code motion alternating with copy propagation to a (capped) fixpoint",
 		Ref:         "§6, Figure 20(a); cf. [8]",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st, err := TryRunWith(g, s)
+			st, err := Run(g, s)
 			return pass.Stats{
 				Changes:    st.Eliminated + st.Replaced,
 				Iterations: st.Rounds,
@@ -41,7 +41,7 @@ func init() {
 		Description: "GVN/EM/CP interleaving: value numbering before each EM/CP round, measuring the GVN->AM second-order effect",
 		Ref:         "§6, Figure 20(a) + Saleena & Paleri, arXiv:1303.1880",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st, err := TryRunGVNWith(g, s)
+			st, err := RunGVN(g, s)
 			return pass.Stats{
 				Changes:    st.Numbered + st.Eliminated + st.Replaced,
 				Iterations: st.Rounds,
@@ -69,38 +69,24 @@ type Stats struct {
 	Numbered int
 }
 
-// Run applies the EM/CP interleaving to g in place. Budget and
-// cancellation failures panic (legacy contract); fault-aware callers use
-// TryRunWith.
-func Run(g *ir.Graph) Stats {
-	s := analysis.NewSession()
-	defer s.Close()
-	st, err := TryRunWith(g, s)
-	if err != nil {
-		panic("emcp: " + err.Error())
-	}
-	return st
-}
-
-// TryRunWith applies the EM/CP interleaving to g in place against an
-// existing session: every EM and CP round shares one arena and one
-// universe cache instead of rebuilding them per round. Each round honours
-// the session's budget and cancellation context, so an engine deadline
-// interrupts the interleaving between rounds instead of between graphs.
-// On error the graph is left valid and semantics-preserved (see
-// interleave).
-func TryRunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
+// Run applies the EM/CP interleaving to g in place against session s:
+// every EM and CP round shares one arena and one universe cache instead of
+// rebuilding them per round. Each round honours the session's budget and
+// cancellation context, so an engine deadline interrupts the interleaving
+// between rounds instead of between graphs. On error the graph is left
+// valid and semantics-preserved (see interleave).
+func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	return interleave(g, s, false)
 }
 
-// TryRunGVNWith applies the GVN/EM/CP interleaving to g in place: every
+// RunGVN applies the GVN/EM/CP interleaving to g in place: every
 // round first rewrites equivalent recomputations into copies by global
 // value numbering, then runs lazy code motion and copy propagation.
 // Running GVN first shrinks the expression-pattern universe the motion
 // analyses range over — the second-order interaction the gvn-emcp
 // composite exists to measure. The session, budget and cancellation
-// contract is TryRunWith's.
-func TryRunGVNWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
+// contract is Run's.
+func RunGVN(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	return interleave(g, s, true)
 }
 
@@ -118,20 +104,23 @@ func interleave(g *ir.Graph, s *analysis.Session, withGVN bool) (Stats, error) {
 		}
 		before := g.Encode()
 		if withGVN {
-			numbered, _, err := gvn.TryRunWith(g, s)
+			numbered, _, err := gvn.Run(g, s)
 			st.Numbered += numbered
 			if err != nil {
 				return st, err
 			}
 		}
-		em, err := lcm.RunWith(g, s)
+		em, err := lcm.Run(g, s)
 		st.Decomposed += em.Decomposed
 		st.Eliminated += em.Eliminated
 		if err != nil {
 			return st, err
 		}
-		replaced, _ := copyprop.RunWith(g, s)
+		replaced, _, err := copyprop.Run(g, s)
 		st.Replaced += replaced
+		if err != nil {
+			return st, err
+		}
 		if g.Encode() == before {
 			return st, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/ir"
@@ -41,6 +42,17 @@ func diffCheck(t *testing.T, label string, base, opt *ir.Graph, seed int64) {
 // family through the parallel engine and checks each result both against
 // the serial core.Optimize output (bit-identical) and against the
 // original program (trace-equivalent, non-increasing costs).
+// optimize is core.Optimize on a fresh session. It panics on an error:
+// the graphs here run without a budget or deadline, so only a fixpoint
+// bug can fail.
+func optimize(g *ir.Graph) {
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := core.Optimize(g, s); err != nil {
+		panic(err)
+	}
+}
+
 func TestDifferentialAgainstSerial(t *testing.T) {
 	var graphs []*ir.Graph
 	for seed := int64(0); seed < 12; seed++ {
@@ -60,7 +72,7 @@ func TestDifferentialAgainstSerial(t *testing.T) {
 	for i, r := range rep.Results {
 		label := fmt.Sprintf("%d/%s", i, r.Name)
 		want := graphs[i].Clone()
-		core.Optimize(want)
+		optimize(want)
 		if r.Graph.Encode() != want.Encode() {
 			t.Errorf("%s: engine output differs from serial core.Optimize", label)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"assignmentmotion/internal/cfggen"
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/ir"
 )
 
@@ -55,7 +54,7 @@ func TestBatchBasic(t *testing.T) {
 			t.Errorf("graph %d: input was mutated", i)
 		}
 		want := graphs[i].Clone()
-		core.Optimize(want)
+		optimize(want)
 		if r.Graph.Encode() != want.Encode() {
 			t.Errorf("graph %d: engine result differs from serial core.Optimize\n--- engine\n%s--- serial\n%s",
 				i, r.Graph.Encode(), want.Encode())

@@ -136,7 +136,7 @@ func TestChaosCacheNeverStoresDegraded(t *testing.T) {
 			t.Fatalf("clean batch graph %d (%s): outcome %s, err %v", i, r.Name, r.Outcome, r.Err)
 		}
 		want := graphs[i].Clone()
-		core.Optimize(want)
+		optimize(want)
 		if r.Graph.Encode() != want.Encode() {
 			t.Errorf("graph %d (%s): clean batch served a stale degraded result\n--- got\n%s--- want\n%s",
 				i, r.Name, r.Graph.Encode(), want.Encode())
@@ -180,7 +180,7 @@ func TestChaosGracefulBatchDegradation(t *testing.T) {
 		switch r.Outcome {
 		case OutcomeOptimized:
 			want := graphs[i].Clone()
-			core.Optimize(want)
+			optimize(want)
 			if r.Graph.Encode() != want.Encode() {
 				t.Errorf("graph %d (%s): clean graph did not get the clean result", i, r.Name)
 			}

@@ -225,8 +225,9 @@ func (e *PeerError) Is(target error) bool {
 // Budget caps the resources one pipeline run may consume. The zero value
 // imposes no caps. Budgets turn runaway work into typed ErrBudgetExceeded
 // failures at the next pass boundary or fixpoint round instead of hangs:
-// the AM fixpoint, lazy code motion and the EM/CP interleaving check the
-// budget once per round, and the pipeline checks it around every pass.
+// every fixpoint pass checks the budget once per round
+// (analysis.Session.CheckBudget), and the pipeline checks it around every
+// pass.
 type Budget struct {
 	// MaxPassWall caps the wall-clock time of a single pass. Fixpoint
 	// passes check it between rounds; the pipeline additionally checks it
@@ -236,9 +237,11 @@ type Budget struct {
 	// MaxSolverVisits caps the dataflow-solver node visits of a single
 	// pass, measured through the session's SolveStats tally.
 	MaxSolverVisits int
-	// MaxAMIterations caps the rounds of one assignment-motion fixpoint —
-	// the §7 mitigation for time-critical compilation, enforced as an
-	// error rather than am.RunBounded's silent truncation.
+	// MaxAMIterations caps the rounds of one assignment-motion fixpoint
+	// (am, am-restricted, em) and of the emcp, gvn-emcp and pde loops —
+	// the §7 mitigation for time-critical compilation. A capped run stops
+	// with ErrBudgetExceeded and leaves the graph at its last completed
+	// round.
 	MaxAMIterations int
 }
 

@@ -4,17 +4,31 @@ import (
 	"reflect"
 	"testing"
 
-	"assignmentmotion/internal/am"
-	"assignmentmotion/internal/copyprop"
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
-	"assignmentmotion/internal/lcm"
 	"assignmentmotion/internal/metrics"
 	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/printer"
 	"assignmentmotion/internal/verify"
+
+	// Registers the passes the tests run by name: emcp, and through its
+	// imports em, am, globalg and copyprop.
+	_ "assignmentmotion/internal/emcp"
 )
+
+// apply runs the registered passes on g in order through one pipeline.
+// It panics on an error: the graphs here run without a budget or
+// deadline, so only a fixpoint bug can fail.
+func apply(g *ir.Graph, names ...string) {
+	pl, err := pass.FromNames(names...)
+	if err == nil {
+		_, err = pl.Run(g)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
 
 func TestAllFiguresParseValidateRoundTrip(t *testing.T) {
 	names := Names()
@@ -72,7 +86,7 @@ func hasInstr(b *ir.Block, key string) bool {
 func TestFigure07Loops(t *testing.T) {
 	g := Load("fig07")
 	orig := g.Clone()
-	am.Run(g)
+	apply(g, "am")
 	g.MustValidate()
 
 	// n11's occurrence is absorbed across the irreducible loop.
@@ -106,7 +120,7 @@ func TestFigure07Loops(t *testing.T) {
 func TestFigure16OptimalityTradeoff(t *testing.T) {
 	g := Load("fig16")
 	orig := g.Clone()
-	core.Optimize(g)
+	apply(g, "globalg")
 	g.MustValidate()
 	checkPreserved(t, "fig16", orig, g)
 
@@ -181,22 +195,15 @@ func TestFigure18Pragmatics(t *testing.T) {
 	env := map[ir.Var]int64{"a": 1, "b": 2, "c": 3, "k": 0}
 
 	em := base.Clone()
-	lcm.Run(em)
+	apply(em, "em")
 	em.MustValidate()
 
 	emcp := base.Clone()
-	for i := 0; i < 6; i++ {
-		before := emcp.Encode()
-		lcm.Run(emcp)
-		copyprop.Run(emcp)
-		if emcp.Encode() == before {
-			break
-		}
-	}
+	apply(emcp, "emcp")
 	emcp.MustValidate()
 
 	glob := base.Clone()
-	core.Optimize(glob)
+	apply(glob, "globalg")
 	glob.MustValidate()
 
 	for name, g := range map[string]*ir.Graph{"em": em, "emcp": emcp, "glob": glob} {
@@ -248,7 +255,7 @@ func TestFiguresGlobAlgAlwaysSafeAndStable(t *testing.T) {
 	for _, name := range Names() {
 		orig := Load(name)
 		g := orig.Clone()
-		core.Optimize(g)
+		apply(g, "globalg")
 		g.MustValidate()
 		checkPreserved(t, name, orig, g)
 		rep := verify.Equivalent(orig, g, 12, 7)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/printer"
 )
 
@@ -23,7 +22,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden GlobAlg
 func TestGoldenGlobAlgOutputs(t *testing.T) {
 	for _, name := range Names() {
 		g := Load(name)
-		core.Optimize(g)
+		apply(g, "globalg")
 		got := printer.String(g)
 		path := "golden/" + name + ".globalg.fg"
 		if *updateGolden {

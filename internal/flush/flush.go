@@ -44,7 +44,7 @@ func init() {
 		Description: "final flush: sink temporary initializations to latest points, drop unusable ones, reconstruct single uses",
 		Ref:         "§4.4, Table 3, Lemma 4.4",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st := RunWith(g, s)
+			st := Run(g, s)
 			return pass.Stats{
 				Changes:    st.DroppedInits + st.InsertedInits + st.Reconstructed,
 				Iterations: 1,
@@ -74,15 +74,10 @@ type Info struct {
 	XLatest    []bitvec.Vec
 }
 
-// Analyze computes the delayability and usability analyses for g.
-func Analyze(g *ir.Graph) *Info {
-	return AnalyzeWith(g, nil)
-}
-
-// AnalyzeWith is Analyze with all bit-vector storage carved from session
-// s's arena (heap when s is nil). The result shares the arena and must be
-// consumed before it is released.
-func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
+// Analyze computes the delayability and usability analyses for g, with
+// all bit-vector storage carved from session s's arena. The result shares
+// the arena and must be consumed before it is released.
+func Analyze(g *ir.Graph, s *analysis.Session) *Info {
 	prog := analysis.NewProg(g)
 	ar := s.Arena()
 	tx := analysis.NewTempIndex(g, ar)
@@ -176,19 +171,15 @@ type Stats struct {
 	Reconstructed int
 }
 
-// Run applies the final flush to g in place.
-func Run(g *ir.Graph) Stats {
-	return RunWith(g, nil)
-}
-
-// RunWith is Run drawing analysis storage from session s; the arena is
-// rewound before returning, so a flush inside a warmed-up Optimize call
-// allocates only the rewritten instruction slices.
-func RunWith(g *ir.Graph, s *analysis.Session) Stats {
+// Run applies the final flush to g in place, drawing analysis storage
+// from session s; the arena is rewound before returning, so a flush inside
+// a warmed-up Optimize call allocates only the rewritten instruction
+// slices.
+func Run(g *ir.Graph, s *analysis.Session) Stats {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
-	info := AnalyzeWith(g, s)
+	info := Analyze(g, s)
 	var st Stats
 	if len(info.Temps) == 0 {
 		return st

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
@@ -16,6 +17,13 @@ func keys(b *ir.Block) []string {
 		out = append(out, in.Key())
 	}
 	return out
+}
+
+// run is Run on a fresh session.
+func run(g *ir.Graph) Stats {
+	s := analysis.NewSession()
+	defer s.Close()
+	return Run(g, s)
 }
 
 func TestSingleUseReconstructed(t *testing.T) {
@@ -31,7 +39,7 @@ graph g {
   block e { out(x) }
 }
 `)
-	st := Run(g)
+	st := run(g)
 	g.MustValidate()
 	if st.Reconstructed != 1 || st.DroppedInits != 1 || st.InsertedInits != 0 {
 		t.Errorf("stats = %+v", st)
@@ -55,7 +63,7 @@ graph g {
   block e { out(x, y) }
 }
 `)
-	st := Run(g)
+	st := run(g)
 	if st.InsertedInits != 1 || st.Reconstructed != 0 {
 		t.Errorf("stats = %+v\n%s", st, printer.String(g))
 	}
@@ -77,7 +85,7 @@ graph g {
   block e { out(x) }
 }
 `)
-	st := Run(g)
+	st := run(g)
 	if st.DroppedInits != 1 || st.InsertedInits != 0 {
 		t.Errorf("stats = %+v\n%s", st, printer.String(g))
 	}
@@ -108,7 +116,7 @@ graph g {
   block e { out(x, y, q, r) }
 }
 `)
-	Run(g)
+	run(g)
 	want := []string{"q:=1", "r:=2", "h1:=a+b", "x:=h1", "y:=h1"}
 	if got := keys(g.BlockByName("a")); !reflect.DeepEqual(got, want) {
 		t.Errorf("a = %v, want %v", got, want)
@@ -133,7 +141,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(g)
 	want := []string{"h1:=a+b", "a:=7", "x:=h1", "y:=h1"}
 	if got := keys(g.BlockByName("a")); !reflect.DeepEqual(got, want) {
 		t.Errorf("a = %v, want %v", got, want)
@@ -164,7 +172,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(g)
 	g.MustValidate()
 	want := []string{"h1:=a+b", "a:=7", "x:=h1"}
 	if got := keys(g.BlockByName("a")); !reflect.DeepEqual(got, want) {
@@ -193,7 +201,7 @@ graph g {
   block e { out(x) }
 }
 `)
-	st := Run(g)
+	st := run(g)
 	g.MustValidate()
 	if st.Reconstructed != 1 {
 		t.Errorf("stats = %+v\n%s", st, printer.String(g))
@@ -219,7 +227,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(g)
 	g.MustValidate()
 	if st.InsertedInits != 1 {
 		t.Errorf("stats = %+v\n%s", st, printer.String(g))
@@ -259,7 +267,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(g)
 	g.MustValidate()
 	if got := keys(g.BlockByName("l")); !reflect.DeepEqual(got, []string{"h1:=a+b", "x:=h1", "y:=h1"}) {
 		t.Errorf("l = %v", got)
@@ -302,7 +310,7 @@ graph g {
   block e { out(x, y) }
 }
 `)
-	Run(g)
+	run(g)
 	g.MustValidate()
 	if got := keys(g.BlockByName("j")); !reflect.DeepEqual(got, []string{"h1:=a+b", "x:=h1", "y:=h1"}) {
 		t.Errorf("j = %v", got)
@@ -347,7 +355,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(g)
 	g.MustValidate()
 	l := g.BlockByName("l")
 	if got := keys(l); !reflect.DeepEqual(got, []string{"q:=1", "h1:=a+b"}) {
@@ -367,7 +375,7 @@ graph g {
 }
 `)
 	enc := g.Encode()
-	st := Run(g)
+	st := run(g)
 	if st != (Stats{}) || g.Encode() != enc {
 		t.Errorf("flush changed a temp-free program: %+v", st)
 	}
@@ -387,9 +395,9 @@ graph g {
   block e { out(x, y) }
 }
 `)
-	Run(g)
+	run(g)
 	enc := g.Encode()
-	Run(g)
+	run(g)
 	if g.Encode() != enc {
 		t.Errorf("flush not idempotent:\n%s\nvs\n%s", enc, g.Encode())
 	}
@@ -409,7 +417,9 @@ graph g {
   block e { out(x, q) }
 }
 `)
-	info := Analyze(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	info := Analyze(g, s)
 	if len(info.Temps) != 1 || info.Temps[0] != "h1" {
 		t.Fatalf("temps = %v", info.Temps)
 	}

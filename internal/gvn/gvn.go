@@ -42,7 +42,7 @@ func init() {
 		Description: "global value numbering: replace recomputations of available values by copies (partition refinement)",
 		Ref:         "Saleena & Paleri, arXiv:1303.1880; cf. arXiv:1504.03239",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			replaced, sweeps, err := TryRunWith(g, s)
+			replaced, sweeps, err := Run(g, s)
 			return pass.Stats{Changes: replaced, Iterations: sweeps}, err
 		},
 	})
@@ -354,30 +354,19 @@ func literalsOf(g *ir.Graph) []int64 {
 }
 
 // Run applies global value numbering to g in place and returns the number
-// of rewritten instructions.
-func Run(g *ir.Graph) int {
-	replaced, _, err := TryRunWith(g, nil)
-	if err != nil {
-		panic("gvn: " + err.Error())
-	}
-	return replaced
-}
-
-// TryRunWith is Run against session s (nil for the uncached path): the
-// block iteration order comes from the session's cache, the analysis work
-// is tallied into the session's solver counters for per-pass reporting,
-// and it additionally returns the number of fixpoint sweeps over the block
-// order. Each analysis sweep honours the session's budget and cancellation
-// context, and a fixpoint overrun surfaces as fault.ErrNoFixpoint instead
-// of spinning. On error the graph is unchanged (the rewrite happens only
-// after the analysis converges).
-func TryRunWith(g *ir.Graph, s *analysis.Session) (replaced, sweeps int, err error) {
+// of rewritten instructions and of fixpoint sweeps over the block order.
+// The block iteration order comes from session s's cache and the analysis
+// work is tallied into the session's solver counters for per-pass
+// reporting. Each analysis sweep honours the session's budget and
+// cancellation context, and a fixpoint overrun surfaces as
+// fault.ErrNoFixpoint instead of spinning. On error the graph is unchanged
+// (the rewrite happens only after the analysis converges).
+func Run(g *ir.Graph, s *analysis.Session) (replaced, sweeps int, err error) {
 	ins, sweeps, visits, err := analyze(g, s)
-	if st := s.DataflowStats(); st != nil {
-		st.Solves++
-		st.Visits += visits
-		st.Sweeps += sweeps
-	}
+	st := s.DataflowStats()
+	st.Solves++
+	st.Visits += visits
+	st.Sweeps += sweeps
 	if err != nil {
 		return 0, sweeps, err
 	}
@@ -391,13 +380,6 @@ func TryRunWith(g *ir.Graph, s *analysis.Session) (replaced, sweeps int, err err
 func analyze(g *ir.Graph, s *analysis.Session) (ins []*state, sweeps, visits int, err error) {
 	n := len(g.Blocks)
 	view := s.Blocks(g)
-	order := view.FwdOrder
-	if order == nil {
-		order = make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-	}
 	literals := literalsOf(g)
 
 	ins = make([]*state, n)
@@ -419,7 +401,7 @@ func analyze(g *ir.Graph, s *analysis.Session) (ins []*state, sweeps, visits int
 			return nil, sweeps, visits, err
 		}
 		changed := false
-		for _, i := range order {
+		for _, i := range view.FwdOrder {
 			var m *state
 			if i == entry {
 				m = newState(literals)

@@ -26,6 +26,18 @@ func checkTraces(t *testing.T, orig, xform *ir.Graph) {
 	}
 }
 
+// run is Run on a fresh session, failing t on an error.
+func run(t *testing.T, g *ir.Graph) int {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	n, _, err := Run(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestRecomputationBecomesCopy(t *testing.T) {
 	g := parse.MustParse(`
 graph g {
@@ -40,7 +52,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	if n := Run(g); n == 0 {
+	if n := run(t, g); n == 0 {
 		t.Fatal("nothing rewritten")
 	}
 	if keys := instrKeys(g, "a"); keys[1] != "y:=x" {
@@ -65,7 +77,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	count := 0
 	for _, k := range instrKeys(g, "a") {
 		if k == "x:=a+b" {
@@ -93,7 +105,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "a"); keys[2] != "y:=a+b" {
 		t.Errorf("unsound rewrite past kill of a: %v", keys)
 	}
@@ -120,7 +132,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "m"); keys[1] != "y:=x" {
 		t.Errorf("m = %v", keys)
 	}
@@ -146,7 +158,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "j"); keys[0] != "y:=x" {
 		t.Errorf("join equivalence missed: %v", keys)
 	}
@@ -170,7 +182,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "j"); keys[0] != "y:=a+b" {
 		t.Errorf("unsound rewrite below one-sided availability: %v", keys)
 	}
@@ -194,7 +206,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "a"); keys[2] != "y:=x" {
 		t.Errorf("copy-induced equivalence missed: %v", keys)
 	}
@@ -219,7 +231,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "body"); keys[2] != "y:=a+b" {
 		t.Errorf("unsound loop rewrite: %v", keys)
 	}
@@ -247,7 +259,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	for _, k := range instrKeys(g, "body") {
 		if k == "x:=a+b" {
 			t.Errorf("loop-invariant recomputation kept: %v", instrKeys(g, "body"))
@@ -275,7 +287,7 @@ graph g {
 	want := ""
 	for i := 0; i < 32; i++ {
 		g := parse.MustParse(src)
-		Run(g)
+		run(t, g)
 		enc := g.Encode()
 		if want == "" {
 			want = enc
@@ -284,7 +296,7 @@ graph g {
 		}
 	}
 	g := parse.MustParse(src)
-	Run(g)
+	run(t, g)
 	if keys := instrKeys(g, "a"); keys[2] != "z:=q" {
 		t.Errorf("want alphabetically first representative q, got %v", keys)
 	}
@@ -293,9 +305,9 @@ graph g {
 func TestIdempotentOnGeneratedCorpus(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		g := cfggen.Structured(seed, cfggen.Config{Size: 12})
-		Run(g)
+		run(t, g)
 		enc := g.Encode()
-		n := Run(g)
+		n := run(t, g)
 		if n != 0 {
 			t.Errorf("seed %d: second run rewrote %d instructions", seed, n)
 		}
@@ -320,7 +332,7 @@ graph g {
 `)
 	s := analysis.NewSession()
 	defer s.Close()
-	replaced, sweeps, err := TryRunWith(g, s)
+	replaced, sweeps, err := Run(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func (g *Graph) Normalize() *Graph {
 // Encode returns a canonical, deterministic rendering of the graph used for
 // structural comparison in tests and diagnostics. (The fixpoint loops of
 // the motion passes no longer re-encode the graph to detect change; they
-// use the precise change signals of aht.Apply and rae elimination counts.)
+// use the precise change signals of aht.Step and rae elimination counts.)
 func (g *Graph) Encode() string {
 	// The length estimate lets one buffer usually hold the rendering.
 	buf := make([]byte, 0, 16*len(g.Blocks)+12*g.InstrCount())

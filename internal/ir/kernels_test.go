@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/corpus"
@@ -26,12 +27,23 @@ var (
 // the fg and fun corpora and cfggen Structured and Unstructured graphs of
 // 6, 12, 40 and 200 blocks on seeds 1–20, each before and after
 // core.Optimize (which adds temporaries and their bindings), 356 graphs.
+// optimize is core.Optimize on a fresh session. It panics on an error:
+// the graphs here run without a budget or deadline, so only a fixpoint
+// bug can fail.
+func optimize(g *ir.Graph) {
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := core.Optimize(g, s); err != nil {
+		panic(err)
+	}
+}
+
 func kernelGraphs(t testing.TB) []namedGraph {
 	t.Helper()
 	kernelSetOnce.Do(func() {
 		add := func(name string, mk func() *ir.Graph) {
 			opt := mk()
-			core.Optimize(opt)
+			optimize(opt)
 			kernelSet = append(kernelSet, namedGraph{name, mk()}, namedGraph{name + "/optimized", opt})
 		}
 		for _, n := range corpus.Names() {
@@ -150,7 +162,7 @@ func TestKernelAllocs(t *testing.T) {
 	for _, size := range []int{12, 200, 1000} {
 		g := cfggen.Structured(1, cfggen.Config{Size: size})
 		opt := cfggen.Structured(1, cfggen.Config{Size: size})
-		core.Optimize(opt)
+		optimize(opt)
 		for _, ng := range []namedGraph{{fmt.Sprint("structured", size), g}, {fmt.Sprint("structured", size, "/optimized"), opt}} {
 			for _, k := range bounds {
 				allocs := testing.AllocsPerRun(5, func() { k.run(ng.g) })

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"assignmentmotion/internal/aht"
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/corpus"
@@ -15,10 +16,11 @@ import (
 	"assignmentmotion/internal/rae"
 )
 
-// refRun is em as it ran before the rounds moved onto one encoding, minus
-// the session: each round is one graph-level hoisting step
-// (aht.ApplyMasked) and one instruction-level elimination
-// (rae.EliminateMasked), and each re-encodes the graph.
+// refRun is em with graph-level rounds on fresh sessions: each round
+// encodes the graph for one hoisting step restricted to the
+// initialization patterns (aht.Step, written back), then removes their
+// redundant occurrences by the instruction-level reference analysis of
+// Table 2 (rae.Analyze) instead of the block-level rae.Step.
 func refRun(g *ir.Graph) Stats {
 	var st Stats
 	g.SplitCriticalEdges()
@@ -29,20 +31,63 @@ func refRun(g *ir.Graph) Stats {
 	}
 	for {
 		st.Iterations++
-		hoisted := aht.ApplyMasked(g, isInit)
-		removed := rae.EliminateMasked(g, isInit)
+		hoisted := hoistMasked(g, isInit)
+		removed := eliminateMasked(g, isInit)
 		st.Eliminated += removed
 		if !hoisted && removed == 0 {
 			break
 		}
 	}
-	st.Flush = flush.Run(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	st.Flush = flush.Run(g, s)
 	return st
 }
 
+// hoistMasked is one graph-level hoisting step restricted to the
+// patterns mask accepts.
+func hoistMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) bool {
+	s := analysis.NewSession()
+	defer s.Close()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	keep := s.Arena().Vec(c.U.Len())
+	for id, p := range c.U.Patterns() {
+		if mask(p) {
+			keep.Set(id)
+		}
+	}
+	return aht.Step(c, s, keep)
+}
+
+// eliminateMasked removes every occurrence of a pattern mask accepts that
+// rae.Analyze finds redundant at its entry.
+func eliminateMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) int {
+	s := analysis.NewSession()
+	defer s.Close()
+	info := rae.Analyze(g, s)
+	removed, i := 0, 0
+	for _, b := range g.Blocks {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			p := ir.AssignPattern{LHS: in.LHS, RHS: in.RHS}
+			id, ok := info.U.ID(p)
+			if in.Kind == ir.KindAssign && ok && mask(p) && info.NRedundant[i].Get(id) {
+				removed++
+			} else {
+				kept = append(kept, in)
+			}
+			i++
+		}
+		b.Instrs = kept
+	}
+	g.Normalize()
+	return removed
+}
+
 // TestEncodedFixpointMatchesReference: on the fg corpus, the figures and
-// cfggen Structured/Unstructured 6/12/40/200 × seeds 1–40, RunWith prints
-// the same program as refRun, with the same statistics.
+// cfggen Structured/Unstructured 6/12/40/200 × seeds 1–40, Run prints the
+// same program as refRun, with the same statistics.
 func TestEncodedFixpointMatchesReference(t *testing.T) {
 	type named struct {
 		name string
@@ -67,10 +112,7 @@ func TestEncodedFixpointMatchesReference(t *testing.T) {
 		want := ng.g.Clone()
 		ws := refRun(want)
 		got := ng.g.Clone()
-		gs, err := RunWith(got, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", ng.name, err)
-		}
+		gs := run(t, got)
 		if gs != ws {
 			t.Errorf("%s: stats %+v, reference %+v", ng.name, gs, ws)
 		}

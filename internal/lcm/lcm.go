@@ -23,14 +23,12 @@
 package lcm
 
 import (
-	"assignmentmotion/internal/aht"
+	"assignmentmotion/internal/am"
 	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/core"
-	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
-	"assignmentmotion/internal/rae"
 )
 
 func init() {
@@ -39,7 +37,7 @@ func init() {
 		Description: "expression-motion baseline: lazy code motion over initialization patterns (original assignments never move)",
 		Ref:         "§1.2, Figure 6(a); Knoop/Rüthing/Steffen PLDI'92",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st, err := RunWith(g, s)
+			st, err := Run(g, s)
 			return pass.Stats{Changes: st.Decomposed + st.Eliminated, Iterations: st.Iterations}, err
 		},
 	})
@@ -57,70 +55,39 @@ type Stats struct {
 	Flush flush.Stats
 }
 
-// Run applies lazy code motion to g in place. It panics if the fixpoint
-// fails (see RunWith).
-func Run(g *ir.Graph) Stats {
-	s := analysis.NewSession()
-	defer s.Close()
-	st, err := RunWith(g, s)
-	if err != nil {
-		panic("lcm: " + err.Error())
-	}
-	return st
-}
-
-// RunWith is Run against an existing session, so a caller driving several
-// passes (the pass pipeline, the §6 EM/CP interleaving) shares one arena
-// and one universe cache across all of them. Like the AM phase, the
-// hoist+eliminate rounds run on one encoding of the graph (aht.Step and
-// rae.Step), written back once. Each round honours the session's budget
-// and cancellation context, and an iteration-limit overrun returns a
-// *fault.NoFixpointError. On error the graph is the valid,
+// Run applies lazy code motion to g in place against session s, so a
+// caller driving several passes (the pass pipeline, the §6 EM/CP
+// interleaving) shares one arena and one universe cache across all of
+// them. The hoist+eliminate rounds are the AM phase's loop (am.Fixpoint)
+// restricted to the initialization patterns, on one encoding of the
+// graph, with its error contract: on error the graph is the valid,
 // semantics-preserved program of the last completed round, not yet
 // flushed.
-func RunWith(g *ir.Graph, s *analysis.Session) (Stats, error) {
+func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	g.SplitCriticalEdges()
 	st.Decomposed = core.Initialize(g)
 	if err := motion(g, s, &st); err != nil {
 		return st, err
 	}
-	st.Flush = flush.RunWith(g, s)
+	st.Flush = flush.Run(g, s)
 	return st, nil
 }
 
 // motion runs the hoist+eliminate rounds over the initialization patterns
 // on one encoding of g, written back on every return path.
 func motion(g *ir.Graph, s *analysis.Session, st *Stats) error {
-	n := g.InstrCount() + len(g.Blocks)
-	limit := 4*n*n + 64
-	ar := s.Arena()
-	defer ar.Release(ar.Mark())
-	c := analysis.NewCode(g, s)
-	defer c.WriteBack()
+	c, done := analysis.Encode(g, s)
+	defer done()
 	// The universe and the temp registry are fixed for the phase, so the
 	// initialization patterns h_ε := ε are one vector.
-	isInit := ar.Vec(c.U.Len())
+	isInit := s.Arena().Vec(c.U.Len())
 	for id, p := range c.U.Patterns() {
 		if e, ok := g.TempExpr(p.LHS); ok && e.Equal(p.RHS) {
 			isInit.Set(id)
 		}
 	}
-	for {
-		st.Iterations++
-		if st.Iterations > limit {
-			st.Iterations = limit
-			return &fault.NoFixpointError{Proc: "em", Iterations: limit, Limit: limit}
-		}
-		if err := s.CheckBudget(st.Iterations); err != nil {
-			st.Iterations--
-			return err
-		}
-		hoisted := aht.Step(c, s, isInit)
-		removed := rae.Step(c, s, isInit)
-		st.Eliminated += removed
-		if !hoisted && removed == 0 {
-			return nil
-		}
-	}
+	ms, err := am.Fixpoint(c, s, isInit)
+	st.Iterations, st.Eliminated = ms.Iterations, ms.Eliminated
+	return err
 }

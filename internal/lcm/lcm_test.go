@@ -35,10 +35,22 @@ graph fig01 {
 }
 `
 
+// run is Run on a fresh session, failing t on an error.
+func run(t *testing.T, g *ir.Graph) Stats {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	st, err := Run(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestFigure01ExpressionMotion(t *testing.T) {
 	g := parse.MustParse(fig01)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	g.MustValidate()
 
 	envs := []map[ir.Var]int64{
@@ -91,7 +103,7 @@ func runningEnvLoop() map[ir.Var]int64 {
 func TestFigure06aSeparateEM(t *testing.T) {
 	g := parse.MustParse(running)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	g.MustValidate()
 
 	// EM alone must keep the loop-invariant *assignment* x := y+z (as
@@ -131,8 +143,12 @@ func TestFigure06aSeparateEM(t *testing.T) {
 func TestGlobAlgStrictlyBeatsEMOnRunningExample(t *testing.T) {
 	gEM := parse.MustParse(running)
 	gGlob := parse.MustParse(running)
-	Run(gEM)
-	core.Optimize(gGlob)
+	run(t, gEM)
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := core.Optimize(gGlob, s); err != nil {
+		t.Fatal(err)
+	}
 
 	env := runningEnvLoop()
 	rEM := interp.Run(gEM, env, 0)
@@ -171,7 +187,7 @@ graph loopinv {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(t, g)
 	g.MustValidate()
 	env := map[ir.Var]int64{"a": 3, "b": 4, "i": 0}
 	r1 := interp.Run(orig, env, 0)
@@ -202,7 +218,7 @@ graph whileloop {
   block post { out(x, i) }
 }
 `)
-	Run(g)
+	run(t, g)
 	g.MustValidate()
 	// Zero-trip execution must not evaluate a+b.
 	r := interp.Run(g, map[ir.Var]int64{"a": 3, "b": 4, "i": 99}, 0)
@@ -228,7 +244,7 @@ graph plain {
   block e { out(x, z) }
 }
 `)
-	st := Run(g)
+	st := run(t, g)
 	g.MustValidate()
 	if st.Decomposed != 0 {
 		t.Errorf("decomposed %d trivial sites", st.Decomposed)
@@ -266,7 +282,7 @@ graph safety {
   block e { out(x) }
 }
 `)
-	Run(g)
+	run(t, g)
 	g.MustValidate()
 	r := interp.Run(g, map[ir.Var]int64{"c": 1, "a": 1, "b": 2}, 0)
 	if r.Counts.ExprEvals != 0 {
@@ -277,9 +293,9 @@ graph safety {
 
 func TestRunIdempotent(t *testing.T) {
 	g := parse.MustParse(running)
-	Run(g)
+	run(t, g)
 	enc := g.Encode()
-	Run(g)
+	run(t, g)
 	if g.Encode() != enc {
 		t.Errorf("lcm not idempotent:\n%s\nvs\n%s", enc, g.Encode())
 	}
@@ -290,33 +306,30 @@ func TestRunIdempotent(t *testing.T) {
 // it with typed errors between rounds, leaving a valid graph.
 func TestRunWithHonoursBudgetAndContext(t *testing.T) {
 	base := cfggen.Structured(2, cfggen.Config{Size: 40})
-	st, err := RunWith(base.Clone(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := run(t, base.Clone())
 	if st.Iterations < 2 {
 		t.Fatalf("base graph needs %d round(s); the test needs more than one", st.Iterations)
 	}
 
-	run := func(setup func(*analysis.Session)) (*ir.Graph, error) {
+	runWith := func(setup func(*analysis.Session)) (*ir.Graph, error) {
 		g := base.Clone()
 		s := analysis.NewSession()
 		defer s.Close()
 		setup(s)
-		_, err := RunWith(g, s)
+		_, err := Run(g, s)
 		if verr := g.Validate(); verr != nil {
 			t.Errorf("graph left invalid: %v", verr)
 		}
 		return g, err
 	}
-	_, err = run(func(s *analysis.Session) { s.SetBudget(fault.Budget{MaxAMIterations: 1}) })
+	_, err := runWith(func(s *analysis.Session) { s.SetBudget(fault.Budget{MaxAMIterations: 1}) })
 	var be *fault.BudgetError
 	if !errors.As(err, &be) || be.Resource != "am iterations" || be.Used != 2 || be.Limit != 1 {
 		t.Errorf("round cap: err = %v, want budget exceeded: am iterations 2 > 1", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = run(func(s *analysis.Session) { s.SetContext(ctx) })
+	_, err = runWith(func(s *analysis.Session) { s.SetContext(ctx) })
 	if !errors.Is(err, fault.ErrCanceled) {
 		t.Errorf("canceled context: err = %v, want %v", err, fault.ErrCanceled)
 	}

@@ -58,7 +58,7 @@ func init() {
 		Description: "Morel/Renvoise partial redundancy elimination: bidirectional PP system, block-boundary placement only",
 		Ref:         "Morel/Renvoise CACM'79 [19]; §1.2 baseline",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st := RunWith(g, s)
+			st := Run(g, s)
 			return pass.Stats{Changes: st.Inserted + st.Reloaded + st.Saved, Iterations: 1}, nil
 		},
 	})
@@ -79,17 +79,12 @@ type locals struct {
 	transp []bitvec.Vec // no operand killed in the block
 }
 
-// Run applies Morel/Renvoise PRE to g in place.
-func Run(g *ir.Graph) Stats {
-	return RunWith(g, nil)
-}
-
-// RunWith is Run against session s (nil for the uncached path). MR's four
-// fixpoint systems are hand-rolled round-robin iterations — the
-// bidirectional PP system does not fit the uni-directional solver — so the
-// session is used only to tally their work (one "solve" per system, one
-// sweep per round) for the pass pipeline's per-pass reporting.
-func RunWith(g *ir.Graph, s *analysis.Session) Stats {
+// Run applies Morel/Renvoise PRE to g in place. MR's four fixpoint
+// systems are hand-rolled round-robin iterations — the bidirectional PP
+// system does not fit the uni-directional solver — so session s is used
+// only to tally their work (one "solve" per system, one sweep per round)
+// for the pass pipeline's per-pass reporting.
+func Run(g *ir.Graph, s *analysis.Session) Stats {
 	eu := ir.ExprUniverse(g)
 	bits := eu.Len()
 	var st Stats
@@ -150,7 +145,7 @@ func solveDemand(g *ir.Graph, loc *locals, inserts, reloads []bitvec.Vec, bits i
 		needout[i] = bitvec.New(bits)
 		needin[i] = bitvec.New(bits)
 	}
-	startSolve(df)
+	df.Solves++
 	for changed := true; changed; {
 		changed = false
 		sweep(df, n)
@@ -233,26 +228,18 @@ func computeLocals(g *ir.Graph, eu *ir.ExprSet) *locals {
 	return loc
 }
 
-// startSolve and sweep feed MR's hand-rolled fixpoints into the session's
+// sweep feeds one round of MR's hand-rolled fixpoints into the session's
 // solver tally so per-pass reporting covers them too.
-func startSolve(df *dataflow.SolveStats) {
-	if df != nil {
-		df.Solves++
-	}
-}
-
 func sweep(df *dataflow.SolveStats, visits int) {
-	if df != nil {
-		df.Sweeps++
-		df.Visits += visits
-	}
+	df.Sweeps++
+	df.Visits += visits
 }
 
 func solveAvailability(g *ir.Graph, loc *locals, bits int, df *dataflow.SolveStats) (avin, avout []bitvec.Vec) {
 	n := len(g.Blocks)
 	avin = fullVecs(n, bits)
 	avout = fullVecs(n, bits)
-	startSolve(df)
+	df.Solves++
 	for changed := true; changed; {
 		changed = false
 		sweep(df, n)
@@ -282,7 +269,7 @@ func solveAnticipability(g *ir.Graph, loc *locals, bits int, df *dataflow.SolveS
 	n := len(g.Blocks)
 	antout = fullVecs(n, bits)
 	antin = fullVecs(n, bits)
-	startSolve(df)
+	df.Solves++
 	for changed := true; changed; {
 		changed = false
 		sweep(df, n)
@@ -315,7 +302,7 @@ func solvePP(g *ir.Graph, loc *locals, avout, antin []bitvec.Vec, bits int, df *
 	ppin = fullVecs(n, bits)
 	ppout = fullVecs(n, bits)
 	scratch := bitvec.New(bits)
-	startSolve(df)
+	df.Solves++
 	for changed := true; changed; {
 		changed = false
 		sweep(df, n)

@@ -3,6 +3,7 @@ package mr
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/interp"
@@ -41,10 +42,17 @@ graph fig01 {
 }
 `
 
+// run is Run on a fresh session.
+func run(g *ir.Graph) Stats {
+	s := analysis.NewSession()
+	defer s.Close()
+	return Run(g, s)
+}
+
 func TestFigure01BusyPlacement(t *testing.T) {
 	g := parse.MustParse(fig01)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(g)
 	g.MustValidate()
 	if st.Inserted != 1 || st.Reloaded != 3 {
 		t.Errorf("stats = %+v\n%s", st, printer.String(g))
@@ -98,9 +106,13 @@ graph fig10 {
 	gMR := parse.MustParse(src)
 	gLCM := parse.MustParse(src)
 	orig := parse.MustParse(src)
-	Run(gMR)
+	run(gMR)
 	gMR.MustValidate()
-	lcm.Run(gLCM)
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := lcm.Run(gLCM, s); err != nil {
+		t.Fatal(err)
+	}
 
 	envN1 := map[ir.Var]int64{"d": -5, "a": 1, "b": 2} // path n0->n1->n3
 	rOrig := interp.Run(orig, envN1, 0)
@@ -134,7 +146,7 @@ graph whileloop {
   block post { out(x, i) }
 }
 `)
-	Run(g)
+	run(g)
 	g.MustValidate()
 	r := interp.Run(g, map[ir.Var]int64{"i": 99, "a": 1, "b": 2}, 0)
 	if r.Counts.ExprEvals != 0 {
@@ -158,7 +170,7 @@ graph dowhile {
 }
 `)
 	orig := g.Clone()
-	Run(g)
+	run(g)
 	g.MustValidate()
 	env := map[ir.Var]int64{"a": 3, "b": 4, "i": 0}
 	r1, r2 := interp.Run(orig, env, 0), interp.Run(g, env, 0)
@@ -190,7 +202,7 @@ graph save {
 }
 `)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(g)
 	g.MustValidate()
 	if st.Saved == 0 {
 		t.Errorf("no save performed: %+v\n%s", st, printer.String(g))
@@ -213,7 +225,7 @@ func TestMRSafeOnUnstructuredPrograms(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		orig := cfggen.Unstructured(seed, cfggen.Config{Size: 12})
 		g := orig.Clone()
-		Run(g)
+		run(g)
 		g.MustValidate()
 		rep := verify.Equivalent(orig, g, 6, seed+9)
 		if !rep.Equivalent {
@@ -228,10 +240,12 @@ func TestMRSafeOnUnstructuredPrograms(t *testing.T) {
 func TestMRBetweenOriginalAndLCM(t *testing.T) {
 	// Sampled ordering: LCM <= MR <= original in expression evaluations,
 	// everything semantics preserving.
+	s := analysis.NewSession()
+	defer s.Close()
 	for seed := int64(0); seed < 25; seed++ {
 		orig := cfggen.Structured(seed, cfggen.Config{Size: 10})
 		gMR := orig.Clone()
-		Run(gMR)
+		run(gMR)
 		gMR.MustValidate()
 		rep := verify.Equivalent(orig, gMR, 6, seed+1)
 		if !rep.Equivalent {
@@ -242,7 +256,9 @@ func TestMRBetweenOriginalAndLCM(t *testing.T) {
 		}
 
 		gLCM := orig.Clone()
-		lcm.Run(gLCM)
+		if _, err := lcm.Run(gLCM, s); err != nil {
+			t.Fatal(err)
+		}
 		repL := verify.Equivalent(gMR, gLCM, 6, seed+2)
 		if !repL.Equivalent {
 			t.Fatalf("seed %d: MR and LCM disagree semantically: %s", seed, repL.Detail)
@@ -252,7 +268,9 @@ func TestMRBetweenOriginalAndLCM(t *testing.T) {
 		}
 
 		gGlob := orig.Clone()
-		core.Optimize(gGlob)
+		if _, err := core.Optimize(gGlob, s); err != nil {
+			t.Fatal(err)
+		}
 		repG := verify.Equivalent(gMR, gGlob, 6, seed+3)
 		if !repG.Equivalent {
 			t.Fatalf("seed %d: MR and GlobAlg disagree semantically: %s", seed, repG.Detail)
@@ -286,7 +304,7 @@ graph avreload {
 }
 `)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(g)
 	g.MustValidate()
 	rep := verify.Equivalent(orig, g, 16, 11)
 	if !rep.Equivalent {
@@ -316,7 +334,7 @@ graph plain {
 }
 `)
 	enc := g.Encode()
-	st := Run(g)
+	st := run(g)
 	if st.Inserted+st.Reloaded+st.Saved != 0 || g.Encode() != enc {
 		t.Errorf("MR changed a redundancy-free program: %+v\n%s", st, printer.String(g))
 	}

@@ -3,13 +3,26 @@ package parse
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/core"
+	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/printer"
 )
 
 // FuzzParse checks that the parser never panics and that every accepted
 // program is valid, round-trips through the printer, and survives the
 // full optimization pipeline.
+// optimize is core.Optimize on a fresh session. It panics on an error:
+// the graphs here run without a budget or deadline, so only a fixpoint
+// bug can fail.
+func optimize(g *ir.Graph) {
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := core.Optimize(g, s); err != nil {
+		panic(err)
+	}
+}
+
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`graph g { entry a exit e block a { x := 1 goto e } block e { out(x) } }`,
@@ -51,7 +64,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed program:\n%s\nvs\n%s", g.Encode(), g2.Encode())
 		}
 		// The optimizer must not panic or corrupt the graph either.
-		core.Optimize(g)
+		optimize(g)
 		if verr := g.Validate(); verr != nil {
 			t.Fatalf("optimizer produced invalid graph: %v", verr)
 		}
@@ -129,7 +142,7 @@ prog p { out(f(1) < 2, f(f(m))) }`,
 		if verr := g.Validate(); verr != nil {
 			t.Fatalf("accepted invalid graph: %v\n%s", verr, src)
 		}
-		core.Optimize(g)
+		optimize(g)
 		if verr := g.Validate(); verr != nil {
 			t.Fatalf("optimizer produced invalid graph: %v\n%s", verr, src)
 		}

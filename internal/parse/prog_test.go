@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
@@ -24,6 +25,17 @@ func runProg(t *testing.T, src string, env map[ir.Var]int64) interp.Result {
 		t.Fatal(verr)
 	}
 	return interp.Run(g, env, 0)
+}
+
+// optimize is core.Optimize on a fresh session. It panics on an error:
+// the graphs here run without a budget or deadline, so only a fixpoint
+// bug can fail.
+func optimize(g *ir.Graph) {
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := core.Optimize(g, s); err != nil {
+		panic(err)
+	}
 }
 
 func TestProgStraightLine(t *testing.T) {
@@ -251,7 +263,7 @@ func TestProgPinnedDifferential(t *testing.T) {
 			continue
 		}
 		opt := g.Clone()
-		core.Optimize(opt)
+		optimize(opt)
 		if rep := verify.Equivalent(g, opt, 8, p.seed); !rep.Equivalent {
 			t.Errorf("seed %d (rejected as %s): optimized trace differs: %s\n%s", p.seed, p.parentErr, rep.Detail, src)
 		}

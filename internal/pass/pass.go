@@ -51,9 +51,8 @@ type Pass struct {
 	// Ref anchors the pass in the paper (section, figure, or table), or
 	// names the external source for baselines that predate it.
 	Ref string
-	// RunWith applies the pass to g in place under session s and reports
-	// the uniform stats. Implementations must accept a nil session (every
-	// analysis entry point is nil-safe); a Pipeline always supplies one.
+	// RunWith applies the pass to g in place under session s, which is
+	// never nil, and reports the uniform stats.
 	//
 	// A non-nil error must be one of the internal/fault taxonomy errors
 	// (fixpoint overrun, exhausted budget, cancellation, ...); the

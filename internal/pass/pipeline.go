@@ -248,18 +248,14 @@ func (pl *Pipeline) Run(g *ir.Graph) (Report, error) {
 // fixpoint rounds inside a pass); cancellation is returned as
 // fault.ErrCanceled naming the in-flight pass and is never absorbed by
 // the recovery policy, but the checkpoint restoration still applies. A
-// nil ctx inherits the session's context (nested pipelines), falling back
-// to context.Background.
+// nested pipeline (the "globalg" pass) passes s.Context() to inherit the
+// outer run's context.
 func (pl *Pipeline) RunWith(ctx context.Context, g *ir.Graph, s *analysis.Session) (Report, error) {
 	var rep Report
 	start := time.Now()
 	defer func() { rep.Wall = time.Since(start) }()
 
-	if ctx == nil {
-		ctx = s.Context()
-	} else {
-		s.SetContext(ctx)
-	}
+	s.SetContext(ctx)
 	// A nested pipeline (the "globalg" pass) must not clobber the outer
 	// run's budget with its own zero value.
 	if !pl.Budget.Zero() {

@@ -3,14 +3,16 @@ package paths
 import (
 	"testing"
 
-	"assignmentmotion/internal/am"
 	"assignmentmotion/internal/cfggen"
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/ir"
-	"assignmentmotion/internal/lcm"
-	"assignmentmotion/internal/mr"
 	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/printer"
+
+	// Registers the passes the tests run by name: mr, and em with, through
+	// its imports, init, am, am-restricted and globalg.
+	_ "assignmentmotion/internal/lcm"
+	_ "assignmentmotion/internal/mr"
 )
 
 const diamond = `
@@ -30,6 +32,19 @@ graph d {
   block e { out(x, z) }
 }
 `
+
+// apply runs the registered passes on g in order through one pipeline.
+// It panics on an error: the graphs here run without a budget or
+// deadline, so only a fixpoint bug can fail.
+func apply(g *ir.Graph, names ...string) {
+	pl, err := pass.FromNames(names...)
+	if err == nil {
+		_, err = pl.Run(g)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
 
 func TestWalkCountsPerPath(t *testing.T) {
 	g := parse.MustParse(diamond)
@@ -135,20 +150,16 @@ graph loop {
 // result evaluates at most as many expressions as the original and as
 // every EM/AM-universe rival.
 func TestAllPathsExpressionOptimality(t *testing.T) {
-	rivals := map[string]func(*ir.Graph){
-		"original":      func(*ir.Graph) {},
-		"mr":            func(g *ir.Graph) { mr.Run(g) },
-		"em":            func(g *ir.Graph) { lcm.Run(g) },
-		"am":            func(g *ir.Graph) { am.Run(g) },
-		"am-restricted": func(g *ir.Graph) { am.RunRestricted(g) },
-	}
+	rivals := []string{"original", "mr", "em", "am", "am-restricted"}
 	for seed := int64(0); seed < 30; seed++ {
 		base := cfggen.Structured(seed, cfggen.Config{Size: 9, NoLoops: true})
 		glob := base.Clone()
-		core.Optimize(glob)
-		for name, run := range rivals {
+		apply(glob, "globalg")
+		for _, name := range rivals {
 			rival := base.Clone()
-			run(rival)
+			if name != "original" {
+				apply(rival, name)
+			}
 			ok, detail := DominatesOnAllPaths(glob, rival, 4096)
 			if !ok {
 				t.Errorf("seed %d: globalg not path-dominant over %s: %s\nglob:\n%srival:\n%s",
@@ -163,11 +174,9 @@ func TestAllPathsExpressionOptimality(t *testing.T) {
 func TestAllPathsTempDominance(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		busy := cfggen.Structured(seed, cfggen.Config{Size: 9, NoLoops: true})
-		busy.SplitCriticalEdges()
-		core.Initialize(busy)
-		am.Run(busy)
+		apply(busy, "init", "am")
 		lazy := busy.Clone()
-		core.Optimize(lazy) // includes the flush
+		apply(lazy, "globalg") // includes the flush
 		for _, d := range Enumerate(busy, 4096) {
 			cb, okb := Walk(busy, d, 0)
 			cl, okl := Walk(lazy, d, 0)

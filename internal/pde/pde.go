@@ -35,6 +35,7 @@ import (
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/dce"
+	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
 )
@@ -45,14 +46,14 @@ func init() {
 		Description: "partial dead code elimination: sink assignments to latest points, then strong-liveness dce, to a fixpoint",
 		Ref:         "§4.3.2 (dual of hoisting); Knoop/Rüthing/Steffen [17]",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			st := RunWith(g, s)
-			return pass.Stats{Changes: st.Removed, Iterations: st.Iterations}, nil
+			st, err := Run(g, s)
+			return pass.Stats{Changes: st.Removed, Iterations: st.Iterations}, err
 		},
 	})
 }
 
-// Info holds the sinkability analysis result, indexed by block ID.
-type Info struct {
+// sinkInfo holds the sinkability analysis result, indexed by block ID.
+type sinkInfo struct {
 	U *ir.PatternSet
 
 	LocSinkable []bitvec.Vec
@@ -68,23 +69,18 @@ type Info struct {
 	occ *analysis.Occurrences
 }
 
-// Analyze computes the sinkability analysis and insertion points for g.
-func Analyze(g *ir.Graph) *Info {
-	return AnalyzeWith(g, nil)
-}
-
-// AnalyzeWith is Analyze with the solver work tallied into session s (nil
-// for the untallied path) and all vectors carved from its arena: the
-// result must be consumed before the arena is released. The pattern
-// universe is always built fresh — sinking inserts instances in universe
-// order, so reusing a session universe with stale entries could perturb
-// the output relative to a standalone pde run.
-func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
-	var fresh *analysis.Session
-	u, px, occ := fresh.Universe(g)
+// analyze computes the sinkability analysis and insertion points for g,
+// with the solver work tallied into session s and all vectors carved from
+// its arena: the result must be consumed before the arena is released.
+// The pattern universe is always built fresh (analysis.NewUniverse) —
+// sinking inserts instances in universe order, so reusing a session
+// universe with stale entries could perturb the output relative to a
+// standalone pde run.
+func analyze(g *ir.Graph, s *analysis.Session) *sinkInfo {
+	u, px, occ := analysis.NewUniverse(g)
 	ar := s.Arena()
 	n, bits := len(g.Blocks), u.Len()
-	info := &Info{
+	info := &sinkInfo{
 		U:           u,
 		LocSinkable: ar.Vecs(n),
 		LocBlocked:  ar.Vecs(n),
@@ -95,10 +91,12 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	}
 
 	entry := int(g.Entry)
+	bv := s.Blocks(g)
 	res := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
-		Preds: func(i int) []int { return nodeIDs(g.Blocks[i].Preds) },
-		Succs: func(i int) []int { return nodeIDs(g.Blocks[i].Succs) },
+		Preds: bv.Preds,
+		Succs: bv.Succs,
+		Order: bv.FwdOrder,
 		Arena: ar,
 		Stats: s.DataflowStats(),
 		// Forward: solver "in" is the fact at the block entry
@@ -140,30 +138,16 @@ func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
 	return info
 }
 
-func nodeIDs(ids []ir.NodeID) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-// Sink performs one sinking step on g: it inserts instances at all
-// insertion points and removes every sinking candidate. It reports whether
-// the program changed. Critical edges must be split (X-INSERT at a branch
-// node is realized at the entries of its successors).
-func Sink(g *ir.Graph) bool {
-	return SinkWith(g, nil)
-}
-
-// SinkWith is Sink with the analysis work tallied into session s and its
-// storage drawn from the session's arena, rewound before returning.
-func SinkWith(g *ir.Graph, s *analysis.Session) bool {
+// sink performs one sinking step on g: it inserts instances at all
+// insertion points and removes every sinking candidate. Critical edges
+// must be split (X-INSERT at a branch node is realized at the entries of
+// its successors). The analysis storage comes from s's arena, rewound
+// before returning.
+func sink(g *ir.Graph, s *analysis.Session) {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
-	before := g.Encode()
-	info := AnalyzeWith(g, s)
+	info := analyze(g, s)
 
 	prepend := make([][]ir.Instr, len(g.Blocks))
 	appendAtEnd := make([][]ir.Instr, len(g.Blocks))
@@ -204,7 +188,6 @@ func SinkWith(g *ir.Graph, s *analysis.Session) bool {
 		b.Instrs = next
 	}
 	g.Normalize()
-	return g.Encode() != before
 }
 
 // Stats reports what one pde run did.
@@ -215,32 +198,37 @@ type Stats struct {
 	Removed int
 }
 
-// Run applies partial dead code elimination: critical edges are split,
-// then sinking and strong-liveness dead code elimination alternate until
-// the program stabilizes.
-func Run(g *ir.Graph) Stats {
-	return RunWith(g, nil)
-}
-
-// RunWith is Run against session s (nil for the untallied path): the
-// sinkability and strong-liveness solves report their work into the
-// session so the pass pipeline can attribute it to the pde pass.
-func RunWith(g *ir.Graph, s *analysis.Session) Stats {
+// Run applies partial dead code elimination to g in place: critical edges
+// are split, then sinking and strong-liveness dead code elimination
+// alternate until the program stabilizes. The sinkability and
+// strong-liveness solves report their work into session s. Each round
+// honours the session's budget and cancellation context, with the round
+// count capped by fault.Budget.MaxAMIterations as in the AM phase, and an
+// iteration-limit overrun returns a *fault.NoFixpointError; on error the
+// graph is the valid result of the last completed step.
+func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	g.SplitCriticalEdges()
-	n := g.InstrCount() + len(g.Blocks)
-	limit := 4*n*n + 64
+	limit := analysis.RoundLimit(g)
 	for {
 		st.Iterations++
 		if st.Iterations > limit {
-			panic(fmt.Sprintf("pde: no fixpoint after %d iterations", limit))
+			st.Iterations = limit
+			return st, &fault.NoFixpointError{Proc: "pde", Iterations: limit, Limit: limit}
+		}
+		if err := s.CheckBudget(st.Iterations); err != nil {
+			st.Iterations--
+			return st, err
 		}
 		before := g.Encode()
-		SinkWith(g, s)
-		removed, _ := dce.RunWith(g, s)
+		sink(g, s)
+		removed, _, err := dce.Run(g, s)
 		st.Removed += removed
+		if err != nil {
+			return st, err
+		}
 		if g.Encode() == before {
-			return st
+			return st, nil
 		}
 	}
 }

@@ -3,6 +3,7 @@ package pde
 import (
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
@@ -28,6 +29,28 @@ func hasInstr(g *ir.Graph, name, key string) bool {
 	return false
 }
 
+// run is Run on a fresh session, failing t on an error.
+func run(t *testing.T, g *ir.Graph) Stats {
+	t.Helper()
+	s := analysis.NewSession()
+	defer s.Close()
+	st, err := Run(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// sinkStep is one sinking step on a fresh session and reports whether it
+// changed g.
+func sinkStep(g *ir.Graph) bool {
+	s := analysis.NewSession()
+	defer s.Close()
+	before := g.Encode()
+	sink(g, s)
+	return g.Encode() != before
+}
+
 func TestClassicPartiallyDead(t *testing.T) {
 	// x := a+b is used on the left arm only and overwritten on the right:
 	// pde sinks it into the left arm and dce kills the right-arm copy.
@@ -51,7 +74,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(t, g)
 	g.MustValidate()
 	if hasInstr(g, "s", "x:=a+b") {
 		t.Errorf("assignment not sunk out of s:\n%s", printer.String(g))
@@ -90,7 +113,7 @@ graph g {
   block e { out(q) }
 }
 `)
-	Sink(g)
+	sinkStep(g)
 	g.MustValidate()
 	keys := blockKeys(g, "a")
 	// x := a0+b0 may move past q := 1 but not past out(x).
@@ -129,7 +152,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	for Sink(g) {
+	for sinkStep(g) {
 	}
 	g.MustValidate()
 	if hasInstr(g, "a", "x:=a0+b0") || hasInstr(g, "m", "x:=a0+b0") {
@@ -169,7 +192,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	for Sink(g) {
+	for sinkStep(g) {
 	}
 	g.MustValidate()
 	if hasInstr(g, "j", "x:=a0+b0") {
@@ -210,7 +233,7 @@ graph g {
 `)
 	orig := g.Clone()
 	g.SplitCriticalEdges()
-	for Sink(g) {
+	for sinkStep(g) {
 	}
 	g.MustValidate()
 	if hasInstr(g, "s", "x:=a0+b0") {
@@ -257,7 +280,7 @@ graph g {
 }
 `)
 	orig := g.Clone()
-	st := Run(g)
+	st := run(t, g)
 	g.MustValidate()
 	env := map[ir.Var]int64{"a0": 2, "b0": 3}
 	r1, r2 := interp.Run(orig, env, 0), interp.Run(g, env, 0)
@@ -274,7 +297,7 @@ func TestRunStableAndSafeOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		orig := cfggen.Structured(seed, cfggen.Config{Size: 10})
 		g := orig.Clone()
-		Run(g)
+		run(t, g)
 		g.MustValidate()
 		// Under total semantics pde must preserve traces.
 		rep := verify.Equivalent(orig, g, 6, seed+2)
@@ -287,7 +310,7 @@ func TestRunStableAndSafeOnRandomPrograms(t *testing.T) {
 		}
 		// Stability.
 		enc := g.Encode()
-		Run(g)
+		run(t, g)
 		if g.Encode() != enc {
 			t.Errorf("seed %d: pde not idempotent", seed)
 		}

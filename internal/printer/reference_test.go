@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/corpus"
@@ -86,11 +87,22 @@ var (
 // printGraphs is the fg and fun corpora and cfggen Structured and
 // Unstructured graphs of 6, 12, 40 and 200 blocks on seeds 1–20, each
 // before and after core.Optimize: 356 graphs.
+// optimize is core.Optimize on a fresh session. It panics on an error:
+// the graphs here run without a budget or deadline, so only a fixpoint
+// bug can fail.
+func optimize(g *ir.Graph) {
+	s := analysis.NewSession()
+	defer s.Close()
+	if _, err := core.Optimize(g, s); err != nil {
+		panic(err)
+	}
+}
+
 func printGraphs() []namedGraph {
 	printSetOnce.Do(func() {
 		add := func(name string, mk func() *ir.Graph) {
 			opt := mk()
-			core.Optimize(opt)
+			optimize(opt)
 			printSet = append(printSet, namedGraph{name, mk()}, namedGraph{name + "/optimized", opt})
 		}
 		for _, n := range corpus.Names() {
@@ -143,7 +155,7 @@ func TestPrintAllocs(t *testing.T) {
 	for _, size := range []int{12, 200, 1000} {
 		g := cfggen.Structured(1, cfggen.Config{Size: size})
 		opt := cfggen.Structured(1, cfggen.Config{Size: size})
-		core.Optimize(opt)
+		optimize(opt)
 		for _, ng := range []namedGraph{{fmt.Sprint("structured", size), g}, {fmt.Sprint("structured", size, "/optimized"), opt}} {
 			allocs := testing.AllocsPerRun(5, func() { printer.String(ng.g) })
 			t.Logf("%s (%d instrs): %.0f allocs", ng.name, ng.g.InstrCount(), allocs)

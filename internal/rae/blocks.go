@@ -4,54 +4,30 @@ import (
 	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
-	"assignmentmotion/internal/ir"
 )
 
-// EliminateBlocks is Eliminate computed at basic-block granularity — the
-// variant Table 2's footnote describes ("the analysis is employed at the
+// Step is Eliminate computed at basic-block granularity — the variant
+// Table 2's footnote describes ("the analysis is employed at the
 // instruction level … only for the ease of presentation; it can
-// straightforwardly be modified to work on basic blocks").
+// straightforwardly be modified to work on basic blocks") — on the
+// encoded program c, rewriting its blocks in place. It returns the number
+// of removed occurrences, which doubles as the precise change signal: the
+// procedure only ever removes instructions.
 //
 // Per block the usual gen/kill composition summarizes the instruction
 // sequence; a block-level availability analysis (#blocks nodes instead of
 // #instructions) computes entry redundancy; a final in-block walk finds
-// and removes the redundant occurrences.
+// and removes the redundant occurrences. The walk realizes the paper's
+// "successively eliminating" wording literally: removing a redundant
+// occurrence leaves availability intact, so a chain of redundant
+// occurrences within one block collapses in a single application — where
+// the batch instruction-level Eliminate needs one application per link.
+// Both variants are sound and reach the same rae-fixpoint (checked by
+// property tests); per-application counts may differ on in-block chains.
 //
-// The in-block walk realizes the paper's "successively eliminating"
-// wording literally: removing a redundant occurrence leaves availability
-// intact, so a chain of redundant occurrences within one block collapses
-// in a single application — where the batch instruction-level Eliminate
-// needs one application per link. Both variants are sound and reach the
-// same rae-fixpoint (checked by property tests); per-application counts
-// may differ on in-block chains.
-func EliminateBlocks(g *ir.Graph) int {
-	return EliminateBlocksWith(g, nil)
-}
-
-// EliminateBlocksWith is EliminateBlocks running against session s (nil
-// for the uncached path): it encodes g, runs one Step and writes the
-// result back. All storage comes from the session's arena, rewound before
-// returning. The returned count doubles as the precise change signal —
-// the procedure only ever removes instructions, so zero removals means the
-// graph is textually unchanged.
-func EliminateBlocksWith(g *ir.Graph, s *analysis.Session) int {
-	ar := s.Arena()
-	mark := ar.Mark()
-	defer ar.Release(mark)
-	c := analysis.NewCode(g, s)
-	if c.U.Len() == 0 {
-		return 0
-	}
-	removed := Step(c, s, bitvec.Vec{})
-	c.WriteBack()
-	return removed
-}
-
-// Step performs one block-level elimination on the encoded program c,
-// rewriting its blocks in place, and returns the number of removed
-// occurrences. keep restricts the removals to the patterns it holds, as
-// in aht.Step: the zero Vec keeps every pattern. Analysis storage comes
-// from s's arena and is released before returning.
+// keep restricts the removals to the patterns it holds, as in aht.Step:
+// the zero Vec keeps every pattern. Analysis storage comes from s's arena
+// and is released before returning.
 func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
 	n, bits := len(c.Blocks), c.U.Len()
 	if bits == 0 {

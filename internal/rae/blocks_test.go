@@ -29,8 +29,8 @@ func TestEliminateBlocksMatchesInstructionLevelFixpoint(t *testing.T) {
 		base.SplitCriticalEdges()
 		g1 := base.Clone()
 		g2 := base.Clone()
-		n1 := toFixpoint(func() int { return Eliminate(g1) })
-		n2 := toFixpoint(func() int { return EliminateBlocks(g2) })
+		n1 := toFixpoint(func() int { return eliminate(g1) })
+		n2 := toFixpoint(func() int { return eliminateBlocks(g2) })
 		if n1 != n2 {
 			t.Errorf("seed %d structured=%v: removed %d vs %d", seed, structured, n1, n2)
 		}
@@ -62,7 +62,7 @@ graph chain {
   block e { out(v1, v2) }
 }
 `)
-	if n := EliminateBlocks(g); n != 2 {
+	if n := eliminateBlocks(g); n != 2 {
 		t.Errorf("block-level removed %d, want 2 in one application", n)
 	}
 	g2 := parse.MustParse(`
@@ -79,7 +79,7 @@ graph chain {
   block e { out(v1, v2) }
 }
 `)
-	if n := Eliminate(g2); n != 1 {
+	if n := eliminate(g2); n != 1 {
 		t.Errorf("instruction-level removed %d in one application, want 1", n)
 	}
 }
@@ -102,7 +102,7 @@ graph g {
   block e { out(y, z) }
 }
 `)
-	if n := EliminateBlocks(g); n != 1 {
+	if n := eliminateBlocks(g); n != 1 {
 		t.Errorf("removed %d, want 1 (second occurrence only; third follows a kill)", n)
 	}
 }
@@ -117,7 +117,7 @@ graph g {
   block e { skip }
 }
 `)
-	if n := EliminateBlocks(g); n != 0 {
+	if n := eliminateBlocks(g); n != 0 {
 		t.Errorf("removed %d from assignment-free program", n)
 	}
 }

@@ -39,15 +39,12 @@ type Info struct {
 	ids []int // pattern ID per instruction (Prog order), -1 for none
 }
 
-// Analyze computes the redundancy analysis for g.
-func Analyze(g *ir.Graph) *Info {
-	return AnalyzeWith(g, nil)
-}
-
-// AnalyzeWith is Analyze drawing its pattern universe and vector storage
-// from session s (nil for the uncached path). The result shares the
-// session's arena and must be consumed before the arena is released.
-func AnalyzeWith(g *ir.Graph, s *analysis.Session) *Info {
+// Analyze computes the redundancy analysis for g at instruction level —
+// the reference form of Table 2 that the block-level Step is tested
+// against — drawing its pattern universe and vector storage from s. The
+// result shares the session's arena and must be consumed before the arena
+// is released.
+func Analyze(g *ir.Graph, s *analysis.Session) *Info {
 	prog := analysis.NewProg(g)
 	u, px, occ := s.Universe(g)
 	ar := s.Arena()
@@ -99,32 +96,28 @@ func init() {
 		Description: "one redundant-assignment-elimination step: remove every totally redundant occurrence",
 		Ref:         "§4.3, Table 2, Figure 14",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
-			return pass.Stats{Changes: EliminateBlocksWith(g, s), Iterations: 1}, nil
+			c, done := analysis.Encode(g, s)
+			defer done()
+			return pass.Stats{Changes: Step(c, s, bitvec.Vec{}), Iterations: 1}, nil
 		},
 	})
 }
 
-// Eliminate applies the elimination step: it removes every assignment that
-// is redundant at its entry and returns the number of removed occurrences.
-// The graph is re-normalized, so blocks never become empty.
-func Eliminate(g *ir.Graph) int {
-	return EliminateMasked(g, nil)
-}
-
-// EliminateMasked is Eliminate restricted to the assignment patterns
-// accepted by mask (nil accepts all), for example only the temporary
-// initializations h_ε := ε of the expression-motion baseline. The removal
-// count is the precise change signal (the procedure only removes
-// instructions).
-func EliminateMasked(g *ir.Graph, mask func(ir.AssignPattern) bool) int {
-	info := Analyze(g)
+// Eliminate applies the instruction-level elimination step: it removes
+// every assignment that is redundant at its entry and returns the number
+// of removed occurrences. The graph is re-normalized, so blocks never
+// become empty. The count is the precise change signal (the procedure
+// only removes instructions).
+func Eliminate(g *ir.Graph, s *analysis.Session) int {
+	ar := s.Arena()
+	defer ar.Release(ar.Mark())
+	info := Analyze(g, s)
 	removed := 0
 	idx := 0
 	for _, b := range g.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			id := info.ids[idx]
-			if id >= 0 && info.NRedundant[idx].Get(id) && (mask == nil || mask(info.U.Pattern(id))) {
+			if id := info.ids[idx]; id >= 0 && info.NRedundant[idx].Get(id) {
 				removed++
 			} else {
 				kept = append(kept, in)

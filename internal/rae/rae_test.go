@@ -4,9 +4,29 @@ import (
 	"strings"
 	"testing"
 
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
 )
+
+// eliminate is Eliminate, the instruction-level reference, on a fresh
+// session.
+func eliminate(g *ir.Graph) int {
+	s := analysis.NewSession()
+	defer s.Close()
+	return Eliminate(g, s)
+}
+
+// eliminateBlocks is one block-level Step on a fresh session: it encodes
+// g, eliminates and writes the result back.
+func eliminateBlocks(g *ir.Graph) int {
+	s := analysis.NewSession()
+	defer s.Close()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	return Step(c, s, bitvec.Vec{})
+}
 
 func countPattern(g *ir.Graph, key string) int {
 	n := 0
@@ -34,7 +54,7 @@ graph g {
   block e { out(y, z) }
 }
 `)
-	if n := Eliminate(g); n != 1 {
+	if n := eliminate(g); n != 1 {
 		t.Fatalf("eliminated %d, want 1", n)
 	}
 	if countPattern(g, "y:=a+b") != 1 {
@@ -57,7 +77,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 1 {
+	if n := eliminate(g); n != 1 {
 		t.Errorf("eliminated %d, want 1", n)
 	}
 }
@@ -76,7 +96,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 0 {
+	if n := eliminate(g); n != 0 {
 		t.Errorf("eliminated %d, want 0 (a modified in between)", n)
 	}
 }
@@ -95,7 +115,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 0 {
+	if n := eliminate(g); n != 0 {
 		t.Errorf("eliminated %d, want 0 (y overwritten in between)", n)
 	}
 }
@@ -113,7 +133,7 @@ graph g {
   block e { out(x) }
 }
 `)
-	if n := Eliminate(g); n != 0 {
+	if n := eliminate(g); n != 0 {
 		t.Errorf("eliminated %d, want 0 (x := x+1 is self-referential)", n)
 	}
 }
@@ -133,7 +153,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 1 {
+	if n := eliminate(g); n != 1 {
 		t.Fatalf("eliminated %d, want 1 (join occurrence)", n)
 	}
 	// The occurrence in j must be the one removed.
@@ -160,7 +180,7 @@ graph g {
   block e { out(y, z) }
 }
 `)
-	if n := Eliminate(g); n != 0 {
+	if n := eliminate(g); n != 0 {
 		t.Errorf("eliminated %d, want 0 (right path lacks the assignment)", n)
 	}
 }
@@ -186,7 +206,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 1 {
+	if n := eliminate(g); n != 1 {
 		t.Errorf("eliminated %d, want 1", n)
 	}
 	if countPattern(g, "y:=a+b") != 1 {
@@ -213,7 +233,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 0 {
+	if n := eliminate(g); n != 0 {
 		t.Errorf("eliminated %d, want 0 (a changes each iteration)", n)
 	}
 }
@@ -235,7 +255,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 2 {
+	if n := eliminate(g); n != 2 {
 		t.Fatalf("eliminated %d, want 2", n)
 	}
 	if countPattern(g, "y:=a+b") != 1 {
@@ -260,7 +280,7 @@ graph g {
   block e { out(x, z) }
 }
 `)
-	if n := Eliminate(g); n != 2 {
+	if n := eliminate(g); n != 2 {
 		t.Errorf("eliminated %d, want 2", n)
 	}
 }
@@ -281,7 +301,7 @@ graph g {
   block e { out(y) }
 }
 `)
-	if n := Eliminate(g); n != 1 {
+	if n := eliminate(g); n != 1 {
 		t.Fatalf("eliminated %d", n)
 	}
 	g.MustValidate() // block m must now hold a skip
@@ -304,7 +324,9 @@ graph g {
   block e { out(z) }
 }
 `)
-	info := Analyze(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	info := Analyze(g, s)
 	p := ir.AssignPattern{LHS: "y", RHS: ir.BinTerm(ir.OpAdd, ir.VarOp("a"), ir.VarOp("b"))}
 	id, ok := info.U.ID(p)
 	if !ok {
@@ -336,9 +358,9 @@ graph g {
   block e { out(y) }
 }
 `)
-	Eliminate(g)
+	eliminate(g)
 	enc := g.Encode()
-	if n := Eliminate(g); n != 0 {
+	if n := eliminate(g); n != 0 {
 		t.Errorf("second pass eliminated %d", n)
 	}
 	if g.Encode() != enc {

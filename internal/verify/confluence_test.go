@@ -7,7 +7,8 @@ import (
 	"testing"
 
 	"assignmentmotion/internal/aht"
-	"assignmentmotion/internal/am"
+	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/printer"
@@ -36,6 +37,48 @@ func multisetEncode(g *ir.Graph) string {
 	return sb.String()
 }
 
+// patternStep is one hoisting (hoist) or elimination step on g restricted
+// to pattern p, on one encoding of g written back afterwards.
+func patternStep(g *ir.Graph, p ir.AssignPattern, hoist bool) {
+	s := analysis.NewSession()
+	defer s.Close()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	only := s.Arena().Vec(c.U.Len())
+	if id, ok := c.U.ID(p); ok {
+		only.Set(id)
+	}
+	if hoist {
+		aht.Step(c, s, only)
+	} else {
+		rae.Step(c, s, only)
+	}
+}
+
+// eliminateFirst is the AM phase with the two procedures in the opposite
+// order within each round (rae before aht), on one encoding of g. By the
+// local confluence of the rewrite relation (Lemma 3.6) it reaches a
+// fixpoint cost-equivalent to am.Run's.
+func eliminateFirst(t *testing.T, g *ir.Graph) {
+	t.Helper()
+	g.SplitCriticalEdges()
+	limit := analysis.RoundLimit(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	c, done := analysis.Encode(g, s)
+	defer done()
+	for round := 1; ; round++ {
+		if round > limit {
+			t.Fatalf("%s: no fixpoint after %d rounds", g.Name, limit)
+		}
+		removed := rae.Step(c, s, bitvec.Vec{})
+		hoisted := aht.Step(c, s, bitvec.Vec{})
+		if removed == 0 && !hoisted {
+			return
+		}
+	}
+}
+
 // randomInterleaving drives the rewrite relation ` with single-pattern
 // steps in a random order until the per-block instruction multisets stop
 // changing. Lemma 3.6 (local confluence) plus termination implies every
@@ -52,15 +95,9 @@ func randomInterleaving(g *ir.Graph, rng *rand.Rand) {
 		pats := append([]ir.AssignPattern(nil), u.Patterns()...)
 		rng.Shuffle(len(pats), func(i, j int) { pats[i], pats[j] = pats[j], pats[i] })
 		for _, p := range pats {
-			key := p.Key()
-			mask := func(q ir.AssignPattern) bool { return q.Key() == key }
-			if rng.Intn(2) == 0 {
-				aht.ApplyMasked(g, mask)
-				rae.EliminateMasked(g, mask)
-			} else {
-				rae.EliminateMasked(g, mask)
-				aht.ApplyMasked(g, mask)
-			}
+			hoistFirst := rng.Intn(2) == 0
+			patternStep(g, p, hoistFirst)
+			patternStep(g, p, !hoistFirst)
 		}
 		if multisetEncode(g) == before {
 			return
@@ -74,7 +111,7 @@ func TestConfluenceRandomInterleavings(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		base := cfggen.Structured(seed, cfggen.Config{Size: 8})
 		canonical := base.Clone()
-		am.Run(canonical)
+		apply(canonical, "am")
 
 		for variant := int64(0); variant < 3; variant++ {
 			g := base.Clone()

@@ -3,9 +3,8 @@ package verify_test
 import (
 	"testing"
 
-	"assignmentmotion/internal/am"
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
-	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/dce"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
@@ -44,7 +43,9 @@ graph trapdemo {
 
 	// DCE removes the dead division — and the trap with it.
 	gDCE := parse.MustParse(src)
-	if n := dce.Run(gDCE); n == 0 {
+	s := analysis.NewSession()
+	defer s.Close()
+	if n, _, err := dce.Run(gDCE, s); err != nil || n == 0 {
 		t.Fatal("dce removed nothing — witness broken")
 	}
 	rDCE := interp.RunWith(gDCE, env, 0, opts)
@@ -53,12 +54,9 @@ graph trapdemo {
 	}
 
 	// The paper's pipelines preserve it.
-	for name, run := range map[string]func(*ir.Graph){
-		"am":      func(g *ir.Graph) { am.Run(g) },
-		"globalg": func(g *ir.Graph) { core.Optimize(g) },
-	} {
+	for _, name := range []string{"am", "globalg"} {
 		g := parse.MustParse(src)
-		run(g)
+		apply(g, name)
 		r := interp.RunWith(g, env, 0, opts)
 		if !r.Trapped {
 			t.Errorf("%s removed the run-time error — motion not admissible:\n%s",
@@ -74,17 +72,13 @@ graph trapdemo {
 // operand values, and elimination removes only re-evaluations).
 func TestMotionPreservesTrapsOnRandomPrograms(t *testing.T) {
 	opts := interp.Options{TrapOnDivZero: true}
-	pipelines := map[string]func(*ir.Graph){
-		"am":      func(g *ir.Graph) { am.Run(g) },
-		"globalg": func(g *ir.Graph) { core.Optimize(g) },
-	}
 	trapsSeen := 0
 	for seed := int64(0); seed < 20; seed++ {
 		orig := cfggen.Structured(seed, cfggen.Config{Size: 8})
 		envs := metrics.RandomEnvs(orig.SourceVars(), 6, seed*3+1)
-		for pname, run := range pipelines {
+		for _, pname := range []string{"am", "globalg"} {
 			g := orig.Clone()
-			run(g)
+			apply(g, pname)
 			for _, env := range envs {
 				r1 := interp.RunWith(orig, env, 0, opts)
 				r2 := interp.RunWith(g, env, 0, opts)

@@ -3,10 +3,7 @@ package verify_test
 import (
 	"testing"
 
-	"assignmentmotion/internal/am"
 	"assignmentmotion/internal/cfggen"
-	"assignmentmotion/internal/core"
-	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/metrics"
 )
 
@@ -22,12 +19,10 @@ func TestFlushImprovesTemporaryCosts(t *testing.T) {
 	strictTempWins := 0
 	for seed := int64(0); seed < 30; seed++ {
 		busy := cfggen.Structured(seed, cfggen.Config{Size: 10})
-		busy.SplitCriticalEdges()
-		core.Initialize(busy)
-		am.Run(busy)
+		apply(busy, "init", "am")
 
 		lazy := busy.Clone()
-		flush.Run(lazy)
+		apply(lazy, "flush")
 
 		mBusy := metrics.Measure(busy)
 		mLazy := metrics.Measure(lazy)

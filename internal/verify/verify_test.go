@@ -5,39 +5,56 @@ import (
 	"testing/quick"
 
 	"assignmentmotion/internal/am"
+	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cfggen"
-	"assignmentmotion/internal/copyprop"
-	"assignmentmotion/internal/core"
-	"assignmentmotion/internal/dce"
 	"assignmentmotion/internal/ir"
-	"assignmentmotion/internal/lcm"
 	"assignmentmotion/internal/metrics"
-	"assignmentmotion/internal/mr"
 	"assignmentmotion/internal/parse"
-	"assignmentmotion/internal/pde"
+	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/printer"
+
+	// Registers the passes the tests run by name: em, mr, dce, pde and,
+	// through their imports, init, am, am-restricted, globalg, copyprop
+	// and flush.
+	_ "assignmentmotion/internal/dce"
+	_ "assignmentmotion/internal/emcp"
+	_ "assignmentmotion/internal/mr"
+	_ "assignmentmotion/internal/pde"
 )
 
 const seeds = 25
 const runsPerSeed = 6
 
 type pipeline struct {
-	name string
-	run  func(*ir.Graph)
+	name   string
+	passes []string
 }
 
 // paperPipelines are the semantics-preserving transformations of the
 // paper; dce is excluded because it is only observationally safe under the
 // total interpreter semantics (it still appears in TestDCEPreservesTotal).
 var paperPipelines = []pipeline{
-	{"init", func(g *ir.Graph) { g.SplitCriticalEdges(); core.Initialize(g) }},
-	{"am", func(g *ir.Graph) { am.Run(g) }},
-	{"am-restricted", func(g *ir.Graph) { am.RunRestricted(g) }},
-	{"lcm", func(g *ir.Graph) { lcm.Run(g) }},
-	{"mr", func(g *ir.Graph) { mr.Run(g) }},
-	{"globalg", func(g *ir.Graph) { core.Optimize(g) }},
-	{"globalg+tidy", func(g *ir.Graph) { core.Optimize(g); g.Tidy() }},
-	{"copyprop", func(g *ir.Graph) { copyprop.Run(g) }},
+	{"init", []string{"init"}},
+	{"am", []string{"am"}},
+	{"am-restricted", []string{"am-restricted"}},
+	{"lcm", []string{"em"}},
+	{"mr", []string{"mr"}},
+	{"globalg", []string{"globalg"}},
+	{"globalg+tidy", []string{"globalg", "tidy"}},
+	{"copyprop", []string{"copyprop"}},
+}
+
+// apply runs the registered passes on g in order through one pipeline.
+// It panics on an error: the graphs here run without a budget or
+// deadline, so only a fixpoint bug can fail.
+func apply(g *ir.Graph, names ...string) {
+	pl, err := pass.FromNames(names...)
+	if err == nil {
+		_, err = pl.Run(g)
+	}
+	if err != nil {
+		panic(err)
+	}
 }
 
 func generators() map[string]func(int64) *ir.Graph {
@@ -59,7 +76,7 @@ func TestPipelinesPreserveSemantics(t *testing.T) {
 			orig := gen(seed)
 			for _, p := range paperPipelines {
 				g := orig.Clone()
-				p.run(g)
+				apply(g, p.passes...)
 				if err := g.Validate(); err != nil {
 					t.Fatalf("%s seed %d %s: invalid graph: %v\n%s",
 						genName, seed, p.name, err, printer.String(g))
@@ -82,12 +99,12 @@ func TestExpressionOptimalityDominance(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			orig := gen(seed)
 			glob := orig.Clone()
-			core.Optimize(glob)
+			apply(glob, "globalg")
 
 			rivals := map[string]*ir.Graph{"original": orig}
 			for _, p := range []pipeline{paperPipelines[1], paperPipelines[2], paperPipelines[3]} {
 				g := orig.Clone()
-				p.run(g)
+				apply(g, p.passes...)
 				rivals[p.name] = g
 			}
 			for name, rival := range rivals {
@@ -117,9 +134,9 @@ func TestOptimizeStableOnRandomPrograms(t *testing.T) {
 	for genName, gen := range generators() {
 		for seed := int64(0); seed < seeds; seed++ {
 			g := gen(seed)
-			core.Optimize(g)
+			apply(g, "globalg")
 			first := g.Clone()
-			core.Optimize(g)
+			apply(g, "globalg")
 
 			rep := Equivalent(first, g, runsPerSeed, seed*13+5)
 			if !rep.Equivalent {
@@ -146,7 +163,7 @@ func TestOptimizeStableOnRandomPrograms(t *testing.T) {
 			}
 
 			enc := g.Encode()
-			core.Optimize(g)
+			apply(g, "globalg")
 			if g.Encode() != enc {
 				t.Errorf("%s seed %d: Optimize did not converge by the third run", genName, seed)
 			}
@@ -159,9 +176,14 @@ func TestOptimizeStableOnRandomPrograms(t *testing.T) {
 func TestAMIsAssignmentStable(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		g := cfggen.Structured(seed, cfggen.Config{Size: 10})
-		am.Run(g)
+		apply(g, "am")
 		enc := g.Encode()
-		st := am.Run(g)
+		s := analysis.NewSession()
+		st, err := am.Run(g, s)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if g.Encode() != enc || st.Eliminated != 0 {
 			t.Errorf("seed %d: AM phase not stable (eliminated %d)", seed, st.Eliminated)
 		}
@@ -175,10 +197,8 @@ func TestAMOrderConfluence(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			g1 := gen(seed)
 			g2 := g1.Clone()
-			am.Run(g1)
-			if _, err := am.RunEliminateFirst(g2); err != nil {
-				t.Fatalf("%s seed %d: %v", genName, seed, err)
-			}
+			apply(g1, "am")
+			eliminateFirst(t, g2)
 			rep := Equivalent(g1, g2, runsPerSeed, seed*19+11)
 			if !rep.Equivalent {
 				t.Fatalf("%s seed %d: orders diverge semantically: %s", genName, seed, rep.Detail)
@@ -199,7 +219,7 @@ func TestPDESafeUnderTotalSemantics(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			orig := gen(seed)
 			g := orig.Clone()
-			pde.Run(g)
+			apply(g, "pde")
 			if err := g.Validate(); err != nil {
 				t.Fatalf("%s seed %d: %v", genName, seed, err)
 			}
@@ -221,7 +241,7 @@ func TestDCEPreservesTotal(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		orig := cfggen.Structured(seed, cfggen.Config{Size: 10})
 		g := orig.Clone()
-		dce.Run(g)
+		apply(g, "dce")
 		if err := g.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -242,7 +262,7 @@ func TestQuickStructuredGlobAlg(t *testing.T) {
 		seed %= 1 << 20
 		orig := cfggen.Structured(seed, cfggen.Config{Size: 8})
 		g := orig.Clone()
-		core.Optimize(g)
+		apply(g, "globalg")
 		rep := Equivalent(orig, g, 4, seed+1)
 		return rep.Equivalent && rep.B.ExprEvals <= rep.A.ExprEvals
 	}
@@ -262,7 +282,7 @@ func TestQuickUnstructuredAM(t *testing.T) {
 		seed %= 1 << 20
 		orig := cfggen.Unstructured(seed, cfggen.Config{Size: 10})
 		g := orig.Clone()
-		am.Run(g)
+		apply(g, "am")
 		return Equivalent(orig, g, 4, seed+1).Equivalent
 	}
 	cfgq := &quick.Config{MaxCount: 40}

@@ -7,10 +7,13 @@ package assignmentmotion
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"assignmentmotion/internal/pass"
 )
 
 // TestRegistryOrderingPinned pins the exact contents and sorted order of
@@ -29,6 +32,39 @@ func TestRegistryOrderingPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("registry order changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFaultCanceledSessionStopsFixpointPasses: every registered pass that
+// iterates to a fixpoint polls its session once per round, so a session
+// whose context is canceled stops it with ErrCanceled instead of letting
+// it compute on after an engine deadline, and the graph stays valid. The
+// pass bodies run directly, as the pipeline runs them after its own
+// between-pass check.
+func TestFaultCanceledSessionStopsFixpointPasses(t *testing.T) {
+	base := RandomStructured(2, GenConfig{Size: 40})
+	if err := Apply(base, PassInit); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"am", "am-restricted", "em", "emcp", "gvn-emcp", "gvn", "pde", "dce", "copyprop"} {
+		t.Run(name, func(t *testing.T) {
+			p, ok := pass.Lookup(name)
+			if !ok {
+				t.Fatalf("pass %s not registered", name)
+			}
+			g := base.Clone()
+			s := NewSession()
+			defer s.Close()
+			s.SetContext(ctx)
+			if _, err := p.RunWith(g, s); !errors.Is(err, ErrCanceled) {
+				t.Errorf("err = %v, want %v", err, ErrCanceled)
+			}
+			if err := g.Validate(); err != nil {
+				t.Errorf("graph left invalid: %v", err)
+			}
+		})
 	}
 }
 

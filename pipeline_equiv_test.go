@@ -3,9 +3,9 @@ package assignmentmotion
 // Differential test of the pass-manager refactor: the facade Apply now
 // routes everything through one session-threaded pipeline, and this test
 // pins its output byte-identical to the legacy implementation — the
-// hard-wired switch that ran every pass with a fresh session (or none).
-// The legacy behaviour is reconstructed here from the internal packages,
-// exactly as the old switch called them, over the whole golden corpus.
+// hard-wired switch that called each pass package directly. The legacy
+// behaviour is reconstructed here from the internal packages, with one
+// fresh session per pass, over the whole golden corpus.
 
 import (
 	"path/filepath"
@@ -15,6 +15,7 @@ import (
 	"assignmentmotion/internal/aht"
 	"assignmentmotion/internal/am"
 	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/copyprop"
 	"assignmentmotion/internal/core"
 	"assignmentmotion/internal/dce"
@@ -29,64 +30,76 @@ import (
 // legacyApply reproduces the pre-pipeline facade Apply for one pass.
 func legacyApply(t *testing.T, g *Graph, p Pass) {
 	t.Helper()
-	switch p {
-	case PassGlobAlg:
-		// The old core.Optimize: three phases, one fresh session.
-		s := analysis.NewSession()
-		defer s.Close()
-		g.SplitCriticalEdges()
-		core.Initialize(g)
-		if _, err := am.TryRunWith(g, s); err != nil {
+	s := analysis.NewSession()
+	defer s.Close()
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
-		flush.RunWith(g, s)
+	}
+	switch p {
+	case PassGlobAlg:
+		// The old core.Optimize: three phases on one session.
+		g.SplitCriticalEdges()
+		core.Initialize(g)
+		_, err := am.Run(g, s)
+		check(err)
+		flush.Run(g, s)
 	case PassInit:
 		g.SplitCriticalEdges()
 		core.Initialize(g)
 	case PassAM:
-		am.Run(g)
+		_, err := am.Run(g, s)
+		check(err)
 	case PassAMRestricted:
-		am.RunRestricted(g)
+		_, err := am.RunRestricted(g, s)
+		check(err)
 	case PassAHT:
 		g.SplitCriticalEdges()
-		aht.Apply(g)
+		c, done := analysis.Encode(g, s)
+		aht.Step(c, s, bitvec.Vec{})
+		done()
 	case PassRAE:
-		rae.EliminateBlocks(g)
+		c, done := analysis.Encode(g, s)
+		rae.Step(c, s, bitvec.Vec{})
+		done()
 	case PassEM:
-		lcm.Run(g)
+		_, err := lcm.Run(g, s)
+		check(err)
 	case PassMR:
-		mr.Run(g)
-	case PassEMCP:
-		// The old facade RunEMCP: fresh sessions inside every round.
+		mr.Run(g, s)
+	case PassEMCP, PassGVNEMCP:
+		// The old facade RunEMCP; gvn-emcp opens each round with a
+		// value-numbering step.
 		for i := 0; i < 16; i++ {
 			before := g.Encode()
-			lcm.Run(g)
-			copyprop.Run(g)
+			if p == PassGVNEMCP {
+				_, _, err := gvn.Run(g, s)
+				check(err)
+			}
+			_, err := lcm.Run(g, s)
+			check(err)
+			_, _, err = copyprop.Run(g, s)
+			check(err)
 			if g.Encode() == before {
 				return
 			}
 		}
 	case PassFlush:
-		flush.Run(g)
+		flush.Run(g, s)
 	case PassCopyProp:
-		copyprop.Run(g)
+		_, _, err := copyprop.Run(g, s)
+		check(err)
 	case PassGVN:
-		gvn.Run(g)
-	case PassGVNEMCP:
-		// Like PassEMCP, but with a value-numbering step opening each round.
-		for i := 0; i < 16; i++ {
-			before := g.Encode()
-			gvn.Run(g)
-			lcm.Run(g)
-			copyprop.Run(g)
-			if g.Encode() == before {
-				return
-			}
-		}
+		_, _, err := gvn.Run(g, s)
+		check(err)
 	case PassDCE:
-		dce.Run(g)
+		_, _, err := dce.Run(g, s)
+		check(err)
 	case PassPDE:
-		pde.Run(g)
+		_, err := pde.Run(g, s)
+		check(err)
 	case PassSplit:
 		g.SplitCriticalEdges()
 	case PassTidy:

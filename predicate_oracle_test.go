@@ -18,6 +18,7 @@ package assignmentmotion
 // elimination step written with the reference predicates.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -28,6 +29,7 @@ import (
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/cfggen"
 	"assignmentmotion/internal/corpus"
+	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
@@ -94,7 +96,8 @@ func TestDifferentialLocalPredicates(t *testing.T) {
 }
 
 // checkRounds runs the encoded aht/rae fixpoint for one, two and three
-// rounds (am.RunBounded writes each state back), from g with its critical
+// rounds (am.Run capped by fault.Budget.MaxAMIterations writes each state
+// back), from g with its critical
 // edges split and from g after initialization, checks the local
 // predicates of every state, and checks that each round equals one
 // reference hoisting step followed by one reference elimination step on
@@ -120,7 +123,12 @@ func checkRounds(t *testing.T, g *ir.Graph) {
 		prev := start.g
 		for k := 1; k <= 3; k++ {
 			state := start.g.Clone()
-			am.RunBounded(state, k)
+			s := analysis.NewSession()
+			s.SetBudget(fault.Budget{MaxAMIterations: k})
+			if _, err := am.Run(state, s); err != nil && !errors.Is(err, fault.ErrBudgetExceeded) {
+				t.Fatal(err)
+			}
+			s.Close()
 			label := fmt.Sprintf("after round %d from %s", k, start.name)
 			hoisted := referenceHoist(prev)
 			if got := referenceEliminate(hoisted).Encode(); got != state.Encode() {
@@ -140,7 +148,9 @@ func checkRounds(t *testing.T, g *ir.Graph) {
 // before their own N-INSERTs — each point's patterns in order of first
 // occurrence in g.
 func referenceHoist(g *ir.Graph) *ir.Graph {
-	info := aht.Analyze(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	info := aht.Analyze(g, s)
 	rank := map[ir.AssignPattern]int{}
 	for _, b := range g.Blocks {
 		for _, in := range b.Instrs {
@@ -201,7 +211,9 @@ func referenceHoist(g *ir.Graph) *ir.Graph {
 // available, keeping availability by Executed, AssTransp and the
 // self-reference side condition of Table 2.
 func referenceEliminate(g *ir.Graph) *ir.Graph {
-	info := rae.Analyze(g)
+	s := analysis.NewSession()
+	defer s.Close()
+	info := rae.Analyze(g, s)
 	u := info.U
 	out := g.Clone()
 	for i, b := range g.Blocks {
@@ -398,13 +410,15 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 
 	// Encoding and writing back is the identity on a normalized graph.
 	round := g.Clone()
-	analysis.NewCode(round, nil).WriteBack()
+	rs := analysis.NewSession()
+	analysis.NewCode(round, rs).WriteBack()
+	rs.Close()
 	if got, want := round.Encode(), g.Encode(); got != want {
 		fail("encode and write-back changed the graph\n--- want\n%s--- got\n%s", want, got)
 	}
 
 	// Table 3, as flush computes it.
-	info := flush.AnalyzeWith(g, s)
+	info := flush.Analyze(g, s)
 	for i := range prog.Ins {
 		in := &prog.Ins[i]
 		for t, h := range info.Temps {

@@ -27,7 +27,10 @@ func TestStressLargePrograms(t *testing.T) {
 				t.Fatalf("%s seed %d: stress workload too small (%d instrs)", shape.name, seed, m.Instrs)
 			}
 			g := base.Clone()
-			res := Optimize(g)
+			res, err := Optimize(g)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", shape.name, seed, err)
+			}
 			if err := g.Validate(); err != nil {
 				t.Fatalf("%s seed %d: %v", shape.name, seed, err)
 			}
