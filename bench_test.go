@@ -226,6 +226,46 @@ func BenchmarkParsePrint(b *testing.B) {
 	})
 }
 
+// parsePool is a pool shaped like the warm-mix benchmark workload's
+// programs: the fg corpus, then printed cfggen programs of 12, 40 and 200
+// blocks at 6:3:1, Structured and Unstructured alternating, up to 256.
+func parsePool() []string {
+	var pool []string
+	for _, n := range corpus.Names() {
+		pool = append(pool, corpus.Source(n))
+	}
+	sizes := [10]int{12, 40, 12, 12, 200, 12, 40, 12, 40, 12}
+	for i := 0; len(pool) < 256; i++ {
+		cfg := cfggen.Config{Size: sizes[i%len(sizes)]}
+		g := cfggen.Structured(int64(i+1), cfg)
+		if (i+i/len(sizes))%2 != 0 {
+			g = cfggen.Unstructured(int64(i+1), cfg)
+		}
+		// Unstructured graphs name their end blocks with keywords.
+		for _, b := range g.Blocks {
+			if b.Name == "entry" || b.Name == "exit" {
+				b.Name = "u_" + b.Name
+			}
+		}
+		pool = append(pool, printer.String(g))
+	}
+	return pool
+}
+
+// BenchmarkParse parses the programs of parsePool in turn: one op is one
+// parse, of 5.7 KB and 73 blocks on average, as a warm-mix request parses
+// its program.
+func BenchmarkParse(b *testing.B) {
+	pool := parsePool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parse.Parse(pool[i%len(pool)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRAEGranularity is the ablation for Table 2's footnote:
 // instruction-level vs block-level redundancy elimination produce
 // identical programs; the solvers differ in node count.

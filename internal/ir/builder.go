@@ -13,42 +13,44 @@ import "fmt"
 //	...
 //	g, err := b.Finish("b1", "b4")
 type Builder struct {
-	g      *Graph
-	blocks map[string]*BlockBuilder
-	order  []string
-	edges  [][2]string
-	err    error
+	name   string
+	ids    map[string]NodeID
+	blocks []*BlockBuilder // in creation order: block i gets NodeID i
+	edges  []Edge
 }
 
 // BlockBuilder accumulates the instructions of one block.
 type BlockBuilder struct {
-	parent *Builder
 	name   string
 	instrs []Instr
 }
 
 // NewBuilder returns a builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{g: NewGraph(name), blocks: map[string]*BlockBuilder{}}
+	return &Builder{name: name, ids: map[string]NodeID{}}
 }
 
 // Block returns the block builder for name, creating the block on first use.
 func (b *Builder) Block(name string) *BlockBuilder {
-	if bb, ok := b.blocks[name]; ok {
-		return bb
+	return b.blocks[b.id(name)]
+}
+
+// id returns the NodeID of the block called name, creating it on first use.
+func (b *Builder) id(name string) NodeID {
+	if id, ok := b.ids[name]; ok {
+		return id
 	}
-	bb := &BlockBuilder{parent: b, name: name}
-	b.blocks[name] = bb
-	b.order = append(b.order, name)
-	return bb
+	id := NodeID(len(b.blocks))
+	b.ids[name] = id
+	b.blocks = append(b.blocks, &BlockBuilder{name: name})
+	return id
 }
 
 // Edge records the edge from→to. Blocks are created on demand, so edges may
 // be declared before their endpoints hold instructions.
 func (b *Builder) Edge(from, to string) *Builder {
-	b.Block(from)
-	b.Block(to)
-	b.edges = append(b.edges, [2]string{from, to})
+	f := b.id(from)
+	b.edges = append(b.edges, Edge{f, b.id(to)})
 	return b
 }
 
@@ -96,35 +98,27 @@ func (bb *BlockBuilder) Instr(in Instr) *BlockBuilder {
 	return bb
 }
 
-// Finish materializes the graph with the given entry and exit block names.
-// It normalizes and validates the result.
+// Finish materializes the graph with the given entry and exit block names
+// through Assemble. It normalizes and validates the result.
 func (b *Builder) Finish(entry, exit string) (*Graph, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	ids := map[string]NodeID{}
-	for _, name := range b.order {
-		blk := b.g.AddBlock(name)
-		blk.Instrs = b.blocks[name].instrs
-		ids[name] = blk.ID
-	}
-	for _, e := range b.edges {
-		b.g.AddEdge(ids[e[0]], ids[e[1]])
-	}
-	en, ok := ids[entry]
+	en, ok := b.ids[entry]
 	if !ok {
 		return nil, fmt.Errorf("ir: unknown entry block %q", entry)
 	}
-	ex, ok := ids[exit]
+	ex, ok := b.ids[exit]
 	if !ok {
 		return nil, fmt.Errorf("ir: unknown exit block %q", exit)
 	}
-	b.g.Entry, b.g.Exit = en, ex
-	b.g.Normalize()
-	if err := b.g.Validate(); err != nil {
+	blocks := make([]Block, len(b.blocks))
+	for i, bb := range b.blocks {
+		blocks[i].Name, blocks[i].Instrs = bb.name, bb.instrs
+	}
+	g := Assemble(b.name, blocks, b.edges, en, ex)
+	g.Normalize()
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return b.g, nil
+	return g, nil
 }
 
 // MustFinish is Finish that panics on error, for tests and examples.

@@ -235,16 +235,23 @@ func (g *Graph) SourceVars() []Var {
 func (g *Graph) Normalize() *Graph {
 	g.version++
 	for _, b := range g.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if in.Kind != KindSkip {
-				kept = append(kept, in)
+		// Compact in place, copying an instruction only once a skip has
+		// opened a gap before it.
+		kept := 0
+		for i := range b.Instrs {
+			if b.Instrs[i].Kind == KindSkip {
+				continue
 			}
+			if kept != i {
+				b.Instrs[kept] = b.Instrs[i]
+			}
+			kept++
 		}
-		if len(kept) == 0 {
-			kept = append(kept, Skip())
+		if kept == 0 {
+			b.Instrs = append(b.Instrs[:0], Skip())
+		} else {
+			b.Instrs = b.Instrs[:kept]
 		}
-		b.Instrs = kept
 	}
 	return g
 }
@@ -336,12 +343,66 @@ func (g *Graph) Clone() *Graph {
 // carve appends ids to slab and returns them as a full slice expression
 // over it (nil when ids is empty) together with the grown slab.
 func carve(slab, ids []NodeID) (carved, grown []NodeID) {
-	if len(ids) == 0 {
-		return nil, slab
-	}
 	lo := len(slab)
 	slab = append(slab, ids...)
-	return slab[lo:len(slab):len(slab)], slab
+	return window(slab, lo, len(slab)), slab
+}
+
+// window returns slab[lo:hi] with capacity hi-lo, so that an append to it
+// reallocates instead of overwriting the next list; nil when it is empty.
+func window(slab []NodeID, lo, hi int) []NodeID {
+	if lo == hi {
+		return nil
+	}
+	return slab[lo:hi:hi]
+}
+
+// Edge is the flow edge From→To.
+type Edge struct{ From, To NodeID }
+
+// Assemble returns the graph name over blocks with the given entry and
+// exit. It adopts the blocks slice and reads only each block's Name and
+// Instrs: block i gets ID i, and its Succs and Preds list the edges that
+// leave and enter it in the order edges gives them — what one AddEdge
+// call per edge would build, version counters included. All edge lists
+// are carved from one slab, as Clone carves them. Every edge must name
+// blocks of blocks. Assemble neither normalizes nor validates; the
+// parser and Builder.Finish do both.
+func Assemble(name string, blocks []Block, edges []Edge, entry, exit NodeID) *Graph {
+	g := NewGraph(name)
+	g.Entry, g.Exit = entry, exit
+	g.version = uint64(len(blocks) + len(edges))
+	g.structVersion = g.version
+	// A counting sort, stable in edge order, into lists 2i (block i's
+	// successors) and 2i+1 (its predecessors): count each list, turn the
+	// counts into start offsets, then place every edge at its lists'
+	// next free slot, which leaves end[k] at the end of list k.
+	end := make([]int, 2*len(blocks)+1)
+	for _, e := range edges {
+		end[2*e.From+1]++
+		end[2*e.To+2]++
+	}
+	for k := 1; k < len(end); k++ {
+		end[k] += end[k-1]
+	}
+	slab := make([]NodeID, 2*len(edges))
+	for _, e := range edges {
+		slab[end[2*e.From]] = e.To
+		end[2*e.From]++
+		slab[end[2*e.To+1]] = e.From
+		end[2*e.To+1]++
+	}
+	g.Blocks = make([]*Block, len(blocks))
+	lo := 0
+	for i := range blocks {
+		b := &blocks[i]
+		b.ID = NodeID(i)
+		b.Succs = window(slab, lo, end[2*i])
+		b.Preds = window(slab, end[2*i], end[2*i+1])
+		lo = end[2*i+1]
+		g.Blocks[i] = b
+	}
+	return g
 }
 
 // Restore overwrites g in place with the contents of snapshot, adopting

@@ -143,9 +143,11 @@ func TestFingerprintPinned(t *testing.T) {
 	}
 }
 
-// TestKernelAllocs pins the allocations of Clone, Encode and Fingerprint
-// with fixed bounds that hold from ~150 to ~10k instructions: each kernel
-// carves or appends into a few buffers, never one per instruction.
+// TestKernelAllocs pins the allocations of Clone, Encode, Fingerprint and
+// Validate with fixed bounds that hold from ~150 to ~10k instructions:
+// each kernel carves or appends into a few buffers, never one per
+// instruction. Validate's are its mark array, its work stack and the
+// name set of its duplicate check.
 func TestKernelAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("optimizes a 1000-block graph")
@@ -158,6 +160,11 @@ func TestKernelAllocs(t *testing.T) {
 		{"Clone", 24, func(g *ir.Graph) { g.Clone() }},
 		{"Encode", 4, func(g *ir.Graph) { _ = g.Encode() }},
 		{"Fingerprint", 32, func(g *ir.Graph) { g.Fingerprint() }},
+		{"Validate", 16, func(g *ir.Graph) {
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, size := range []int{12, 200, 1000} {
 		g := cfggen.Structured(1, cfggen.Config{Size: size})

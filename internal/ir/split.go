@@ -70,29 +70,3 @@ func (g *Graph) splitEdge(from, to NodeID) {
 	synth.Succs = []NodeID{to}
 	synth.Preds = []NodeID{from}
 }
-
-// ReachableFromEntry returns the set of nodes reachable from s.
-func (g *Graph) ReachableFromEntry() map[NodeID]bool {
-	return g.reach(g.Entry, func(b *Block) []NodeID { return b.Succs })
-}
-
-// ReachesExit returns the set of nodes from which e is reachable.
-func (g *Graph) ReachesExit() map[NodeID]bool {
-	return g.reach(g.Exit, func(b *Block) []NodeID { return b.Preds })
-}
-
-func (g *Graph) reach(start NodeID, next func(*Block) []NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{start: true}
-	work := []NodeID{start}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, m := range next(g.Block(n)) {
-			if !seen[m] {
-				seen[m] = true
-				work = append(work, m)
-			}
-		}
-	}
-	return seen
-}

@@ -54,7 +54,8 @@ func (g *Graph) Validate() error {
 		if hasCond != (len(b.Succs) == 2) {
 			return fmt.Errorf("block %s: branch condition and successor count disagree", b.Name)
 		}
-		for j, in := range b.Instrs {
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
 			if in.Kind == KindCond && j != len(b.Instrs)-1 {
 				return fmt.Errorf("block %s: condition not in final position", b.Name)
 			}
@@ -80,21 +81,44 @@ func (g *Graph) Validate() error {
 		}
 	}
 
-	fromEntry := g.ReachableFromEntry()
-	toExit := g.ReachesExit()
+	// One mark per block: bit fromEntry when s reaches it, bit toExit when
+	// it reaches e. Each walk pushes a block at most once, so one stack of
+	// len(g.Blocks) serves both.
+	const fromEntry, toExit = 1, 2
+	mark := make([]uint8, len(g.Blocks))
+	stack := make([]NodeID, 0, len(g.Blocks))
+	g.markReach(mark, stack, g.Entry, fromEntry, func(b *Block) []NodeID { return b.Succs })
+	g.markReach(mark, stack, g.Exit, toExit, func(b *Block) []NodeID { return b.Preds })
 	for _, b := range g.Blocks {
-		if !fromEntry[b.ID] {
+		if mark[b.ID]&fromEntry == 0 {
 			return fmt.Errorf("block %s unreachable from entry", b.Name)
 		}
-		if !toExit[b.ID] {
+		if mark[b.ID]&toExit == 0 {
 			return fmt.Errorf("block %s cannot reach exit", b.Name)
 		}
 	}
 	return nil
 }
 
-func (g *Graph) validateInstr(b *Block, in Instr) error {
-	checkTerm := func(t Term) error {
+// markReach sets bit in mark for start and every block reachable from it
+// along next, using stack's storage as the work list.
+func (g *Graph) markReach(mark []uint8, stack []NodeID, start NodeID, bit uint8, next func(*Block) []NodeID) {
+	mark[start] |= bit
+	stack = append(stack[:0], start)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, m := range next(g.Blocks[n]) {
+			if mark[m]&bit == 0 {
+				mark[m] |= bit
+				stack = append(stack, m)
+			}
+		}
+	}
+}
+
+func (g *Graph) validateInstr(b *Block, in *Instr) error {
+	checkTerm := func(t *Term) error {
 		if !t.Trivial() && !t.Op.IsArith() {
 			return fmt.Errorf("block %s: term %s has non-arithmetic operator", b.Name, t)
 		}
@@ -117,15 +141,15 @@ func (g *Graph) validateInstr(b *Block, in Instr) error {
 		if IsTempName(in.LHS) && !g.IsTemp(in.LHS) {
 			return fmt.Errorf("block %s: unregistered temporary %s", b.Name, in.LHS)
 		}
-		return checkTerm(in.RHS)
+		return checkTerm(&in.RHS)
 	case KindCond:
 		if !in.CondOp.IsRel() {
 			return fmt.Errorf("block %s: condition with non-relational operator %q", b.Name, in.CondOp)
 		}
-		if err := checkTerm(in.CondL); err != nil {
+		if err := checkTerm(&in.CondL); err != nil {
 			return err
 		}
-		return checkTerm(in.CondR)
+		return checkTerm(&in.CondR)
 	case KindOut:
 		for _, o := range in.Args {
 			if !o.IsConst && IsTempName(o.Var) && !g.IsTemp(o.Var) {

@@ -15,6 +15,7 @@
 //	arithop  = "+" | "-" | "*" | "/" | "%"
 //	relop    = "<" | "<=" | ">" | ">=" | "==" | "!="
 //
+// Identifiers are ASCII: a letter or '_', then letters, digits and '_'.
 // Line comments start with "//" or "#". Every non-exit block must end in a
 // goto or an if; the exit block must end in neither.
 //
@@ -27,12 +28,14 @@
 package parse
 
 import (
+	"errors"
 	"fmt"
-	"strings"
-	"unicode"
+	"math"
+	"strconv"
+	"unicode/utf8"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -49,216 +52,233 @@ const (
 	tokOp    // arithmetic or relational operator symbol
 )
 
+// token is one lexeme: its kind, its text as the byte span src[off:end],
+// and the line and byte column where it starts. Tokens hold no pointers,
+// so a program's token slice is one allocation the collector never scans,
+// and the parser takes a token's text only where it needs it.
 type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
+	kind      tokKind
+	off, end  int32
+	line, col int32
 }
 
-func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
-		return "end of input"
-	default:
-		return fmt.Sprintf("%q", t.text)
+// tally counts what the .fg parser allocates per program, so that it can
+// size each slab once: block declarations; instructions (one per ":=",
+// "out", "skip" and "if", or the one skip a block without statements
+// gets); edges (one per "goto", two per "if"); out(...) operands (at most
+// one per "out" and per ","); and operators, which bound ParseNested's
+// decomposition assignments.
+type tally struct {
+	blocks, instrs, edges, args, ops int
+	// bare: no statement since the last "block", whose skip is counted.
+	bare bool
+}
+
+// stmt counts one statement's instruction. The first statement of a block
+// takes over the slot counted for its skip.
+func (n *tally) stmt() {
+	if n.bare {
+		n.bare = false
+		return
 	}
+	n.instrs++
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
+// Byte classes of the lexer's hot loop. Identifiers are ASCII:
+// [A-Za-z_][A-Za-z0-9_]*.
+const (
+	classIdentStart = 1 << iota
+	classIdentCont
+	classDigit
+)
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
-func (l *lexer) errorf(line, col int, format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
-}
-
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
+var byteClass = func() (c [256]uint8) {
+	for b := 'a'; b <= 'z'; b++ {
+		c[b] = classIdentStart | classIdentCont
+		c[b-'a'+'A'] = classIdentStart | classIdentCont
 	}
-	return l.src[l.pos], true
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+	c['_'] = classIdentStart | classIdentCont
+	for b := '0'; b <= '9'; b++ {
+		c[b] = classIdentCont | classDigit
 	}
 	return c
-}
+}()
 
-func (l *lexer) skipSpaceAndComments() {
-	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return
-		}
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '#':
-			l.skipLine()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			l.skipLine()
-		default:
-			return
-		}
+// lexAll tokenizes the whole source before parsing starts, so a lexical
+// error anywhere wins over a syntax error. The token slice ends in tokEOF.
+func lexAll(src string) ([]token, tally, error) {
+	var n tally
+	if len(src) > math.MaxInt32 {
+		return nil, n, errors.New("source exceeds 2 GiB")
 	}
-}
-
-func (l *lexer) skipLine() {
-	for {
-		c, ok := l.peekByte()
-		if !ok || c == '\n' {
-			return
-		}
-		l.advance()
-	}
-}
-
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentCont(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
-
-// next returns the next token.
-func (l *lexer) next() (token, error) {
-	l.skipSpaceAndComments()
-	line, col := l.line, l.col
-	c, ok := l.peekByte()
-	if !ok {
-		return token{kind: tokEOF, line: line, col: col}, nil
-	}
-	switch {
-	case isIdentStart(c):
-		start := l.pos
-		for {
-			c, ok := l.peekByte()
-			if !ok || !isIdentCont(c) {
-				break
-			}
-			l.advance()
-			_ = c
-		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: line, col: col}, nil
-	case c >= '0' && c <= '9':
-		start := l.pos
-		for {
-			c, ok := l.peekByte()
-			if !ok || c < '0' || c > '9' {
-				break
-			}
-			l.advance()
-		}
-		return token{kind: tokInt, text: l.src[start:l.pos], line: line, col: col}, nil
-	}
-	l.advance()
-	two := func(second byte, twoText, oneText string) (token, error) {
-		if n, ok := l.peekByte(); ok && n == second {
-			l.advance()
-			return token{kind: tokOp, text: twoText, line: line, col: col}, nil
-		}
-		if oneText == "" {
-			return token{}, l.errorf(line, col, "unexpected character %q", string(c))
-		}
-		return token{kind: tokOp, text: oneText, line: line, col: col}, nil
-	}
-	switch c {
-	case '{':
-		return token{kind: tokLBrace, text: "{", line: line, col: col}, nil
-	case '}':
-		return token{kind: tokRBrace, text: "}", line: line, col: col}, nil
-	case '(':
-		return token{kind: tokLParen, text: "(", line: line, col: col}, nil
-	case ')':
-		return token{kind: tokRParen, text: ")", line: line, col: col}, nil
-	case ',':
-		return token{kind: tokComma, text: ",", line: line, col: col}, nil
-	case ':':
-		if n, ok := l.peekByte(); ok && n == '=' {
-			l.advance()
-			return token{kind: tokAssign, text: ":=", line: line, col: col}, nil
-		}
-		return token{kind: tokColon, text: ":", line: line, col: col}, nil
-	case '+', '-', '*', '/', '%':
-		return token{kind: tokOp, text: string(c), line: line, col: col}, nil
-	case '<':
-		return two('=', "<=", "<")
-	case '>':
-		return two('=', ">=", ">")
-	case '=':
-		if n, ok := l.peekByte(); ok && n == '=' {
-			l.advance()
-			return token{kind: tokOp, text: "==", line: line, col: col}, nil
-		}
-		return token{kind: tokEq, text: "=", line: line, col: col}, nil
-	case '!':
-		return two('=', "!=", "")
-	}
-	return token{}, l.errorf(line, col, "unexpected character %q", string(c))
-}
-
-// lexAll tokenizes the whole input; used by the parser.
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
 	// Printed .fg programs run about four source bytes to a token, so one
 	// token per three bytes usually fits without regrowing, and it never
 	// exceeds the one token per byte that regrowing could reach.
 	toks := make([]token, 0, len(src)/3+1)
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+	line, lineStart := 1, 0
+	for i := 0; ; {
+		// Skip white space and "//" and "#" line comments.
+	space:
+		for i < len(src) {
+			c := src[i]
+			switch {
+			case c == '\n':
+				line++
+				i++
+				lineStart = i
+			case c == ' ' || c == '\t' || c == '\r':
+				i++
+			case c == '#' || c == '/' && i+1 < len(src) && src[i+1] == '/':
+				for i < len(src) && src[i] != '\n' {
+					i++
+				}
+			default:
+				break space
+			}
 		}
+		t := token{off: int32(i), line: int32(line), col: int32(i - lineStart + 1)}
+		if i == len(src) {
+			t.end = t.off
+			return append(toks, t), n, nil
+		}
+		c := src[i]
+		j := i + 1
+		switch {
+		case byteClass[c]&classIdentStart != 0:
+			for j < len(src) && byteClass[src[j]]&classIdentCont != 0 {
+				j++
+			}
+			t.kind = tokIdent
+			n.keyword(src[i:j])
+		case byteClass[c]&classDigit != 0:
+			for j < len(src) && byteClass[src[j]]&classDigit != 0 {
+				j++
+			}
+			t.kind = tokInt
+		default:
+			next := byte(0)
+			if j < len(src) {
+				next = src[j]
+			}
+			switch c {
+			case '{':
+				t.kind = tokLBrace
+			case '}':
+				t.kind = tokRBrace
+			case '(':
+				t.kind = tokLParen
+			case ')':
+				t.kind = tokRParen
+			case ',':
+				t.kind = tokComma
+				n.args++
+			case ':':
+				t.kind = tokColon
+				if next == '=' {
+					t.kind = tokAssign
+					n.stmt()
+					j++
+				}
+			case '=':
+				t.kind = tokEq
+				if next == '=' {
+					t.kind = tokOp
+					j++
+				}
+			case '+', '-', '*', '/', '%':
+				t.kind = tokOp
+			case '<', '>':
+				t.kind = tokOp
+				if next == '=' {
+					j++
+				}
+			case '!':
+				if next != '=' {
+					return nil, n, unexpected(src, i, line, lineStart)
+				}
+				t.kind = tokOp
+				j++
+			default:
+				return nil, n, unexpected(src, i, line, lineStart)
+			}
+			if t.kind == tokOp {
+				n.ops++
+			}
+		}
+		t.end = int32(j)
 		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
+		i = j
 	}
 }
 
-// keywords that may not be used as identifiers for blocks or variables,
-// across both the .fg flow-graph syntax and the typed dialect.
-var keywords = map[string]bool{
-	"graph": true, "entry": true, "exit": true, "block": true,
-	"out": true, "skip": true, "goto": true,
-	"if": true, "then": true, "else": true,
-	"prog": true, "while": true, "do": true,
-	"break": true, "continue": true,
-	// typed dialect
-	"fn": true, "let": true, "return": true,
-	"true": true, "false": true, "int": true, "bool": true,
+// keyword counts the .fg statement and declaration keyword id, if it is one.
+func (n *tally) keyword(id string) {
+	switch id {
+	case "block":
+		n.blocks++
+		n.instrs++
+		n.bare = true
+	case "out":
+		n.stmt()
+		n.args++
+	case "skip":
+		n.stmt()
+	case "if":
+		n.stmt()
+		n.edges += 2
+	case "goto":
+		n.edges++
+	}
 }
 
-func isKeyword(s string) bool { return keywords[strings.ToLower(s)] }
+// unexpected reports the character at src[i], decoded as UTF-8: a byte
+// that starts no valid encoding is quoted as itself.
+func unexpected(src string, i, line, lineStart int) error {
+	_, size := utf8.DecodeRuneInString(src[i:])
+	return fmt.Errorf("%d:%d: unexpected character %s", line, i-lineStart+1, strconv.Quote(src[i:i+size]))
+}
+
+// maxKeywordLen is the length of the longest keyword, "continue".
+const maxKeywordLen = 8
+
+// isKeyword reports whether the ASCII identifier s is, in any letter case,
+// a keyword of the .fg syntax or the typed dialect: such words may not name
+// blocks or variables. It lowers s into a stack buffer instead of
+// allocating.
+func isKeyword(s string) bool {
+	if len(s) < 2 || len(s) > maxKeywordLen {
+		return false
+	}
+	var lower [maxKeywordLen]byte
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lower[i] = c
+	}
+	switch string(lower[:len(s)]) {
+	case "graph", "entry", "exit", "block", "out", "skip", "goto",
+		"if", "then", "else", "prog", "while", "do", "break", "continue",
+		// typed dialect
+		"fn", "let", "return", "true", "false", "int", "bool":
+		return true
+	}
+	return false
+}
 
 // IsGraphName reports whether the parser accepts name after "graph": one
-// identifier token (a letter or '_', then letters, digits and '_') that is
-// not a keyword. The printer writes a graph's name verbatim, so only such
-// names print back into a program that parses.
+// identifier token (an ASCII letter or '_', then ASCII letters, digits and
+// '_') that is not a keyword. The printer writes a graph's name verbatim,
+// so only such names print back into a program that parses.
 func IsGraphName(name string) bool {
-	if name == "" || !isIdentStart(name[0]) || isKeyword(name) {
+	if name == "" || byteClass[name[0]]&classIdentStart == 0 {
 		return false
 	}
 	for i := 1; i < len(name); i++ {
-		if !isIdentCont(name[i]) {
+		if byteClass[name[i]]&classIdentCont == 0 {
 			return false
 		}
 	}
-	return true
+	return !isKeyword(name)
 }

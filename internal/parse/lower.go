@@ -451,7 +451,7 @@ func (l *lowerer) lowerOperand(e Expr, fr *loweringFrame) (ir.Operand, error) {
 			if err != nil {
 				return ir.Operand{}, err
 			}
-			v := l.ns.tempFor(t.Key())
+			v := l.ns.tempFor(t)
 			l.emit(ir.NewAssign(v, t))
 			return ir.VarOp(v), nil
 		}
@@ -474,8 +474,7 @@ func (l *lowerer) materializeBool(e *BinExpr, fr *loweringFrame) (ir.Operand, er
 	if err != nil {
 		return ir.Operand{}, err
 	}
-	// The "?" namespace cannot collide with Term.Key spellings.
-	v := l.ns.tempFor("?" + string(e.Op) + "|" + lt.Key() + "|" + rt.Key())
+	v := l.ns.relTempFor(e.Op, lt, rt)
 	l.emit(ir.NewCond(e.Op, lt, rt))
 	condBlk := l.cur
 	tB := l.newBlock()

@@ -1,7 +1,7 @@
 package parse
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"assignmentmotion/internal/ir"
@@ -21,12 +21,11 @@ import (
 // …, as the paper writes them). Operands of out(...) may also be nested
 // and are reduced to variables the same way.
 func ParseNested(src string) (*ir.Graph, error) {
-	toks, err := lexAll(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	prefix := freshPrefix(toks)
-	p := &parser{toks: toks, opts: Options{}, nested: &nestedState{prefix: prefix}}
+	p.nested = &nestedState{prefix: freshPrefix(src, p.toks)}
 	return p.parseGraph()
 }
 
@@ -41,7 +40,7 @@ func MustParseNested(src string) *ir.Graph {
 }
 
 // nestedState carries the decomposition-temporary allocator. Temporaries
-// are memoized by sub-term spelling — the "special naming discipline" of
+// are memoized by sub-term — the "special naming discipline" of
 // Briggs/Cooper that §6 mentions: syntactically identical sub-terms
 // always decompose through the same temporary, so the later phases see
 // them as one assignment pattern (each occurrence still carries its own
@@ -49,50 +48,104 @@ func MustParseNested(src string) *ir.Graph {
 type nestedState struct {
 	prefix string
 	next   int
-	byTerm map[string]ir.Var
+	byTerm map[ir.Term]ir.Var // decomposed terms
+	byRel  map[relKey]ir.Var  // the typed dialect's 0/1 booleans
+	// names holds every temporary's name; each is a substring of it.
+	// Bytes once written never change (growing copies them to a new
+	// buffer), so earlier names stay valid.
+	names strings.Builder
 }
 
-func (ns *nestedState) tempFor(key string) ir.Var {
-	if ns.byTerm == nil {
-		ns.byTerm = map[string]ir.Var{}
-	}
-	if v, ok := ns.byTerm[key]; ok {
+// relKey is what a materialized boolean stands for: "l rel r". It keys a
+// map of its own because it is larger than the 128 bytes a map stores in
+// place, so each entry costs an allocation: booleans are few, decomposed
+// terms (80 bytes, stored in place) are not.
+type relKey struct {
+	rel  ir.Op
+	l, r ir.Term
+}
+
+// tempFor returns the temporary that decomposes t.
+func (ns *nestedState) tempFor(t ir.Term) ir.Var {
+	if v, ok := ns.byTerm[t]; ok {
 		return v
 	}
-	ns.next++
-	v := ir.Var(fmt.Sprintf("%s%d", ns.prefix, ns.next))
-	ns.byTerm[key] = v
+	if ns.byTerm == nil {
+		ns.byTerm = map[ir.Term]ir.Var{}
+	}
+	v := ns.fresh()
+	ns.byTerm[t] = v
 	return v
+}
+
+// relTempFor returns the 0/1 variable that materializes "l rel r".
+func (ns *nestedState) relTempFor(rel ir.Op, l, r ir.Term) ir.Var {
+	k := relKey{rel, l, r}
+	if v, ok := ns.byRel[k]; ok {
+		return v
+	}
+	if ns.byRel == nil {
+		ns.byRel = map[relKey]ir.Var{}
+	}
+	v := ns.fresh()
+	ns.byRel[k] = v
+	return v
+}
+
+// fresh returns the next temporary name: the prefix and a counter.
+func (ns *nestedState) fresh() ir.Var {
+	ns.next++
+	lo := ns.names.Len()
+	ns.names.WriteString(ns.prefix)
+	var digits [20]byte
+	ns.names.Write(strconv.AppendInt(digits[:0], int64(ns.next), 10))
+	return ir.Var(ns.names.String()[lo:])
+}
+
+// tempPrefixes are the decomposition prefixes in order of preference.
+var tempPrefixes = [...]string{"t", "u", "w", "tmp", "dtmp"}
+
+// prefixClashes returns the set of tempPrefixes (bit i for prefix i) that
+// identifier id spells with a digit suffix.
+func prefixClashes(id string) (set uint8) {
+	for i, prefix := range tempPrefixes {
+		if strings.HasPrefix(id, prefix) && allDigits(id[len(prefix):]) && len(id) > len(prefix) {
+			set |= 1 << i
+		}
+	}
+	return set
+}
+
+// pickPrefix returns the first prefix not in the clash set.
+func pickPrefix(clashes uint8) string {
+	for i, prefix := range tempPrefixes {
+		if clashes&(1<<i) == 0 {
+			return prefix
+		}
+	}
+	return "dtmp_"
 }
 
 // freshPrefix picks a temp prefix not colliding with program identifiers:
 // the first of t, u, w, tmp whose digit-suffixed forms are unused.
-func freshPrefix(toks []token) string {
-	used := map[string]bool{}
+func freshPrefix(src string, toks []token) string {
+	var clashes uint8
 	for _, t := range toks {
 		if t.kind == tokIdent {
-			used[t.text] = true
+			clashes |= prefixClashes(src[t.off:t.end])
 		}
 	}
-	return freshPrefixFrom(used)
+	return pickPrefix(clashes)
 }
 
 // freshPrefixFrom is freshPrefix over a pre-collected identifier set; the
 // typed dialect's lowering works from the syntax tree, not the tokens.
 func freshPrefixFrom(used map[string]bool) string {
-	for _, prefix := range []string{"t", "u", "w", "tmp", "dtmp"} {
-		ok := true
-		for id := range used {
-			if strings.HasPrefix(id, prefix) && allDigits(id[len(prefix):]) && len(id) > len(prefix) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return prefix
-		}
+	var clashes uint8
+	for id := range used {
+		clashes |= prefixClashes(id)
 	}
-	return "dtmp_"
+	return pickPrefix(clashes)
 }
 
 func allDigits(s string) bool {
@@ -104,22 +157,36 @@ func allDigits(s string) bool {
 	return true
 }
 
-// expr is a parse-time expression tree.
+// expr is a parse-time expression node in p.exprs: a leaf operand (op
+// empty) or op applied to the nodes at indices l and r.
 type expr struct {
-	leaf ir.Operand // valid when l == nil
+	leaf ir.Operand
 	op   ir.Op
-	l, r *expr
+	l, r int32
 }
 
-// parseExpr parses a full-precedence expression (nested mode only).
-func (p *parser) parseExpr() (*expr, error) {
+// node appends x to p.exprs and returns its index.
+func (p *parser) node(x expr) int32 {
+	p.exprs = append(p.exprs, x)
+	return int32(len(p.exprs) - 1)
+}
+
+// parseExpr parses a full-precedence expression (nested mode only) into
+// p.exprs, which it first empties: an expression is lowered before the
+// next one is parsed.
+func (p *parser) parseExpr() (int32, error) {
+	p.exprs = p.exprs[:0]
+	return p.parseSum()
+}
+
+func (p *parser) parseSum() (int32, error) {
 	e, err := p.parseMul()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for {
 		t := p.cur()
-		if t.kind == tokOp && (t.text == "+" || t.text == "-") {
+		if op := ir.Op(p.text(t)); t.kind == tokOp && (op == ir.OpAdd || op == ir.OpSub) {
 			// A "-" directly followed by an integer could be either a
 			// binary minus or the start of something else; in expression
 			// position it is always binary here because unary minus is
@@ -127,76 +194,74 @@ func (p *parser) parseExpr() (*expr, error) {
 			p.advance()
 			r, err := p.parseMul()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			e = &expr{op: ir.Op(t.text), l: e, r: r}
+			e = p.node(expr{op: op, l: e, r: r})
 			continue
 		}
 		return e, nil
 	}
 }
 
-func (p *parser) parseMul() (*expr, error) {
+func (p *parser) parseMul() (int32, error) {
 	e, err := p.parseAtom()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for {
 		t := p.cur()
-		if t.kind == tokOp && (t.text == "*" || t.text == "/" || t.text == "%") {
+		if op := ir.Op(p.text(t)); t.kind == tokOp && (op == ir.OpMul || op == ir.OpDiv || op == ir.OpRem) {
 			p.advance()
 			r, err := p.parseAtom()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			e = &expr{op: ir.Op(t.text), l: e, r: r}
+			e = p.node(expr{op: op, l: e, r: r})
 			continue
 		}
 		return e, nil
 	}
 }
 
-func (p *parser) parseAtom() (*expr, error) {
-	t := p.cur()
-	switch {
-	case t.kind == tokLParen:
+func (p *parser) parseAtom() (int32, error) {
+	if p.cur().kind == tokLParen {
 		p.advance()
-		e, err := p.parseExpr()
+		e, err := p.parseSum()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if _, err := p.expect(tokRParen, ")"); err != nil {
-			return nil, err
+			return 0, err
 		}
 		return e, nil
-	default:
-		o, err := p.parseOperand()
-		if err != nil {
-			return nil, err
-		}
-		return &expr{leaf: o}, nil
 	}
+	o, err := p.parseOperand()
+	if err != nil {
+		return 0, err
+	}
+	return p.node(expr{leaf: o}), nil
 }
 
-// lowerToTerm reduces e to a 3-address term (at most one operator),
-// appending decomposition assignments to d.
-func (p *parser) lowerToTerm(d *blockDecl, e *expr) ir.Term {
-	if e.l == nil {
-		return ir.OperandTerm(e.leaf)
+// lowerToTerm reduces node e to a 3-address term (at most one operator),
+// appending decomposition assignments to p.instrs.
+func (p *parser) lowerToTerm(e int32) ir.Term {
+	x := p.exprs[e]
+	if x.op == "" {
+		return ir.OperandTerm(x.leaf)
 	}
-	lo := p.lowerToOperand(d, e.l)
-	ro := p.lowerToOperand(d, e.r)
-	return ir.BinTerm(e.op, lo, ro)
+	lo := p.lowerToOperand(x.l)
+	ro := p.lowerToOperand(x.r)
+	return ir.BinTerm(x.op, lo, ro)
 }
 
-// lowerToOperand reduces e to a single operand, introducing a fresh
+// lowerToOperand reduces node e to a single operand, introducing a fresh
 // decomposition temporary when e is compound.
-func (p *parser) lowerToOperand(d *blockDecl, e *expr) ir.Operand {
-	if e.l == nil {
-		return e.leaf
+func (p *parser) lowerToOperand(e int32) ir.Operand {
+	if x := p.exprs[e]; x.op == "" {
+		return x.leaf
 	}
-	t := p.lowerToTerm(d, e)
-	v := p.nested.tempFor(t.Key())
-	d.instrs = append(d.instrs, ir.NewAssign(v, t))
+	t := p.lowerToTerm(e)
+	v := p.nested.tempFor(t)
+	p.instrs = append(p.instrs, ir.NewAssign(v, t))
 	return ir.VarOp(v)
 }

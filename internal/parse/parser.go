@@ -27,16 +27,12 @@ func Parse(src string) (*ir.Graph, error) {
 
 // ParseWith parses a single graph from src with explicit options.
 func ParseWith(src string, opts Options) (*ir.Graph, error) {
-	toks, err := lexAll(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, opts: opts}
-	g, err := p.parseGraph()
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	p.opts = opts
+	return p.parseGraph()
 }
 
 // ParseFile parses the graph in the named file.
@@ -108,17 +104,48 @@ func errorPosition(err error) (line, col int, ok bool) {
 	return line, col, true
 }
 
+// parser reads the token stream of one source. The .fg parser appends
+// every block's instructions to one slab and every out(...) operand to
+// another, both sized from the lexer's tally, and assembles the graph with
+// ir.Assemble; the typed parser reads tokens the same way.
 type parser struct {
+	src  string
 	toks []token
+	n    tally
 	pos  int
 	opts Options
 	// nested, when non-nil, enables the full-precedence expression
 	// grammar with canonical 3-address decomposition (see ParseNested).
 	nested *nestedState
+	exprs  []expr // nested mode: the expression being parsed
+
+	decls  []blockDecl
+	ids    map[string]ir.NodeID // block name -> index into decls
+	instrs []ir.Instr           // every block's instructions, in order
+	args   []ir.Operand         // every out(...) operand, in order
+}
+
+func newParser(src string) (*parser, error) {
+	toks, n, err := lexAll(src)
+	if err != nil {
+		return nil, err
+	}
+	return &parser{src: src, toks: toks, n: n}, nil
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
 func (p *parser) advance()   { p.pos++ }
+
+// text returns the source text of t.
+func (p *parser) text(t token) string { return p.src[t.off:t.end] }
+
+// spell returns t as an error message names it.
+func (p *parser) spell(t token) string {
+	if t.kind == tokEOF {
+		return "end of input"
+	}
+	return strconv.Quote(p.text(t))
+}
 
 func (p *parser) errorf(t token, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", t.line, t.col, fmt.Sprintf(format, args...))
@@ -127,7 +154,7 @@ func (p *parser) errorf(t token, format string, args ...any) error {
 func (p *parser) expect(k tokKind, what string) (token, error) {
 	t := p.cur()
 	if t.kind != k {
-		return t, p.errorf(t, "expected %s, found %s", what, t)
+		return t, p.errorf(t, "expected %s, found %s", what, p.spell(t))
 	}
 	p.advance()
 	return t, nil
@@ -135,8 +162,8 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 
 func (p *parser) expectKeyword(kw string) error {
 	t := p.cur()
-	if t.kind != tokIdent || t.text != kw {
-		return p.errorf(t, "expected %q, found %s", kw, t)
+	if t.kind != tokIdent || p.text(t) != kw {
+		return p.errorf(t, "expected %q, found %s", kw, p.spell(t))
 	}
 	p.advance()
 	return nil
@@ -147,23 +174,24 @@ func (p *parser) ident(what string) (token, error) {
 	if err != nil {
 		return t, err
 	}
-	if isKeyword(t.text) {
-		return t, p.errorf(t, "keyword %q cannot be used as %s", t.text, what)
+	if isKeyword(p.text(t)) {
+		return t, p.errorf(t, "keyword %q cannot be used as %s", p.text(t), what)
 	}
 	return t, nil
 }
 
-// blockDecl is the parse-time form of a block before edge resolution.
+// blockDecl is the parse-time form of a block: its name token, its
+// instructions p.instrs[lo:hi], and its terminator — the "goto" or "if"
+// token and the target names, still unresolved. Token fields the block
+// does not have stay zero (kind tokEOF).
 type blockDecl struct {
-	name   string
-	tok    token
-	instrs []ir.Instr
-	// terminator
-	gotoTarget string // "goto" target, or ""
-	condThen   string // "if" targets, or ""
-	condElse   string
-	termTok    token
+	name      token
+	lo, hi    int
+	term      token
+	then, els token // a goto's target is then
 }
+
+func (d *blockDecl) terminated() bool { return d.then.kind == tokIdent }
 
 func (p *parser) parseGraph() (*ir.Graph, error) {
 	if err := p.expectKeyword("graph"); err != nil {
@@ -177,49 +205,54 @@ func (p *parser) parseGraph() (*ir.Graph, error) {
 		return nil, err
 	}
 
-	var entry, exit string
-	var entryTok, exitTok token
-	var decls []*blockDecl
-	byName := map[string]*blockDecl{}
-
+	nInstrs := p.n.instrs
+	if p.nested != nil {
+		nInstrs += p.n.ops
+	}
+	p.decls = make([]blockDecl, 0, p.n.blocks)
+	p.ids = make(map[string]ir.NodeID, p.n.blocks)
+	p.instrs = make([]ir.Instr, 0, nInstrs)
+	p.args = make([]ir.Operand, 0, p.n.args)
+	var entryTok, exitTok token // kind tokIdent once declared
 	for p.cur().kind != tokRBrace {
 		t := p.cur()
 		if t.kind != tokIdent {
-			return nil, p.errorf(t, "expected declaration, found %s", t)
+			return nil, p.errorf(t, "expected declaration, found %s", p.spell(t))
 		}
-		switch t.text {
+		switch p.text(t) {
 		case "entry":
 			p.advance()
 			id, err := p.ident("entry block name")
 			if err != nil {
 				return nil, err
 			}
-			if entry != "" {
+			if entryTok.kind == tokIdent {
 				return nil, p.errorf(id, "duplicate entry declaration")
 			}
-			entry, entryTok = id.text, id
+			entryTok = id
 		case "exit":
 			p.advance()
 			id, err := p.ident("exit block name")
 			if err != nil {
 				return nil, err
 			}
-			if exit != "" {
+			if exitTok.kind == tokIdent {
 				return nil, p.errorf(id, "duplicate exit declaration")
 			}
-			exit, exitTok = id.text, id
+			exitTok = id
 		case "block":
 			d, err := p.parseBlock()
 			if err != nil {
 				return nil, err
 			}
-			if byName[d.name] != nil {
-				return nil, p.errorf(d.tok, "duplicate block %q", d.name)
+			name := p.text(d.name)
+			if _, dup := p.ids[name]; dup {
+				return nil, p.errorf(d.name, "duplicate block %q", name)
 			}
-			byName[d.name] = d
-			decls = append(decls, d)
+			p.ids[name] = ir.NodeID(len(p.decls))
+			p.decls = append(p.decls, d)
 		default:
-			return nil, p.errorf(t, "expected entry, exit, or block, found %q", t.text)
+			return nil, p.errorf(t, "expected entry, exit, or block, found %q", p.text(t))
 		}
 	}
 	p.advance() // }
@@ -227,68 +260,54 @@ func (p *parser) parseGraph() (*ir.Graph, error) {
 		return nil, err
 	}
 
-	if entry == "" {
-		return nil, p.errorf(nameTok, "graph %q has no entry declaration", nameTok.text)
+	if entryTok.kind != tokIdent {
+		return nil, p.errorf(nameTok, "graph %q has no entry declaration", p.text(nameTok))
 	}
-	if exit == "" {
-		return nil, p.errorf(nameTok, "graph %q has no exit declaration", nameTok.text)
+	if exitTok.kind != tokIdent {
+		return nil, p.errorf(nameTok, "graph %q has no exit declaration", p.text(nameTok))
 	}
-	if byName[entry] == nil {
-		return nil, p.errorf(entryTok, "entry block %q not declared", entry)
+	entry, ok := p.ids[p.text(entryTok)]
+	if !ok {
+		return nil, p.errorf(entryTok, "entry block %q not declared", p.text(entryTok))
 	}
-	if byName[exit] == nil {
-		return nil, p.errorf(exitTok, "exit block %q not declared", exit)
+	exit, ok := p.ids[p.text(exitTok)]
+	if !ok {
+		return nil, p.errorf(exitTok, "exit block %q not declared", p.text(exitTok))
 	}
 
 	// Terminator discipline: the exit block flows nowhere; everything else
 	// must say where it goes.
-	for _, d := range decls {
-		isExit := d.name == exit
-		hasTerm := d.gotoTarget != "" || d.condThen != ""
-		if isExit && hasTerm {
-			return nil, p.errorf(d.termTok, "exit block %q must not have a terminator", d.name)
+	for i := range p.decls {
+		d := &p.decls[i]
+		isExit := ir.NodeID(i) == exit
+		if isExit && d.terminated() {
+			return nil, p.errorf(d.term, "exit block %q must not have a terminator", p.text(d.name))
 		}
-		if !isExit && !hasTerm {
-			return nil, p.errorf(d.tok, "block %q has no goto or if terminator", d.name)
+		if !isExit && !d.terminated() {
+			return nil, p.errorf(d.name, "block %q has no goto or if terminator", p.text(d.name))
 		}
 	}
 
-	g := ir.NewGraph(nameTok.text)
-	ids := map[string]ir.NodeID{}
-	for _, d := range decls {
-		ids[d.name] = g.AddBlock(d.name).ID
-	}
-	resolve := func(d *blockDecl, target string) (ir.NodeID, error) {
-		id, ok := ids[target]
-		if !ok {
-			return 0, p.errorf(d.termTok, "block %q jumps to undeclared block %q", d.name, target)
-		}
-		return id, nil
-	}
-	for _, d := range decls {
-		blk := g.Block(ids[d.name])
-		blk.Instrs = d.instrs
-		switch {
-		case d.gotoTarget != "":
-			id, err := resolve(d, d.gotoTarget)
-			if err != nil {
-				return nil, err
+	edges := make([]ir.Edge, 0, p.n.edges)
+	for i := range p.decls {
+		d := &p.decls[i]
+		for _, target := range [...]token{d.then, d.els} {
+			if target.kind != tokIdent {
+				continue
 			}
-			g.AddEdge(blk.ID, id)
-		case d.condThen != "":
-			thenID, err := resolve(d, d.condThen)
-			if err != nil {
-				return nil, err
+			to, ok := p.ids[p.text(target)]
+			if !ok {
+				return nil, p.errorf(d.term, "block %q jumps to undeclared block %q", p.text(d.name), p.text(target))
 			}
-			elseID, err := resolve(d, d.condElse)
-			if err != nil {
-				return nil, err
-			}
-			g.AddEdge(blk.ID, thenID)
-			g.AddEdge(blk.ID, elseID)
+			edges = append(edges, ir.Edge{From: ir.NodeID(i), To: to})
 		}
 	}
-	g.Entry, g.Exit = ids[entry], ids[exit]
+	blocks := make([]ir.Block, len(p.decls))
+	for i := range p.decls {
+		d := &p.decls[i]
+		blocks[i].Name, blocks[i].Instrs = p.text(d.name), p.instrs[d.lo:d.hi:d.hi]
+	}
+	g := ir.Assemble(p.text(nameTok), blocks, edges, entry, exit)
 	g.Normalize()
 	if p.opts.AllowTemps {
 		if err := registerTemps(g); err != nil {
@@ -306,7 +325,8 @@ func (p *parser) parseGraph() (*ir.Graph, error) {
 // (post-initialization) programs carry a consistent temp registry.
 func registerTemps(g *ir.Graph) error {
 	for _, b := range g.Blocks {
-		for _, in := range b.Instrs {
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
 			if in.Kind != ir.KindAssign || !ir.IsTempName(in.LHS) || in.RHS.Trivial() {
 				continue
 			}
@@ -320,53 +340,60 @@ func registerTemps(g *ir.Graph) error {
 	return nil
 }
 
-func (p *parser) parseBlock() (*blockDecl, error) {
+// parseBlock parses one block declaration, appending its instructions to
+// p.instrs. A block without instructions gets a skip, as Normalize would
+// give it, so that it too owns a range of the slab.
+func (p *parser) parseBlock() (blockDecl, error) {
 	if err := p.expectKeyword("block"); err != nil {
-		return nil, err
+		return blockDecl{}, err
 	}
 	nameTok, err := p.ident("block name")
 	if err != nil {
-		return nil, err
+		return blockDecl{}, err
 	}
-	d := &blockDecl{name: nameTok.text, tok: nameTok}
+	d := blockDecl{name: nameTok, lo: len(p.instrs)}
 	if _, err := p.expect(tokLBrace, "{"); err != nil {
-		return nil, err
+		return blockDecl{}, err
 	}
 	for p.cur().kind != tokRBrace {
-		if d.gotoTarget != "" || d.condThen != "" {
-			return nil, p.errorf(p.cur(), "statement after terminator in block %q", d.name)
+		if d.terminated() {
+			return blockDecl{}, p.errorf(p.cur(), "statement after terminator in block %q", p.text(d.name))
 		}
-		if err := p.parseStmt(d); err != nil {
-			return nil, err
+		if err := p.parseStmt(&d); err != nil {
+			return blockDecl{}, err
 		}
 	}
 	p.advance() // }
+	if len(p.instrs) == d.lo {
+		p.instrs = append(p.instrs, ir.Skip())
+	}
+	d.hi = len(p.instrs)
 	return d, nil
 }
 
 func (p *parser) parseStmt(d *blockDecl) error {
 	t := p.cur()
 	if t.kind != tokIdent {
-		return p.errorf(t, "expected statement, found %s", t)
+		return p.errorf(t, "expected statement, found %s", p.spell(t))
 	}
-	switch t.text {
+	switch p.text(t) {
 	case "skip":
 		p.advance()
-		d.instrs = append(d.instrs, ir.Skip())
+		p.instrs = append(p.instrs, ir.Skip())
 		return nil
 	case "out":
 		p.advance()
 		if _, err := p.expect(tokLParen, "("); err != nil {
 			return err
 		}
-		var args []ir.Operand
+		lo := len(p.args)
 		if p.cur().kind != tokRParen {
 			for {
-				o, err := p.parseArgOperand(d)
+				o, err := p.parseArgOperand()
 				if err != nil {
 					return err
 				}
-				args = append(args, o)
+				p.args = append(p.args, o)
 				if p.cur().kind != tokComma {
 					break
 				}
@@ -376,21 +403,25 @@ func (p *parser) parseStmt(d *blockDecl) error {
 		if _, err := p.expect(tokRParen, ")"); err != nil {
 			return err
 		}
-		d.instrs = append(d.instrs, ir.NewOut(args...))
+		var args []ir.Operand
+		if hi := len(p.args); hi > lo {
+			args = p.args[lo:hi:hi]
+		}
+		p.instrs = append(p.instrs, ir.NewOut(args...))
 		return nil
 	case "goto":
-		d.termTok = t
+		d.term = t
 		p.advance()
 		id, err := p.ident("goto target")
 		if err != nil {
 			return err
 		}
-		d.gotoTarget = id.text
+		d.then = id
 		return nil
 	case "if":
-		d.termTok = t
+		d.term = t
 		p.advance()
-		l, err := p.parseStmtTerm(d)
+		l, err := p.parseStmtTerm()
 		if err != nil {
 			return err
 		}
@@ -398,11 +429,11 @@ func (p *parser) parseStmt(d *blockDecl) error {
 		if err != nil {
 			return err
 		}
-		op := ir.Op(opTok.text)
+		op := ir.Op(p.text(opTok))
 		if !op.IsRel() {
-			return p.errorf(opTok, "%q is not a relational operator", opTok.text)
+			return p.errorf(opTok, "%q is not a relational operator", op)
 		}
-		r, err := p.parseStmtTerm(d)
+		r, err := p.parseStmtTerm()
 		if err != nil {
 			return err
 		}
@@ -420,8 +451,8 @@ func (p *parser) parseStmt(d *blockDecl) error {
 		if err != nil {
 			return err
 		}
-		d.condThen, d.condElse = thenTok.text, elseTok.text
-		d.instrs = append(d.instrs, ir.NewCond(op, l, r))
+		d.then, d.els = thenTok, elseTok
+		p.instrs = append(p.instrs, ir.NewCond(op, l, r))
 		return nil
 	default:
 		// assignment: IDENT := term
@@ -432,19 +463,19 @@ func (p *parser) parseStmt(d *blockDecl) error {
 		if _, err := p.expect(tokAssign, ":="); err != nil {
 			return err
 		}
-		rhs, err := p.parseStmtTerm(d)
+		rhs, err := p.parseStmtTerm()
 		if err != nil {
 			return err
 		}
-		d.instrs = append(d.instrs, ir.NewAssign(v, rhs))
+		p.instrs = append(p.instrs, ir.NewAssign(v, rhs))
 		return nil
 	}
 }
 
 // parseStmtTerm parses a right-hand side or condition side: a plain
 // 3-address term, or — in nested mode — a full expression that is lowered
-// to a term with decomposition assignments appended to d.
-func (p *parser) parseStmtTerm(d *blockDecl) (ir.Term, error) {
+// to a term, its decomposition assignments appended to p.instrs.
+func (p *parser) parseStmtTerm() (ir.Term, error) {
 	if p.nested == nil {
 		return p.parseTerm()
 	}
@@ -452,12 +483,12 @@ func (p *parser) parseStmtTerm(d *blockDecl) (ir.Term, error) {
 	if err != nil {
 		return ir.Term{}, err
 	}
-	return p.lowerToTerm(d, e), nil
+	return p.lowerToTerm(e), nil
 }
 
 // parseArgOperand parses an out(...) argument: a plain operand, or — in
 // nested mode — an expression reduced to an operand.
-func (p *parser) parseArgOperand(d *blockDecl) (ir.Operand, error) {
+func (p *parser) parseArgOperand() (ir.Operand, error) {
 	if p.nested == nil {
 		return p.parseOperand()
 	}
@@ -465,7 +496,7 @@ func (p *parser) parseArgOperand(d *blockDecl) (ir.Operand, error) {
 	if err != nil {
 		return ir.Operand{}, err
 	}
-	return p.lowerToOperand(d, e), nil
+	return p.lowerToOperand(e), nil
 }
 
 // variable parses a variable name, enforcing the reserved temp spelling.
@@ -474,9 +505,9 @@ func (p *parser) variable(what string) (ir.Var, error) {
 	if err != nil {
 		return "", err
 	}
-	v := ir.Var(t.text)
+	v := ir.Var(p.text(t))
 	if ir.IsTempName(v) && !p.opts.AllowTemps {
-		return "", p.errorf(t, "variable %q uses the reserved temporary spelling h<digits>", t.text)
+		return "", p.errorf(t, "variable %q uses the reserved temporary spelling h<digits>", v)
 	}
 	return v, nil
 }
@@ -487,13 +518,13 @@ func (p *parser) parseTerm() (ir.Term, error) {
 		return ir.Term{}, err
 	}
 	t := p.cur()
-	if t.kind == tokOp && ir.Op(t.text).IsArith() {
+	if op := ir.Op(p.text(t)); t.kind == tokOp && op.IsArith() {
 		p.advance()
 		b, err := p.parseOperand()
 		if err != nil {
 			return ir.Term{}, err
 		}
-		return ir.BinTerm(ir.Op(t.text), a, b), nil
+		return ir.BinTerm(op, a, b), nil
 	}
 	return ir.OperandTerm(a), nil
 }
@@ -503,20 +534,20 @@ func (p *parser) parseOperand() (ir.Operand, error) {
 	switch {
 	case t.kind == tokInt:
 		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		n, err := strconv.ParseInt(p.text(t), 10, 64)
 		if err != nil {
-			return ir.Operand{}, p.errorf(t, "integer %q out of range", t.text)
+			return ir.Operand{}, p.errorf(t, "integer %q out of range", p.text(t))
 		}
 		return ir.ConstOp(n), nil
-	case t.kind == tokOp && t.text == "-":
+	case t.kind == tokOp && p.text(t) == "-":
 		p.advance()
 		it, err := p.expect(tokInt, "integer after unary -")
 		if err != nil {
 			return ir.Operand{}, err
 		}
-		n, err := strconv.ParseInt("-"+it.text, 10, 64)
+		n, err := strconv.ParseInt("-"+p.text(it), 10, 64)
 		if err != nil {
-			return ir.Operand{}, p.errorf(it, "integer -%q out of range", it.text)
+			return ir.Operand{}, p.errorf(it, "integer -%q out of range", p.text(it))
 		}
 		return ir.ConstOp(n), nil
 	case t.kind == tokIdent:
@@ -526,5 +557,5 @@ func (p *parser) parseOperand() (ir.Operand, error) {
 		}
 		return ir.VarOp(v), nil
 	}
-	return ir.Operand{}, p.errorf(t, "expected operand, found %s", t)
+	return ir.Operand{}, p.errorf(t, "expected operand, found %s", p.spell(t))
 }

@@ -36,24 +36,23 @@ import (
 // checking is internal/typeinference's job, and lowering to an ir.Graph is
 // Unit.Lower's. ParseFun runs all three.
 func ParseUnit(src string) (*Unit, error) {
-	toks, err := lexAll(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &typedParser{parser: parser{toks: toks}}
-	return p.parseUnit()
+	return (&typedParser{p}).parseUnit()
 }
 
 type typedParser struct {
-	parser
+	*parser
 }
 
-func pos(t token) Pos { return Pos{Line: t.line, Col: t.col} }
+func pos(t token) Pos { return Pos{Line: int(t.line), Col: int(t.col)} }
 
 // at reports whether the current token is the given keyword.
 func (p *typedParser) at(kw string) bool {
 	t := p.cur()
-	return t.kind == tokIdent && t.text == kw
+	return t.kind == tokIdent && p.text(t) == kw
 }
 
 func (p *typedParser) parseUnit() (*Unit, error) {
@@ -85,7 +84,7 @@ func (p *typedParser) parseUnit() (*Unit, error) {
 	if _, err := p.expect(tokEOF, "end of input"); err != nil {
 		return nil, err
 	}
-	u.Prog = &ProgDecl{Pos: pos(nameTok), Name: nameTok.text, Body: body}
+	u.Prog = &ProgDecl{Pos: pos(nameTok), Name: p.text(nameTok), Body: body}
 	return u, nil
 }
 
@@ -95,7 +94,7 @@ func (p *typedParser) parseFn() (*FuncDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	fd := &FuncDecl{Pos: pos(nameTok), Name: nameTok.text}
+	fd := &FuncDecl{Pos: pos(nameTok), Name: p.text(nameTok)}
 	if _, err := p.expect(tokLParen, "("); err != nil {
 		return nil, err
 	}
@@ -112,7 +111,7 @@ func (p *typedParser) parseFn() (*FuncDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			fd.Params = append(fd.Params, Param{Pos: pos(pn), Name: pn.text, Typ: pt})
+			fd.Params = append(fd.Params, Param{Pos: pos(pn), Name: p.text(pn), Typ: pt})
 			if p.cur().kind != tokComma {
 				break
 			}
@@ -147,11 +146,11 @@ func (p *typedParser) parseFn() (*FuncDecl, error) {
 // typeName parses "int" or "bool".
 func (p *typedParser) typeName() (string, error) {
 	t := p.cur()
-	if t.kind == tokIdent && (t.text == TypeInt || t.text == TypeBool) {
+	if t.kind == tokIdent && (p.text(t) == TypeInt || p.text(t) == TypeBool) {
 		p.advance()
-		return t.text, nil
+		return p.text(t), nil
 	}
-	return "", p.errorf(t, "expected type (int or bool), found %s", t)
+	return "", p.errorf(t, "expected type (int or bool), found %s", p.spell(t))
 }
 
 // stmts parses statements until the closing brace (not consumed).
@@ -176,9 +175,9 @@ func (p *typedParser) stmts() ([]Stmt, error) {
 func (p *typedParser) stmt() (Stmt, error) {
 	t := p.cur()
 	if t.kind != tokIdent {
-		return nil, p.errorf(t, "expected statement, found %s", t)
+		return nil, p.errorf(t, "expected statement, found %s", p.spell(t))
 	}
-	switch t.text {
+	switch p.text(t) {
 	case "let":
 		p.advance()
 		nameTok, err := p.ident("variable name")
@@ -200,7 +199,7 @@ func (p *typedParser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LetStmt{Pos: pos(nameTok), Name: nameTok.text, Typ: typ, Init: init}, nil
+		return &LetStmt{Pos: pos(nameTok), Name: p.text(nameTok), Typ: typ, Init: init}, nil
 	case "skip":
 		p.advance()
 		return &SkipStmt{Pos: pos(t)}, nil
@@ -279,7 +278,7 @@ func (p *typedParser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Pos: pos(nameTok), Name: nameTok.text, Value: e}, nil
+		return &AssignStmt{Pos: pos(nameTok), Name: p.text(nameTok), Value: e}, nil
 	}
 }
 
@@ -336,13 +335,13 @@ func (p *typedParser) parseTypedExpr() (Expr, error) {
 		return nil, err
 	}
 	t := p.cur()
-	if t.kind == tokOp && ir.Op(t.text).IsRel() {
+	if t.kind == tokOp && ir.Op(p.text(t)).IsRel() {
 		p.advance()
 		r, err := p.parseSum()
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Pos: pos(t), Op: ir.Op(t.text), L: l, R: r}, nil
+		return &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: l, R: r}, nil
 	}
 	return l, nil
 }
@@ -354,7 +353,7 @@ func (p *typedParser) parseSum() (Expr, error) {
 	}
 	for {
 		t := p.cur()
-		if t.kind != tokOp || (t.text != "+" && t.text != "-") {
+		if t.kind != tokOp || (p.text(t) != "+" && p.text(t) != "-") {
 			return e, nil
 		}
 		p.advance()
@@ -362,7 +361,7 @@ func (p *typedParser) parseSum() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e = &BinExpr{Pos: pos(t), Op: ir.Op(t.text), L: e, R: r}
+		e = &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: e, R: r}
 	}
 }
 
@@ -373,7 +372,7 @@ func (p *typedParser) parseTypedMul() (Expr, error) {
 	}
 	for {
 		t := p.cur()
-		if t.kind != tokOp || (t.text != "*" && t.text != "/" && t.text != "%") {
+		if t.kind != tokOp || (p.text(t) != "*" && p.text(t) != "/" && p.text(t) != "%") {
 			return e, nil
 		}
 		p.advance()
@@ -381,21 +380,21 @@ func (p *typedParser) parseTypedMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e = &BinExpr{Pos: pos(t), Op: ir.Op(t.text), L: e, R: r}
+		e = &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: e, R: r}
 	}
 }
 
 func (p *typedParser) parseUnary() (Expr, error) {
 	t := p.cur()
-	if t.kind == tokOp && t.text == "-" {
+	if t.kind == tokOp && p.text(t) == "-" {
 		p.advance()
 		if it := p.cur(); it.kind == tokInt {
 			// The sign belongs to the literal, as in the flat dialects:
 			// the int64 minimum has no positive magnitude to negate.
 			p.advance()
-			n, err := strconv.ParseInt("-"+it.text, 10, 64)
+			n, err := strconv.ParseInt("-"+p.text(it), 10, 64)
 			if err != nil {
-				return nil, p.errorf(it, "integer -%q out of range", it.text)
+				return nil, p.errorf(it, "integer -%q out of range", p.text(it))
 			}
 			return &IntLit{Pos: pos(t), Value: n}, nil
 		}
@@ -417,9 +416,9 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 	switch {
 	case t.kind == tokInt:
 		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		n, err := strconv.ParseInt(p.text(t), 10, 64)
 		if err != nil {
-			return nil, p.errorf(t, "integer %q out of range", t.text)
+			return nil, p.errorf(t, "integer %q out of range", p.text(t))
 		}
 		return &IntLit{Pos: pos(t), Value: n}, nil
 	case t.kind == tokLParen:
@@ -434,17 +433,17 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 		return e, nil
 	case p.at("true") || p.at("false"):
 		p.advance()
-		return &BoolLit{Pos: pos(t), Value: t.text == "true"}, nil
+		return &BoolLit{Pos: pos(t), Value: p.text(t) == "true"}, nil
 	case t.kind == tokIdent:
 		nameTok, err := p.ident("expression")
 		if err != nil {
 			return nil, err
 		}
 		if p.cur().kind != tokLParen {
-			return &VarRef{Pos: pos(nameTok), Name: nameTok.text}, nil
+			return &VarRef{Pos: pos(nameTok), Name: p.text(nameTok)}, nil
 		}
 		p.advance() // (
-		call := &CallExpr{Pos: pos(nameTok), Name: nameTok.text}
+		call := &CallExpr{Pos: pos(nameTok), Name: p.text(nameTok)}
 		if p.cur().kind != tokRParen {
 			for {
 				a, err := p.parseTypedExpr()
@@ -463,5 +462,5 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 		}
 		return call, nil
 	}
-	return nil, p.errorf(t, "expected expression, found %s", t)
+	return nil, p.errorf(t, "expected expression, found %s", p.spell(t))
 }
