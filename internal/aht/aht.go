@@ -68,16 +68,19 @@ type Info struct {
 
 	// occRank[patternID] ranks patterns by first occurrence in the
 	// analyzed program (-1 when absent). Insertion points place their
-	// patterns in this order: a session reuses pattern IDs across rounds,
-	// so raw ID order would depend on interning history, while
-	// first-occurrence order is a property of the program alone — it keeps
-	// the fixpoint canonical and byte-identical to an implementation that
-	// renumbered the universe every round.
+	// patterns in this order: pattern IDs follow first occurrence in the
+	// program as it was encoded, and the rounds run on one encoding
+	// reorder first occurrences, so raw ID order would depend on the
+	// rounds before, while first-occurrence order is a property of the
+	// current program alone — it keeps the fixpoint canonical and
+	// byte-identical to an implementation that renumbered the universe
+	// every round.
 	occRank []int
 }
 
-// Analyze computes the hoistability analysis and insertion points for g,
-// drawing its universe, iteration order, and vector storage from s. The
+// Analyze computes the hoistability analysis and insertion points for g
+// over its universe (analysis.NewCode), with the iteration order and
+// vector storage drawn from s. The
 // returned Info shares the session's arena; it must be consumed before the
 // arena is released.
 func Analyze(g *ir.Graph, s *analysis.Session) *Info {

@@ -73,7 +73,7 @@ func runRestrictedReference(g *ir.Graph, s *analysis.Session) (Stats, error) {
 		st.Eliminated += removed
 		changed := removed > 0
 
-		u, _, _ := s.Universe(g)
+		u, _, _ := analysis.NewUniverse(g)
 		for _, p := range u.Patterns() {
 			if profitableSolo(g, p) {
 				if hoistPattern(g, s, p) {

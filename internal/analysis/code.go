@@ -34,12 +34,13 @@ type Code struct {
 	selfRef     bitvec.Vec
 }
 
-// NewCode encodes g over s's universe of g. The resolved vectors and the
-// block storage are carved from s's arena, so the Code is valid until the
-// caller releases the arena below the point where it was built. Each
-// block gets room to grow; a block that outgrows it moves to the heap.
+// NewCode encodes g over its universe (NewUniverse). The resolved vectors
+// and the block storage are carved from s's arena, so the Code is valid
+// until the caller releases the arena below the point where it was built.
+// Each block gets room to grow; a block that outgrows it moves to the
+// heap.
 func NewCode(g *ir.Graph, s *Session) *Code {
-	u, px, occ := s.Universe(g)
+	u, px, occ := NewUniverse(g)
 	ar := s.Arena()
 	bits := u.Len()
 	c := &Code{

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"slices"
-
 	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/ir"
@@ -199,6 +197,16 @@ func Candidates(ids []int, loc bitvec.Vec, last bool, ar *arena.Arena) bitvec.Ve
 	return at
 }
 
+// NewUniverse builds the assignment-pattern universe of g, its
+// PatternIndex and its occurrence table: pattern IDs follow first
+// occurrence in g's current program. The table is valid until g's next
+// mutation.
+func NewUniverse(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurrences) {
+	u, occ := &ir.PatternSet{}, &Occurrences{}
+	occ.scan(g, u)
+	return u, NewPatternIndex(u), occ
+}
+
 // Occurrences maps every instruction of one version of a graph to the ID
 // of its assignment pattern, or -1 for instructions that are not
 // assignments. The table is laid out in analysis.Prog order — block by
@@ -218,12 +226,10 @@ func (o *Occurrences) Block(i int) []int { return o.ids[o.start[i]:o.start[i+1]]
 func (o *Occurrences) All() []int { return o.ids }
 
 // scan records the pattern ID of every instruction of g, interning
-// patterns missing from u, and reports whether u grew. It reuses o's
-// storage, so a warmed-up session rescans without allocating.
-func (o *Occurrences) scan(g *ir.Graph, u *ir.PatternSet) bool {
-	before := u.Len()
-	o.ids = slices.Grow(o.ids[:0], g.InstrCount())
-	o.start = slices.Grow(o.start[:0], len(g.Blocks)+1)
+// patterns missing from u.
+func (o *Occurrences) scan(g *ir.Graph, u *ir.PatternSet) {
+	o.ids = make([]int, 0, g.InstrCount())
+	o.start = make([]int, 0, len(g.Blocks)+1)
 	for _, b := range g.Blocks {
 		o.start = append(o.start, len(o.ids))
 		for k := range b.Instrs {
@@ -235,5 +241,4 @@ func (o *Occurrences) scan(g *ir.Graph, u *ir.PatternSet) bool {
 		}
 	}
 	o.start = append(o.start, len(o.ids))
-	return u.Len() != before
 }

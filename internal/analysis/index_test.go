@@ -15,7 +15,7 @@ func TestIndexMatchesPredicates(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		g := cfggen.Structured(seed, cfggen.Config{Size: 8})
 		s := NewSession()
-		u, px, occ := s.Universe(g)
+		u, px, occ := NewUniverse(g)
 		code := NewCode(g, s)
 		bits := u.Len()
 

@@ -11,18 +11,15 @@ import (
 )
 
 // Session carries the reusable analysis state of one optimization run over
-// one graph: the solver arena, the assignment-pattern universe with its
-// PatternIndex and per-instruction occurrence table, and the block-level
-// iteration orders. The assignment-motion fixpoint (internal/am) re-runs
-// aht and rae many times over the same graph; without a session every
-// round rebuilt all of this from scratch, which dominated the allocation
-// profile of Optimize (PR-1 baseline: ~3.6M allocs per 100 small graphs).
-//
-// Caches revalidate against the graph's version counters (ir.Graph.Version
-// / StructVersion): the universe is re-scanned — map hits only, IDs stay
-// stable — when the graph mutated, and the iteration orders are recomputed
-// only when the block/edge structure changed, which inside a motion
-// fixpoint is never (edges are split up front).
+// one graph: the solver arena, the solver-work tally, the run's context and
+// budget, and the block-level iteration orders. The assignment-motion
+// fixpoint (internal/am) re-runs aht and rae many times over the same
+// graph; the arena lets every round carve its vectors from storage the
+// previous rounds released, and the iteration orders are recomputed only
+// when the block/edge structure changed (ir.Graph.StructVersion), which
+// inside a motion fixpoint is never (edges are split up front). The
+// assignment-pattern universe is not cached: NewUniverse builds it from
+// the graph each time an analysis encodes it, once per motion phase.
 //
 // Every pass and analysis takes a non-nil session; the pass pipeline
 // supplies one per run. A Session must not be shared between goroutines.
@@ -37,19 +34,13 @@ type Session struct {
 	passStart  time.Time
 	passVisits int
 
-	g        *ir.Graph
-	u        *ir.PatternSet
-	px       *PatternIndex
-	occ      Occurrences
-	uVersion uint64
-	uValid   bool
-
+	// The block view of g (Blocks) at structure version orderStruct.
+	g           *ir.Graph
 	fwdOrder    []int
 	bwdOrder    []int
 	succsInt    [][]int
 	predsInt    [][]int
 	orderStruct uint64
-	orderValid  bool
 }
 
 // NewSession returns a session backed by a pooled arena. Callers must
@@ -146,53 +137,6 @@ func RoundLimit(g *ir.Graph) int {
 	return 4*n*n + 64
 }
 
-// Universe returns the assignment-pattern universe of g, its
-// PatternIndex, and the pattern ID of every instruction of g's current
-// version, cached across calls. On a graph mutation one scan re-syncs the
-// universe in place (stable IDs, see ir.PatternSet.Intern) and refills the
-// occurrence table, so each instruction's pattern is hashed once per graph
-// version however many analyses read it. The assignment motion phase
-// reads it once per phase, to encode the graph (NewCode): its aht/rae
-// rounds run on the encoding without touching g, so the fixpoint causes
-// no rescan, and the encoding's bit widths are this universe's. The
-// index is rebuilt only when a genuinely new pattern appeared — which
-// inside an aht/rae fixpoint never happens, since hoisting re-inserts
-// existing patterns and elimination only removes occurrences; patterns
-// that no longer occur keep their IDs and simply set no bit in any local
-// predicate.
-//
-// The occurrence table is session-owned storage reused across versions
-// (not arena-carved: it must outlive the Mark/Release bracket of the
-// analysis that filled it). It is valid until g's next mutation.
-func (s *Session) Universe(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurrences) {
-	if s.g != g || !s.uValid {
-		s.invalidate(g)
-		s.u = &ir.PatternSet{}
-		s.occ.scan(g, s.u)
-		s.px = NewPatternIndex(s.u)
-		s.uVersion = g.Version()
-		s.uValid = true
-		return s.u, s.px, &s.occ
-	}
-	if v := g.Version(); v != s.uVersion {
-		if s.occ.scan(g, s.u) {
-			s.px = NewPatternIndex(s.u)
-		}
-		s.uVersion = v
-	}
-	return s.u, s.px, &s.occ
-}
-
-// NewUniverse builds the assignment-pattern universe of g, its
-// PatternIndex and occurrence table from scratch, outside any session
-// cache: pattern IDs follow first occurrence in g's current program,
-// with no entries for patterns that no longer occur.
-func NewUniverse(g *ir.Graph) (*ir.PatternSet, *PatternIndex, *Occurrences) {
-	u, occ := &ir.PatternSet{}, &Occurrences{}
-	occ.scan(g, u)
-	return u, NewPatternIndex(u), occ
-}
-
 // BlockView is the cached block-level solver geometry of one graph: int
 // adjacency (so the solver's hot loop does not convert NodeIDs per visit)
 // and the two iteration orders — reverse postorder from the entry along
@@ -209,10 +153,7 @@ type BlockView struct {
 // the graph's block/edge structure changes — which inside a motion
 // fixpoint is never, since critical edges are split up front.
 func (s *Session) Blocks(g *ir.Graph) BlockView {
-	if s.g != g {
-		s.invalidate(g)
-	}
-	if sv := g.StructVersion(); !s.orderValid || sv != s.orderStruct || len(s.succsInt) != len(g.Blocks) {
+	if sv := g.StructVersion(); s.g != g || sv != s.orderStruct || len(s.succsInt) != len(g.Blocks) {
 		n := len(g.Blocks)
 		s.succsInt = make([][]int, n)
 		s.predsInt = make([][]int, n)
@@ -224,8 +165,7 @@ func (s *Session) Blocks(g *ir.Graph) BlockView {
 		preds := func(i int) []int { return s.predsInt[i] }
 		s.fwdOrder = dataflow.FlowOrder(n, []int{int(g.Entry)}, succs)
 		s.bwdOrder = dataflow.FlowOrder(n, []int{int(g.Exit)}, preds)
-		s.orderStruct = sv
-		s.orderValid = true
+		s.g, s.orderStruct = g, sv
 	}
 	return BlockView{
 		Preds:    func(i int) []int { return s.predsInt[i] },
@@ -233,13 +173,6 @@ func (s *Session) Blocks(g *ir.Graph) BlockView {
 		FwdOrder: s.fwdOrder,
 		BwdOrder: s.bwdOrder,
 	}
-}
-
-// invalidate rebinds the session to a new graph, dropping all caches.
-func (s *Session) invalidate(g *ir.Graph) {
-	s.g = g
-	s.uValid = false
-	s.orderValid = false
 }
 
 // nodeInts converts a NodeID adjacency list to int indices without

@@ -3,6 +3,7 @@ package analysis
 import (
 	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
+	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/ir"
 )
 
@@ -68,23 +69,57 @@ func NewTempIndex(g *ir.Graph, ar *arena.Arena) *TempIndex {
 // other means) — in the given vectors, which must be of the index's width.
 // The bits agree with IsInst, UsesTemp and BlocksInit for every temp.
 func (tx *TempIndex) Locals(in *ir.Instr, isInst, used, blocked bitvec.Vec) {
+	tx.used(in, used)
+	if in.Kind != ir.KindAssign {
+		return
+	}
+	tv, ok := tx.vars[in.LHS]
+	if !ok {
+		return
+	}
+	if tv.readers.Len() > 0 {
+		blocked.Or(tv.readers)
+	}
+	if t := tv.temp; t >= 0 {
+		if in.RHS == tx.Exprs[t] {
+			isInst.Set(t)
+		} else {
+			blocked.Set(t)
+		}
+	}
+}
+
+// Liveness solves temporary liveness over prog, the instruction-level view
+// of the index's graph: backward, any path, gen USED, kill any assignment
+// to the temporary, an instance or not. For instruction i, In[i] holds the
+// temporaries live at its exit and Out[i] those live at its entry. The
+// vectors are carved from ar (heap when nil); the solve is tallied in no
+// session.
+func (tx *TempIndex) Liveness(prog *Prog, ar *arena.Arena) dataflow.Result {
+	n, bits := prog.Len(), len(tx.Temps)
+	used, assigned := ar.Vecs(n), ar.Vecs(n)
+	for i := range prog.Ins {
+		in := &prog.Ins[i]
+		used[i], assigned[i] = ar.Vec(bits), ar.Vec(bits)
+		tx.used(in, used[i])
+		if in.Kind == ir.KindAssign {
+			if tv, ok := tx.vars[in.LHS]; ok && tv.temp >= 0 {
+				assigned[i].Set(tv.temp)
+			}
+		}
+	}
+	return dataflow.Solve(dataflow.Problem{
+		N: n, Bits: bits, Dir: dataflow.Backward, Meet: dataflow.Any,
+		Preds: prog.Preds, Succs: prog.Succs,
+		Gen: used, Kill: assigned, Arena: ar,
+	})
+}
+
+// used sets the USED bits of instruction in: the temporaries it reads.
+func (tx *TempIndex) used(in *ir.Instr, used bitvec.Vec) {
 	switch in.Kind {
 	case ir.KindAssign:
 		tx.use(&in.RHS, used)
-		tv, ok := tx.vars[in.LHS]
-		if !ok {
-			return
-		}
-		if tv.readers.Len() > 0 {
-			blocked.Or(tv.readers)
-		}
-		if t := tv.temp; t >= 0 {
-			if in.RHS == tx.Exprs[t] {
-				isInst.Set(t)
-			} else {
-				blocked.Set(t)
-			}
-		}
 	case ir.KindOut:
 		for i := range in.Args {
 			tx.useOperand(in.Args[i], used)

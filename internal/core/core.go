@@ -24,6 +24,7 @@ package core
 import (
 	"assignmentmotion/internal/am"
 	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/flush"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
@@ -134,42 +135,48 @@ func init() {
 // fresh definition h_ε := ε that overwrites the value those propagated uses
 // still need on paths through the site. Such a site is left undecomposed:
 // h_ε is consulted against a temp-only liveness analysis, and a site is
-// split only where h_ε is dead. On a temp-free graph (the first round, and
-// every run of the global algorithm on source programs) no temporary is
-// ever live across its protocol uses, so the guard never fires there.
+// split only where h_ε is dead (analysis.TempIndex.Liveness). On a
+// temp-free graph (the first round, and every run of the global algorithm
+// on source programs) no temporary is ever live across its protocol uses,
+// so the guard never fires there, and neither the index nor the liveness
+// is built.
 func Initialize(g *ir.Graph) int {
-	// Expression patterns that already have a temporary, from earlier rounds.
-	existing := map[ir.Term]ir.Var{}
-	for _, h := range g.Temps() {
-		if e, ok := g.TempExpr(h); ok {
-			existing[e] = h
+	// Expression patterns that already have a temporary, from earlier
+	// rounds, by the temporary's position in tx.
+	var existing map[ir.Term]int
+	var tx *analysis.TempIndex
+	var prog *analysis.Prog
+	var live dataflow.Result
+	if len(g.Temps()) > 0 {
+		tx = analysis.NewTempIndex(g, nil)
+		existing = make(map[ir.Term]int, len(tx.Exprs))
+		for t, e := range tx.Exprs {
+			existing[e] = t
 		}
+		prog = analysis.NewProg(g)
+		live = tx.Liveness(prog, nil)
 	}
-	var liveOut [][]map[ir.Var]bool
-	if len(existing) > 0 {
-		liveOut = tempLiveOut(g)
-	}
-	// clobbers reports whether inserting h := ε after position k of block bi
-	// would overwrite a value of h some reachable use still needs.
-	clobbers := func(bi, k int, e ir.Term) bool {
-		h, ok := existing[e]
-		return ok && liveOut[bi][k][h]
+	// clobbers reports whether inserting h := ε after instruction k of
+	// block b would overwrite a value of h some reachable use still needs.
+	clobbers := func(b *ir.Block, k int, e ir.Term) bool {
+		t, ok := existing[e]
+		return ok && live.In[prog.BlockStart(b.ID)+k].Get(t)
 	}
 	// condClobbers is the guard for a branch site: the definition is
 	// inserted BEFORE the branch, so a read of h by the branch itself (its
 	// other side, after propagation) needs the old value too.
 	var scratch []ir.Var
-	condClobbers := func(bi, k int, in ir.Instr, e ir.Term) bool {
-		h, ok := existing[e]
+	condClobbers := func(b *ir.Block, k int, in ir.Instr, e ir.Term) bool {
+		t, ok := existing[e]
 		if !ok {
 			return false
 		}
-		if liveOut[bi][k][h] {
+		if clobbers(b, k, e) {
 			return true
 		}
 		scratch = in.Uses(scratch[:0])
 		for _, v := range scratch {
-			if v == h {
+			if v == tx.Temps[t] {
 				return true
 			}
 		}
@@ -177,12 +184,12 @@ func Initialize(g *ir.Graph) int {
 	}
 
 	decomposed := 0
-	for bi, b := range g.Blocks {
+	for _, b := range g.Blocks {
 		next := make([]ir.Instr, 0, len(b.Instrs))
 		for k, in := range b.Instrs {
 			switch in.Kind {
 			case ir.KindAssign:
-				if in.RHS.Trivial() || g.IsTemp(in.LHS) || clobbers(bi, k, in.RHS) {
+				if in.RHS.Trivial() || g.IsTemp(in.LHS) || clobbers(b, k, in.RHS) {
 					next = append(next, in)
 					continue
 				}
@@ -191,13 +198,13 @@ func Initialize(g *ir.Graph) int {
 				decomposed++
 			case ir.KindCond:
 				l, r := in.CondL, in.CondR
-				if !l.Trivial() && !condClobbers(bi, k, in, l) {
+				if !l.Trivial() && !condClobbers(b, k, in, l) {
 					h := g.TempFor(l)
 					next = append(next, ir.NewAssign(h, l))
 					l = ir.VarTerm(h)
 					decomposed++
 				}
-				if !r.Trivial() && !condClobbers(bi, k, in, r) {
+				if !r.Trivial() && !condClobbers(b, k, in, r) {
 					h := g.TempFor(r)
 					next = append(next, ir.NewAssign(h, r))
 					r = ir.VarTerm(h)
@@ -212,90 +219,4 @@ func Initialize(g *ir.Graph) int {
 	}
 	g.Normalize()
 	return decomposed
-}
-
-// tempLiveOut computes, for every instruction position, the set of
-// registered temporaries live immediately AFTER the instruction — the
-// values a re-initialization must not overwrite there. A standard backward
-// may-liveness restricted to the temp domain; graphs and temp counts are
-// small, so plain map sets suffice.
-func tempLiveOut(g *ir.Graph) [][]map[ir.Var]bool {
-	nb := len(g.Blocks)
-	use := make([]map[ir.Var]bool, nb)
-	def := make([]map[ir.Var]bool, nb)
-	var scratch []ir.Var
-	for i, b := range g.Blocks {
-		use[i], def[i] = map[ir.Var]bool{}, map[ir.Var]bool{}
-		for _, in := range b.Instrs {
-			scratch = in.Uses(scratch[:0])
-			for _, v := range scratch {
-				if g.IsTemp(v) && !def[i][v] {
-					use[i][v] = true
-				}
-			}
-			if v, ok := in.Defs(); ok && g.IsTemp(v) {
-				def[i][v] = true
-			}
-		}
-	}
-
-	liveIn := make([]map[ir.Var]bool, nb)
-	blockOut := make([]map[ir.Var]bool, nb)
-	for i := range liveIn {
-		liveIn[i] = map[ir.Var]bool{}
-		blockOut[i] = map[ir.Var]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := nb - 1; i >= 0; i-- {
-			out := map[ir.Var]bool{}
-			for _, sid := range g.Blocks[i].Succs {
-				for v := range liveIn[sid] {
-					out[v] = true
-				}
-			}
-			blockOut[i] = out
-			for v := range use[i] {
-				if !liveIn[i][v] {
-					liveIn[i][v] = true
-					changed = true
-				}
-			}
-			for v := range out {
-				if !def[i][v] && !liveIn[i][v] {
-					liveIn[i][v] = true
-					changed = true
-				}
-			}
-		}
-	}
-
-	// Per-instruction live-out by a backward walk from each block's exit.
-	outAt := make([][]map[ir.Var]bool, nb)
-	for i, b := range g.Blocks {
-		n := len(b.Instrs)
-		outAt[i] = make([]map[ir.Var]bool, n)
-		live := map[ir.Var]bool{}
-		for v := range blockOut[i] {
-			live[v] = true
-		}
-		for k := n - 1; k >= 0; k-- {
-			snap := make(map[ir.Var]bool, len(live))
-			for v := range live {
-				snap[v] = true
-			}
-			outAt[i][k] = snap
-			in := b.Instrs[k]
-			if v, ok := in.Defs(); ok {
-				delete(live, v)
-			}
-			scratch = in.Uses(scratch[:0])
-			for _, v := range scratch {
-				if g.IsTemp(v) {
-					live[v] = true
-				}
-			}
-		}
-	}
-	return outAt
 }

@@ -70,7 +70,7 @@ type Stats struct {
 }
 
 // Run applies the EM/CP interleaving to g in place against session s:
-// every EM and CP round shares one arena and one universe cache instead of
+// every EM and CP round shares one arena and the block orders instead of
 // rebuilding them per round. Each round honours the session's budget and
 // cancellation context, so an engine deadline interrupts the interleaving
 // between rounds instead of between graphs. On error the graph is left

@@ -584,7 +584,7 @@ func (e *Engine) compute(ctx context.Context, g *ir.Graph) computation {
 		clone := g.Clone()
 
 		// One analysis session for the whole pipeline: every pass shares
-		// the pooled arena and the universe caches.
+		// the pooled arena and the block orders.
 		s := analysis.NewSession()
 		defer s.Close()
 

@@ -57,7 +57,7 @@ type Stats struct {
 
 // Run applies lazy code motion to g in place against session s, so a
 // caller driving several passes (the pass pipeline, the §6 EM/CP
-// interleaving) shares one arena and one universe cache across all of
+// interleaving) shares one arena and the block orders across all of
 // them. The hoist+eliminate rounds are the AM phase's loop (am.Fixpoint)
 // restricted to the initialization patterns, on one encoding of the
 // graph, with its error contract: on error the graph is the valid,

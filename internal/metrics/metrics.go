@@ -12,6 +12,8 @@ import (
 	"strings"
 
 	"assignmentmotion/internal/analysis"
+	"assignmentmotion/internal/bitvec"
+	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 )
@@ -68,77 +70,41 @@ func Measure(g *ir.Graph) Static {
 // an initialization h := ε to a use of h with no re-initialization in
 // between (the paper's lifetime ranges, §4 footnote 4). Smaller is better;
 // the final flush minimizes this among expression-optimal programs.
+//
+// Two solves cover every temporary at once. An instruction is in h's
+// range when h is defined at its entry — some path from an instance
+// reaches it (forward, any path, gen IS-INST, kill ∅) — and needed at its
+// entry — some path from there reaches a use of h before an instance
+// (backward, any path, gen USED, kill IS-INST). The count includes the use
+// site, not the defining instance itself.
 func TotalLifetime(g *ir.Graph) int {
+	tx := analysis.NewTempIndex(g, nil)
+	bits := len(tx.Temps)
+	if bits == 0 {
+		return 0
+	}
 	prog := analysis.NewProg(g)
+	n := prog.Len()
+	isInst, used, none := make([]bitvec.Vec, n), make([]bitvec.Vec, n), make([]bitvec.Vec, n)
+	empty, scratch := bitvec.New(bits), bitvec.New(bits)
+	for i := range prog.Ins {
+		isInst[i], used[i], none[i] = bitvec.New(bits), bitvec.New(bits), empty
+		tx.Locals(&prog.Ins[i], isInst[i], used[i], scratch) // BLOCKED is not needed
+	}
+	defined := dataflow.Solve(dataflow.Problem{
+		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.Any,
+		Preds: prog.Preds, Succs: prog.Succs, Gen: isInst, Kill: none,
+	})
+	needed := dataflow.Solve(dataflow.Problem{
+		N: n, Bits: bits, Dir: dataflow.Backward, Meet: dataflow.Any,
+		Preds: prog.Preds, Succs: prog.Succs, Gen: used, Kill: isInst,
+	})
 	total := 0
-	for _, h := range g.Temps() {
-		expr, _ := g.TempExpr(h)
-		total += lifetimeOf(prog, h, expr)
+	for i := 0; i < n; i++ {
+		scratch.CopyAnd(defined.In[i], needed.Out[i])
+		total += scratch.PopCount()
 	}
 	return total
-}
-
-// lifetimeOf counts instructions reachable forward from an instance of h
-// before any re-initialization, that can also reach a use of h backward
-// without crossing an instance. The count includes the use site, not the
-// defining instance itself.
-func lifetimeOf(prog *analysis.Prog, h ir.Var, expr ir.Term) int {
-	n := prog.Len()
-	// Forward: "defined" — some path from an instance reaches this point.
-	defined := make([]bool, n)
-	var work []int
-	for i := 0; i < n; i++ {
-		if analysis.IsInst(&prog.Ins[i], h, expr) {
-			for _, s := range prog.Succs(i) {
-				if !defined[s] {
-					defined[s] = true
-					work = append(work, s)
-				}
-			}
-		}
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		if analysis.IsInst(&prog.Ins[i], h, expr) {
-			continue // re-initialization cuts the range
-		}
-		for _, s := range prog.Succs(i) {
-			if !defined[s] {
-				defined[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	// Backward: "needed" — some path reaches a use before an instance.
-	needed := make([]bool, n)
-	work = work[:0]
-	for i := 0; i < n; i++ {
-		if analysis.UsesTemp(&prog.Ins[i], h) {
-			if !needed[i] {
-				needed[i] = true
-				work = append(work, i)
-			}
-		}
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, p := range prog.Preds(i) {
-			if needed[p] || analysis.IsInst(&prog.Ins[p], h, expr) {
-				continue
-			}
-			needed[p] = true
-			work = append(work, p)
-		}
-	}
-	count := 0
-	for i := 0; i < n; i++ {
-		if defined[i] && needed[i] {
-			count++
-		}
-	}
-	return count
 }
 
 // Dynamic aggregates interpreter counts over an ensemble of inputs.

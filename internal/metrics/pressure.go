@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"assignmentmotion/internal/analysis"
-	"assignmentmotion/internal/bitvec"
-	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/ir"
 )
 
@@ -13,51 +11,17 @@ import (
 // Theorem 5.4) is a proxy for. A temporary is live at a point when some
 // path from there reaches a use of it before a re-initialization.
 func MaxTempPressure(g *ir.Graph) int {
-	temps := g.Temps()
-	bits := len(temps)
-	if bits == 0 {
+	tx := analysis.NewTempIndex(g, nil)
+	if len(tx.Temps) == 0 {
 		return 0
 	}
-	index := make(map[ir.Var]int, bits)
-	for i, h := range temps {
-		index[h] = i
-	}
-	prog := analysis.NewProg(g)
-	n := prog.Len()
-
-	use := make([]bitvec.Vec, n)
-	def := make([]bitvec.Vec, n)
-	for i := 0; i < n; i++ {
-		use[i] = bitvec.New(bits)
-		def[i] = bitvec.New(bits)
-		in := &prog.Ins[i]
-		for t, h := range temps {
-			if analysis.UsesTemp(in, h) {
-				use[i].Set(t)
-			}
-		}
-		if v, ok := in.Defs(); ok {
-			if t, isTemp := index[v]; isTemp {
-				def[i].Set(t)
-			}
-		}
-	}
-
-	// Backward: solver "in" is liveness at the instruction exit, "out" at
-	// its entry = use ∨ (in ∧ ¬def), the dense gen/kill form.
-	res := dataflow.Solve(dataflow.Problem{
-		N: n, Bits: bits, Dir: dataflow.Backward, Meet: dataflow.Any,
-		Preds: prog.Preds, Succs: prog.Succs,
-		Gen:  use,
-		Kill: def,
-	})
-
+	live := tx.Liveness(analysis.NewProg(g), nil)
 	max := 0
-	for i := 0; i < n; i++ {
-		if c := res.In[i].PopCount(); c > max {
+	for i := range live.In {
+		if c := live.In[i].PopCount(); c > max {
 			max = c
 		}
-		if c := res.Out[i].PopCount(); c > max {
+		if c := live.Out[i].PopCount(); c > max {
 			max = c
 		}
 	}

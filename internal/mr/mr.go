@@ -38,6 +38,11 @@
 // the randomized property tests of internal/verify caught exactly that
 // miscompilation.
 //
+// Availability, anticipability and the demand are uni-directional gen/kill
+// systems and run on dataflow.Solve. Only the PP system, which reads both
+// its predecessors and its successors, keeps a hand-rolled round-robin
+// iteration (solvePP): the solver is uni-directional.
+//
 // Crucially MR places computations only at block boundaries — it has no
 // synthetic nodes — so a partial redundancy behind a critical edge
 // (Figure 10 of the paper) is beyond its reach, which the tests and the
@@ -45,6 +50,8 @@
 package mr
 
 import (
+	"slices"
+
 	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/bitvec"
 	"assignmentmotion/internal/dataflow"
@@ -76,14 +83,13 @@ type Stats struct {
 type locals struct {
 	antloc []bitvec.Vec // upward-exposed computation
 	comp   []bitvec.Vec // downward-exposed computation
-	transp []bitvec.Vec // no operand killed in the block
+	kill   []bitvec.Vec // ¬TRANSP: some operand killed in the block
 }
 
-// Run applies Morel/Renvoise PRE to g in place. MR's four fixpoint
-// systems are hand-rolled round-robin iterations — the bidirectional PP
-// system does not fit the uni-directional solver — so session s is used
-// only to tally their work (one "solve" per system, one sweep per round)
-// for the pass pipeline's per-pass reporting.
+// Run applies Morel/Renvoise PRE to g in place, tallying its solver work
+// into session s: the three uni-directional systems as three solves on the
+// session's block view, and the PP system as one more solve of one sweep
+// per round.
 func Run(g *ir.Graph, s *analysis.Session) Stats {
 	eu := ir.ExprUniverse(g)
 	bits := eu.Len()
@@ -91,25 +97,22 @@ func Run(g *ir.Graph, s *analysis.Session) Stats {
 	if bits == 0 {
 		return st
 	}
-	df := s.DataflowStats()
 	loc := computeLocals(g, eu)
 
-	avin, avout := solveAvailability(g, loc, bits, df)
-	_, antin := solveAnticipability(g, loc, bits, df)
-	ppin, ppout := solvePP(g, loc, avout, antin, bits, df)
-	_ = avin
+	avout := solve(g, s, dataflow.Forward, dataflow.All, loc.comp, loc.kill).Out
+	antin := solve(g, s, dataflow.Backward, dataflow.All, loc.antloc, loc.kill).Out
+	ppin, ppout := solvePP(g, loc, avout, antin, bits, s.DataflowStats())
 
-	// Placement predicates per block.
+	// Placement predicates per block, and the demand's kill INSERT ∨ COMP.
 	n := len(g.Blocks)
 	inserts := make([]bitvec.Vec, n)
 	reloads := make([]bitvec.Vec, n)
+	suppliers := make([]bitvec.Vec, n)
 	for i := range g.Blocks {
 		insert := ppout[i].Copy()
-		notAv := avout[i].Copy()
-		notAv.Not()
-		insert.And(notAv)
+		insert.AndNot(avout[i])
 		weak := ppin[i].Copy()
-		weak.And(loc.transp[i])
+		weak.AndNot(loc.kill[i])
 		weak.Not() // ¬PPIN + ¬TRANSP
 		insert.And(weak)
 		inserts[i] = insert
@@ -117,10 +120,14 @@ func Run(g *ir.Graph, s *analysis.Session) Stats {
 		reload := ppin[i].Copy()
 		reload.And(loc.antloc[i])
 		reloads[i] = reload
+
+		suppliers[i] = insert.Copy()
+		suppliers[i].Or(loc.comp[i])
 	}
 
-	// Demand analysis: which blocks must supply h at their exit.
-	needout := solveDemand(g, loc, inserts, reloads, bits, df)
+	// Demand analysis: which blocks must supply h at their exit (NEEDOUT,
+	// the solver's fact at a block's exit).
+	needout := solve(g, s, dataflow.Backward, dataflow.Any, reloads, suppliers).In
 
 	// Transformation. All expressions are transformed in one pass; the
 	// per-expression transformations are independent (each has its own
@@ -135,41 +142,26 @@ func Run(g *ir.Graph, s *analysis.Session) Stats {
 	return st
 }
 
-// solveDemand computes NEEDOUT: the least fixpoint of the backward demand
-// system above.
-func solveDemand(g *ir.Graph, loc *locals, inserts, reloads []bitvec.Vec, bits int, df *dataflow.SolveStats) []bitvec.Vec {
-	n := len(g.Blocks)
-	needout := make([]bitvec.Vec, n)
-	needin := make([]bitvec.Vec, n)
-	for i := 0; i < n; i++ {
-		needout[i] = bitvec.New(bits)
-		needin[i] = bitvec.New(bits)
+// solve runs one of MR's uni-directional block systems, out = gen ∨ (in ∧
+// ¬kill), on s's block view with its work tallied into s. The flow-entry
+// block (the entry forward, the exit backward) starts from ∅.
+func solve(g *ir.Graph, s *analysis.Session, dir dataflow.Direction, meet dataflow.Meet, gen, kill []bitvec.Vec) dataflow.Result {
+	bv := s.Blocks(g)
+	order, boundary := bv.FwdOrder, int(g.Entry)
+	if dir == dataflow.Backward {
+		order, boundary = bv.BwdOrder, int(g.Exit)
 	}
-	df.Solves++
-	for changed := true; changed; {
-		changed = false
-		sweep(df, n)
-		for i := n - 1; i >= 0; i-- {
-			b := g.Blocks[i]
-			out := bitvec.New(bits)
-			for _, s := range b.Succs {
-				out.Or(needin[int(s)])
+	return dataflow.Solve(dataflow.Problem{
+		N: len(g.Blocks), Bits: gen[0].Len(), Dir: dir, Meet: meet,
+		Preds: bv.Preds, Succs: bv.Succs, Order: order,
+		Gen: gen, Kill: kill,
+		Boundary: func(i int, in bitvec.Vec) {
+			if i == boundary {
+				in.ClearAll()
 			}
-			if !out.Equal(needout[i]) {
-				needout[i].CopyFrom(out)
-				changed = true
-			}
-			in := out.Copy()
-			in.AndNot(inserts[i])
-			in.AndNot(loc.comp[i])
-			in.Or(reloads[i])
-			if !in.Equal(needin[i]) {
-				needin[i].CopyFrom(in)
-				changed = true
-			}
-		}
-	}
-	return needout
+		},
+		Stats: s.DataflowStats(),
+	})
 }
 
 func computeLocals(g *ir.Graph, eu *ir.ExprSet) *locals {
@@ -177,7 +169,7 @@ func computeLocals(g *ir.Graph, eu *ir.ExprSet) *locals {
 	loc := &locals{
 		antloc: make([]bitvec.Vec, n),
 		comp:   make([]bitvec.Vec, n),
-		transp: make([]bitvec.Vec, n),
+		kill:   make([]bitvec.Vec, n),
 	}
 	// killByVar[v] = expressions with operand v.
 	killByVar := map[ir.Var]bitvec.Vec{}
@@ -222,81 +214,16 @@ func computeLocals(g *ir.Graph, eu *ir.ExprSet) *locals {
 		}
 		loc.antloc[i] = antloc
 		loc.comp[i] = comp
-		killed.Not()
-		loc.transp[i] = killed
+		loc.kill[i] = killed
 	}
 	return loc
 }
 
-// sweep feeds one round of MR's hand-rolled fixpoints into the session's
-// solver tally so per-pass reporting covers them too.
-func sweep(df *dataflow.SolveStats, visits int) {
-	df.Sweeps++
-	df.Visits += visits
-}
-
-func solveAvailability(g *ir.Graph, loc *locals, bits int, df *dataflow.SolveStats) (avin, avout []bitvec.Vec) {
-	n := len(g.Blocks)
-	avin = fullVecs(n, bits)
-	avout = fullVecs(n, bits)
-	df.Solves++
-	for changed := true; changed; {
-		changed = false
-		sweep(df, n)
-		for i, b := range g.Blocks {
-			in := avin[i]
-			if b.ID == g.Entry {
-				in.ClearAll()
-			} else {
-				in.SetAll()
-				for _, p := range b.Preds {
-					in.And(avout[int(p)])
-				}
-			}
-			next := in.Copy()
-			next.And(loc.transp[i])
-			next.Or(loc.comp[i])
-			if !next.Equal(avout[i]) {
-				avout[i].CopyFrom(next)
-				changed = true
-			}
-		}
-	}
-	return avin, avout
-}
-
-func solveAnticipability(g *ir.Graph, loc *locals, bits int, df *dataflow.SolveStats) (antout, antin []bitvec.Vec) {
-	n := len(g.Blocks)
-	antout = fullVecs(n, bits)
-	antin = fullVecs(n, bits)
-	df.Solves++
-	for changed := true; changed; {
-		changed = false
-		sweep(df, n)
-		for i := n - 1; i >= 0; i-- {
-			b := g.Blocks[i]
-			out := antout[i]
-			if b.ID == g.Exit {
-				out.ClearAll()
-			} else {
-				out.SetAll()
-				for _, s := range b.Succs {
-					out.And(antin[int(s)])
-				}
-			}
-			next := out.Copy()
-			next.And(loc.transp[i])
-			next.Or(loc.antloc[i])
-			if !next.Equal(antin[i]) {
-				antin[i].CopyFrom(next)
-				changed = true
-			}
-		}
-	}
-	return antout, antin
-}
-
-// solvePP iterates the bidirectional system to its greatest fixpoint.
+// solvePP iterates the bidirectional system to its greatest fixpoint by
+// round-robin sweeps over the blocks. It is MR's one hand-rolled fixpoint:
+// PPIN meets over predecessors and PPOUT over successors, and
+// dataflow.Solve propagates in one direction only. Each round is tallied
+// into df as one sweep visiting every block.
 func solvePP(g *ir.Graph, loc *locals, avout, antin []bitvec.Vec, bits int, df *dataflow.SolveStats) (ppin, ppout []bitvec.Vec) {
 	n := len(g.Blocks)
 	ppin = fullVecs(n, bits)
@@ -305,7 +232,8 @@ func solvePP(g *ir.Graph, loc *locals, avout, antin []bitvec.Vec, bits int, df *
 	df.Solves++
 	for changed := true; changed; {
 		changed = false
-		sweep(df, n)
+		df.Sweeps++
+		df.Visits += n
 		for i, b := range g.Blocks {
 			// PPOUT_i = ∏ succ PPIN (∅ at exit).
 			out := scratch
@@ -326,7 +254,7 @@ func solvePP(g *ir.Graph, loc *locals, avout, antin []bitvec.Vec, bits int, df *
 			in := bitvec.New(bits)
 			if b.ID != g.Entry {
 				in.CopyFrom(ppout[i])
-				in.And(loc.transp[i])
+				in.AndNot(loc.kill[i])
 				in.Or(loc.antloc[i])
 				in.And(antin[i])
 				for _, p := range b.Preds {
@@ -354,15 +282,14 @@ func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, insert, reload,
 	hValid := bitvec.New(bits) // h := e known to hold at this point
 	next := make([]ir.Instr, 0, len(b.Instrs)+2)
 
-	// lastSaveSite[id] remembers the index in `next` of the instruction
-	// that must be rewritten into a save; resolved after the walk.
-	type savePoint struct{ nextIdx int }
-	lastSave := map[int]savePoint{}
+	// lastSave[id] is the index in next of the instruction that must be
+	// rewritten into a save of expression id; resolved after the walk.
+	lastSave := map[int]int{}
 
+	var occs []ir.Term
 	for k := range b.Instrs {
 		in := b.Instrs[k]
 		rewritten := in
-		var occs []ir.Term
 		occs = in.Terms(occs[:0])
 		for _, t := range occs {
 			if t.Trivial() {
@@ -382,7 +309,7 @@ func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, insert, reload,
 			case save.Get(id):
 				// Possibly the downward-exposed computation; remember the
 				// site — a later occurrence supersedes it.
-				lastSave[id] = savePoint{nextIdx: len(next)}
+				lastSave[id] = len(next)
 			}
 		}
 		next = append(next, rewritten)
@@ -398,41 +325,35 @@ func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, insert, reload,
 		}
 	}
 
-	// Resolve saves: rewrite x := e into h := e; x := h (or prepend
-	// h := e before a condition) unless h is already valid at exit.
-	// Process in descending index order so earlier insertions do not
-	// shift later sites.
-	type pending struct{ idx, id int }
-	var saves []pending
-	for id, sp := range lastSave {
-		if hValid.Get(id) {
-			continue // a reload already guarantees h at exit
+	// Resolve saves unless h is already valid at exit: h := e goes right
+	// before the site, which reads h instead of e (x := e becomes x := h).
+	// All saves of one site — both sides of a condition — are resolved
+	// together, left side first, and sites last to first, so that no
+	// insertion shifts a site still to be resolved.
+	var sites []int
+	for id, at := range lastSave {
+		if !hValid.Get(id) && !slices.Contains(sites, at) {
+			sites = append(sites, at)
 		}
-		saves = append(saves, pending{sp.nextIdx, id})
 	}
-	// Sort descending by index.
-	for i := 0; i < len(saves); i++ {
-		for j := i + 1; j < len(saves); j++ {
-			if saves[j].idx > saves[i].idx {
-				saves[i], saves[j] = saves[j], saves[i]
+	slices.Sort(sites)
+	for j := len(sites) - 1; j >= 0; j-- {
+		at := sites[j]
+		in := next[at]
+		var inits []ir.Instr
+		for _, e := range in.Terms(occs[:0]) {
+			id, ok := eu.ID(e)
+			if site, saved := lastSave[id]; !ok || !saved || site != at || hValid.Get(id) {
+				continue
 			}
+			delete(lastSave, id) // both sides of the condition when they are equal
+			h := g.TempFor(e)
+			in = replaceExpr(in, e, ir.VarTerm(h))
+			inits = append(inits, ir.NewAssign(h, e))
+			st.Saved++
 		}
-	}
-	for _, sp := range saves {
-		e := eu.Expr(sp.id)
-		h := g.TempFor(e)
-		in := next[sp.idx]
-		switch {
-		case in.Kind == ir.KindAssign && in.RHS.Equal(e):
-			next[sp.idx] = ir.NewAssign(in.LHS, ir.VarTerm(h))
-			next = insertAt(next, sp.idx, ir.NewAssign(h, e))
-		default:
-			// Condition (or a reload-rewritten instruction): compute h
-			// just before and substitute the side.
-			next[sp.idx] = replaceExpr(in, e, ir.VarTerm(h))
-			next = insertAt(next, sp.idx, ir.NewAssign(h, e))
-		}
-		st.Saved++
+		next[at] = in
+		next = slices.Insert(next, at, inits...)
 	}
 
 	// Insertions at the block end (before a trailing condition).
@@ -441,7 +362,7 @@ func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, insert, reload,
 		h := g.TempFor(e)
 		inst := ir.NewAssign(h, e)
 		if m := len(next); m > 0 && next[m-1].Kind == ir.KindCond {
-			next = insertAt(next, m-1, inst)
+			next = slices.Insert(next, m-1, inst)
 		} else {
 			next = append(next, inst)
 		}
@@ -470,13 +391,6 @@ func replaceExpr(in ir.Instr, from, to ir.Term) ir.Instr {
 		return ir.NewCond(in.CondOp, l, r)
 	}
 	return in
-}
-
-func insertAt(s []ir.Instr, i int, in ir.Instr) []ir.Instr {
-	s = append(s, ir.Instr{})
-	copy(s[i+1:], s[i:])
-	s[i] = in
-	return s
 }
 
 func fullVecs(n, bits int) []bitvec.Vec {

@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"strings"
 	"testing"
 
 	"assignmentmotion/internal/analysis"
@@ -337,5 +338,64 @@ graph plain {
 	st := run(g)
 	if st.Inserted+st.Reloaded+st.Saved != 0 || g.Encode() != enc {
 		t.Errorf("MR changed a redundancy-free program: %+v\n%s", st, printer.String(g))
+	}
+}
+
+// TestBothConditionSidesSaved is the regression test for a condition both
+// of whose sides are saved: b1 and b2 reload a+b and c+d, which b0's
+// branch condition computes. The two saves of one instruction are resolved
+// together, left side first, so the condition reads both temporaries and
+// the output does not depend on map iteration order. Resolved one at a
+// time, the second save read the initialization just inserted instead of
+// the condition, and the condition kept recomputing that side.
+func TestBothConditionSidesSaved(t *testing.T) {
+	const src = `
+graph tie {
+  entry b0
+  exit b3
+  block b0 { if a + b < c + d then b1 else b2 }
+  block b1 {
+    x := a + b
+    y := c + d
+    goto b3
+  }
+  block b2 {
+    x := c + d
+    y := a + b
+    goto b3
+  }
+  block b3 { out(x, y) }
+}
+`
+	var first string
+	for i := 0; i < 50; i++ {
+		orig := parse.MustParse(src)
+		g := orig.Clone()
+		run(g)
+		g.MustValidate()
+		out := printer.String(g)
+		if i > 0 {
+			if out != first {
+				t.Fatalf("run %d differs from run 0:\n%s\n--- run 0\n%s", i, out, first)
+			}
+			continue
+		}
+		first = out
+		var keys []string
+		for _, in := range g.BlockByName("b0").Instrs {
+			keys = append(keys, in.Key())
+		}
+		if got, want := strings.Join(keys, "; "), "h1:=a+b; h2:=c+d; h1<h2"; got != want {
+			t.Errorf("b0 = %s, want %s\n%s", got, want, out)
+		}
+		rep := verify.Equivalent(orig, g, 16, 5)
+		if !rep.Equivalent {
+			t.Fatalf("miscompiled: %s\n%s", rep.Detail, out)
+		}
+		for _, env := range []map[ir.Var]int64{{"a": 1, "b": 2, "c": 3, "d": 4}, {"a": 5, "b": 2, "c": 3, "d": 1}} {
+			if r := interp.Run(g, env, 0); r.Counts.ExprEvals != 2 {
+				t.Errorf("env %v: %d evaluations, want 2\n%s", env, r.Counts.ExprEvals, out)
+			}
+		}
 	}
 }

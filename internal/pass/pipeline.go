@@ -183,12 +183,9 @@ type Pipeline struct {
 	Budget fault.Budget
 	// Debug enables inter-pass invariant checking: after every pass the
 	// graph is validated and spot-checked for trace equivalence against
-	// the pre-pass program on random inputs. Roughly doubles the cost of a
-	// run (one clone per pass plus the interpreter runs).
+	// the pre-pass program on four random inputs (debugRuns). Roughly doubles the
+	// cost of a run (one clone per pass plus the interpreter runs).
 	Debug bool
-	// DebugRuns is the number of random environments of the spot check
-	// (<= 0 selects 4).
-	DebugRuns int
 	// Wrap, when non-nil, may replace each pass immediately before
 	// execution. It is a test-only seam for fault injection
 	// (internal/fault/inject): the injector substitutes pass bodies that
@@ -196,6 +193,9 @@ type Pipeline struct {
 	// seed-selected pipeline positions. Production callers leave it nil.
 	Wrap func(index int, p Pass) Pass
 }
+
+// debugRuns is the number of random environments of the Debug spot check.
+const debugRuns = 4
 
 // New returns a pipeline over the given passes.
 func New(passes ...Pass) *Pipeline {
@@ -229,8 +229,8 @@ func (pl *Pipeline) Run(g *ir.Graph) (Report, error) {
 }
 
 // RunWith executes the pipeline on g in place, threading ONE session
-// through every pass: the arena, the pattern universe, and the iteration
-// orders warmed by one pass are reused by the next. The returned Report
+// through every pass: the arena and the iteration orders warmed by one
+// pass are reused by the next. The returned Report
 // carries the per-pass instrumentation.
 //
 // Failure semantics: every pass runs under panic recovery, and with
@@ -386,11 +386,7 @@ func (pl *Pipeline) check(p Pass, idx int, before, after *ir.Graph) error {
 	if !pl.Debug {
 		return nil
 	}
-	runs := pl.DebugRuns
-	if runs <= 0 {
-		runs = 4
-	}
-	rep := verify.Equivalent(before, after, runs, 1)
+	rep := verify.Equivalent(before, after, debugRuns, 1)
 	if !rep.Equivalent {
 		return &InvariantError{Pass: p.Name, Index: idx, Err: fmt.Errorf("trace divergence: %s", rep.Detail)}
 	}

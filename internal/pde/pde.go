@@ -72,10 +72,8 @@ type sinkInfo struct {
 // analyze computes the sinkability analysis and insertion points for g,
 // with the solver work tallied into session s and all vectors carved from
 // its arena: the result must be consumed before the arena is released.
-// The pattern universe is always built fresh (analysis.NewUniverse) —
-// sinking inserts instances in universe order, so reusing a session
-// universe with stale entries could perturb the output relative to a
-// standalone pde run.
+// Sinking inserts instances in universe order, which is first occurrence
+// in g (analysis.NewUniverse), so the output depends on the program alone.
 func analyze(g *ir.Graph, s *analysis.Session) *sinkInfo {
 	u, px, occ := analysis.NewUniverse(g)
 	ar := s.Arena()

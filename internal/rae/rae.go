@@ -41,12 +41,12 @@ type Info struct {
 
 // Analyze computes the redundancy analysis for g at instruction level —
 // the reference form of Table 2 that the block-level Step is tested
-// against — drawing its pattern universe and vector storage from s. The
-// result shares the session's arena and must be consumed before the arena
-// is released.
+// against — over g's universe (analysis.NewUniverse), with vector storage
+// from s. The result shares the session's arena and must be consumed
+// before the arena is released.
 func Analyze(g *ir.Graph, s *analysis.Session) *Info {
 	prog := analysis.NewProg(g)
-	u, px, occ := s.Universe(g)
+	u, px, occ := analysis.NewUniverse(g)
 	ar := s.Arena()
 	n, bits := prog.Len(), u.Len()
 	ids := occ.All() // Prog order

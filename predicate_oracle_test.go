@@ -311,9 +311,9 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 	}
 	s := analysis.NewSession()
 	defer s.Close()
-	u, px, occ := s.Universe(g)
+	u, px, occ := analysis.NewUniverse(g)
 	if ref := ir.AssignUniverse(g); ref.Len() != u.Len() {
-		fail("session universe has %d patterns, the graph %d", u.Len(), ref.Len())
+		fail("universe has %d patterns, the graph %d", u.Len(), ref.Len())
 	}
 	bits := u.Len()
 	code := analysis.NewCode(g, s)
