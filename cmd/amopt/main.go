@@ -91,6 +91,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -336,7 +337,7 @@ func run(args []string, out io.Writer) error {
 			return exitf(exitOptimizeFailed, "compile optimized program for execution: %v", err)
 		}
 		trapped = before.Trapped || r.Trapped
-		mismatch = !trapped && !r.Truncated && !before.Truncated && !traceEqual(before.Trace, r.Trace)
+		mismatch = !trapped && !r.Truncated && !before.Truncated && !slices.Equal(before.Trace, r.Trace)
 		report.Trace = r.Trace
 		report.Run = &r.Counts
 		report.RunBefore = &before.Counts
@@ -383,19 +384,6 @@ type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-// traceEqual compares two out-traces element-wise.
-func traceEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // parsePasses splits a -pass / -passes spec into pass names, skipping
 // empty segments and the "none" placeholder.

@@ -79,20 +79,19 @@ type Info struct {
 }
 
 // Analyze computes the hoistability analysis and insertion points for g
-// over its universe (analysis.NewCode), with the iteration order and
-// vector storage drawn from s. The
-// returned Info shares the session's arena; it must be consumed before the
-// arena is released.
+// over its encoding (analysis.NewCode), with vector storage drawn from s.
+// The returned Info shares the session's arena; it must be consumed before
+// the arena is released.
 func Analyze(g *ir.Graph, s *analysis.Session) *Info {
 	return analyze(analysis.NewCode(g, s), s)
 }
 
 // analyze computes the hoistability analysis and insertion points of the
-// encoded program c, with storage from s's arena.
+// encoded program c on its block view, with storage from s's arena.
 func analyze(c *analysis.Code, s *analysis.Session) *Info {
 	g := c.G
 	ar := s.Arena()
-	bv := s.Blocks(g)
+	bv := c.View
 	n, bits := len(c.Blocks), c.U.Len()
 	info := &Info{
 		U:            c.U,

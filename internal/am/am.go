@@ -78,8 +78,8 @@ type Stats struct {
 // Run applies the assignment motion phase to g in place: it splits
 // critical edges, then alternates aht and rae until the program is
 // invariant under both. The result is relatively assignment-optimal in the
-// universe G* (Lemma 4.2). The session shares one arena and the block
-// orders with the caller's other phases (core.Phases). An iteration-limit
+// universe G* (Lemma 4.2). The session shares one arena with the caller's
+// other phases (core.Phases). An iteration-limit
 // overrun returns a *fault.NoFixpointError; an exhausted session budget or
 // a canceled session context returns the corresponding typed fault error.
 // In every error case the graph is left in the valid, semantics-preserved

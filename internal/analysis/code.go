@@ -3,8 +3,52 @@ package analysis
 import (
 	"assignmentmotion/internal/arena"
 	"assignmentmotion/internal/bitvec"
+	"assignmentmotion/internal/dataflow"
 	"assignmentmotion/internal/ir"
 )
+
+// BlockView is the block-level solver geometry of one graph: int
+// adjacency (so the solver's hot loop does not convert NodeIDs per visit)
+// and the two iteration orders — reverse postorder from the entry along
+// successors for forward problems, reverse postorder from the exit along
+// predecessors for backward ones. It describes the block/edge structure
+// at the time it was built, so code that only rewrites instructions
+// afterwards (the motion rounds, pde's rounds, mr's systems) builds it
+// once.
+type BlockView struct {
+	Preds    func(i int) []int
+	Succs    func(i int) []int
+	FwdOrder []int
+	BwdOrder []int
+}
+
+// NewBlockView returns the solver geometry of g's basic blocks.
+func NewBlockView(g *ir.Graph) BlockView {
+	n := len(g.Blocks)
+	succs := make([][]int, n)
+	preds := make([][]int, n)
+	for i, b := range g.Blocks {
+		succs[i] = nodeInts(b.Succs)
+		preds[i] = nodeInts(b.Preds)
+	}
+	v := BlockView{
+		Preds: func(i int) []int { return preds[i] },
+		Succs: func(i int) []int { return succs[i] },
+	}
+	v.FwdOrder = dataflow.FlowOrder(n, []int{int(g.Entry)}, v.Succs)
+	v.BwdOrder = dataflow.FlowOrder(n, []int{int(g.Exit)}, v.Preds)
+	return v
+}
+
+// nodeInts converts a NodeID adjacency list to int indices without
+// allocation beyond the result slice.
+func nodeInts(ids []ir.NodeID) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
+	return out
+}
 
 // Code is a graph's instruction sequences encoded over its assignment-
 // pattern universe: the form the aht/rae fixpoint of the assignment
@@ -18,10 +62,12 @@ import (
 // PatternIndex at encode time, so the local predicates of Tables 1 and 2
 // (Locals, Transfer) cost no map lookup. Skips are not encoded: they have
 // no effect on any predicate, and WriteBack's Normalize restores them in
-// empty blocks.
+// empty blocks. The rounds only insert and remove assignments, so G's
+// block structure, and with it View, stays fixed for the phase.
 type Code struct {
-	G *ir.Graph
-	U *ir.PatternSet
+	G    *ir.Graph
+	U    *ir.PatternSet
+	View BlockView
 	// Blocks[i] encodes G.Blocks[i]: the pattern ID of each assignment,
 	// or ^k for entry k of the side table, which holds the out and branch
 	// instructions — aht and rae never move them.
@@ -34,11 +80,11 @@ type Code struct {
 	selfRef     bitvec.Vec
 }
 
-// NewCode encodes g over its universe (NewUniverse). The resolved vectors
-// and the block storage are carved from s's arena, so the Code is valid
-// until the caller releases the arena below the point where it was built.
-// Each block gets room to grow; a block that outgrows it moves to the
-// heap.
+// NewCode encodes g over its universe (NewUniverse) and records its block
+// geometry (NewBlockView). The resolved vectors and the block storage are
+// carved from s's arena, so the Code is valid until the caller releases
+// the arena below the point where it was built. Each block gets room to
+// grow; a block that outgrows it moves to the heap.
 func NewCode(g *ir.Graph, s *Session) *Code {
 	u, px, occ := NewUniverse(g)
 	ar := s.Arena()
@@ -46,6 +92,7 @@ func NewCode(g *ir.Graph, s *Session) *Code {
 	c := &Code{
 		G:       g,
 		U:       u,
+		View:    NewBlockView(g),
 		Blocks:  make([][]int, len(g.Blocks)),
 		kill:    ar.Vecs(bits),
 		use:     ar.Vecs(2 * bits),

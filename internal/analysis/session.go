@@ -10,16 +10,14 @@ import (
 	"assignmentmotion/internal/ir"
 )
 
-// Session carries the reusable analysis state of one optimization run over
-// one graph: the solver arena, the solver-work tally, the run's context and
-// budget, and the block-level iteration orders. The assignment-motion
-// fixpoint (internal/am) re-runs aht and rae many times over the same
-// graph; the arena lets every round carve its vectors from storage the
-// previous rounds released, and the iteration orders are recomputed only
-// when the block/edge structure changed (ir.Graph.StructVersion), which
-// inside a motion fixpoint is never (edges are split up front). The
-// assignment-pattern universe is not cached: NewUniverse builds it from
-// the graph each time an analysis encodes it, once per motion phase.
+// Session carries the run state of one optimization run over one graph:
+// the solver arena, the solver-work tally, and the run's context and
+// budget. The assignment-motion fixpoint (internal/am) re-runs aht and rae
+// many times over the same graph; the arena lets every round carve its
+// vectors from storage the previous rounds released. Nothing derived from
+// a graph lives here: the block geometry belongs to the encoding of the
+// phase that reads it (Code.View, NewBlockView), and the pattern universe
+// is built from the graph each time an analysis encodes it (NewUniverse).
 //
 // Every pass and analysis takes a non-nil session; the pass pipeline
 // supplies one per run. A Session must not be shared between goroutines.
@@ -33,14 +31,6 @@ type Session struct {
 	budget     fault.Budget
 	passStart  time.Time
 	passVisits int
-
-	// The block view of g (Blocks) at structure version orderStruct.
-	g           *ir.Graph
-	fwdOrder    []int
-	bwdOrder    []int
-	succsInt    [][]int
-	predsInt    [][]int
-	orderStruct uint64
 }
 
 // NewSession returns a session backed by a pooled arena. Callers must
@@ -135,52 +125,4 @@ func (s *Session) CheckBudget(amIters int) error {
 func RoundLimit(g *ir.Graph) int {
 	n := g.InstrCount() + len(g.Blocks)
 	return 4*n*n + 64
-}
-
-// BlockView is the cached block-level solver geometry of one graph: int
-// adjacency (so the solver's hot loop does not convert NodeIDs per visit)
-// and the two iteration orders — reverse postorder from the entry along
-// successors for forward problems, reverse postorder from the exit along
-// predecessors for backward ones.
-type BlockView struct {
-	Preds    func(i int) []int
-	Succs    func(i int) []int
-	FwdOrder []int
-	BwdOrder []int
-}
-
-// Blocks returns the solver geometry for g's basic blocks, cached until
-// the graph's block/edge structure changes — which inside a motion
-// fixpoint is never, since critical edges are split up front.
-func (s *Session) Blocks(g *ir.Graph) BlockView {
-	if sv := g.StructVersion(); s.g != g || sv != s.orderStruct || len(s.succsInt) != len(g.Blocks) {
-		n := len(g.Blocks)
-		s.succsInt = make([][]int, n)
-		s.predsInt = make([][]int, n)
-		for i, b := range g.Blocks {
-			s.succsInt[i] = nodeInts(b.Succs)
-			s.predsInt[i] = nodeInts(b.Preds)
-		}
-		succs := func(i int) []int { return s.succsInt[i] }
-		preds := func(i int) []int { return s.predsInt[i] }
-		s.fwdOrder = dataflow.FlowOrder(n, []int{int(g.Entry)}, succs)
-		s.bwdOrder = dataflow.FlowOrder(n, []int{int(g.Exit)}, preds)
-		s.g, s.orderStruct = g, sv
-	}
-	return BlockView{
-		Preds:    func(i int) []int { return s.predsInt[i] },
-		Succs:    func(i int) []int { return s.succsInt[i] },
-		FwdOrder: s.fwdOrder,
-		BwdOrder: s.bwdOrder,
-	}
-}
-
-// nodeInts converts a NodeID adjacency list to int indices without
-// allocation beyond the result slice.
-func nodeInts(ids []ir.NodeID) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
 }

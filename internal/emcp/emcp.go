@@ -70,8 +70,8 @@ type Stats struct {
 }
 
 // Run applies the EM/CP interleaving to g in place against session s:
-// every EM and CP round shares one arena and the block orders instead of
-// rebuilding them per round. Each round honours the session's budget and
+// every EM and CP round shares one arena instead of rebuilding it per
+// round. Each round honours the session's budget and
 // cancellation context, so an engine deadline interrupts the interleaving
 // between rounds instead of between graphs. On error the graph is left
 // valid and semantics-preserved (see interleave).

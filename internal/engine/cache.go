@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -44,44 +45,47 @@ func (k cacheKey) String() string {
 		int64(k.budget.MaxPassWall), k.budget.MaxSolverVisits, k.budget.MaxAMIterations)
 }
 
-// entry is one cached optimization outcome. The stored graph is private to
-// the cache; readers receive clones.
+// entry is one key's record in the cache. Until done closes it is the
+// single-flight promise of the leader computing the key; then it holds
+// the stored outcome (ok) or has left the cache (release), and its
+// waiters compute for themselves: errors are never cached, so a transient
+// timeout cannot poison a key. complete writes the outcome before done
+// closes, so a reader that saw done closed reads it without the lock. The
+// stored graph is private to the cache; readers receive clones.
 type entry struct {
-	key    cacheKey
-	graph  *ir.Graph
-	result core.Result
-	events []pass.Event
-}
+	key  cacheKey
+	done chan struct{}
+	el   *list.Element // LRU position once completed
 
-// cached is what a lookup hands out: a private clone of the stored graph
-// plus the stored statistics (the events slice is shared read-only).
-type cached struct {
-	graph  *ir.Graph
-	result core.Result
-	events []pass.Event
-}
-
-// flight coordinates duplicate in-flight work on one key: the first
-// worker to claim a key becomes the leader and computes; followers block
-// on done and read the outcome. A failed leader (panic, timeout,
-// cancellation) publishes ok=false and followers compute for themselves —
-// errors are never cached, so a transient timeout cannot poison a key
-// forever.
-type flight struct {
-	done   chan struct{}
-	graph  *ir.Graph
-	result core.Result
-	events []pass.Event
 	ok     bool
+	graph  *ir.Graph
+	result core.Result
+	events []pass.Event
+}
+
+// wait blocks until e is no longer pending, or ctx is done. A completed
+// entry answers at once, whatever the state of ctx.
+func (e *entry) wait(ctx context.Context) error {
+	select {
+	case <-e.done:
+		return nil
+	default:
+	}
+	select {
+	case <-e.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // cache is a content-addressed LRU of optimization results with
-// single-flight deduplication. maxEntries <= 0 disables the bound.
+// single-flight deduplication: one map holds every key's entry, pending
+// or completed. maxEntries <= 0 disables the bound on completed entries.
 type cache struct {
 	mu         sync.Mutex
-	entries    map[cacheKey]*list.Element
-	ll         list.List // front = most recently used
-	inflight   map[cacheKey]*flight
+	entries    map[cacheKey]*entry
+	ll         list.List // completed entries, front = most recently used
 	maxEntries int
 
 	hits   atomic.Int64
@@ -89,79 +93,57 @@ type cache struct {
 }
 
 func newCache(maxEntries int) *cache {
-	return &cache{
-		entries:    map[cacheKey]*list.Element{},
-		inflight:   map[cacheKey]*flight{},
-		maxEntries: maxEntries,
-	}
+	return &cache{entries: map[cacheKey]*entry{}, maxEntries: maxEntries}
 }
 
-// lookup returns the cached outcome for key, cloning the stored graph.
-func (c *cache) lookup(key cacheKey) (cached, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return cached{}, false
-	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*entry)
-	out := cached{graph: e.graph, result: e.result, events: e.events}
-	c.mu.Unlock()
-	c.hits.Add(1)
-	out.graph = out.graph.Clone()
-	return out, true
-}
-
-// claim registers the caller as leader for key, or returns the existing
-// in-flight computation to wait on.
-func (c *cache) claim(key cacheKey) (leader bool, fl *flight) {
+// get returns key's entry, marking a completed one most recently used.
+// When there is none it creates a pending one and reports leader: the
+// caller must then defer release(e), and complete e if it computes a
+// result worth storing.
+func (c *cache) get(key cacheKey) (e *entry, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fl, ok := c.inflight[key]; ok {
-		return false, fl
-	}
-	fl = &flight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	return true, fl
-}
-
-// complete publishes a leader's successful outcome: the result is stored
-// (the cache takes ownership of g, so the caller must pass a private
-// clone), followers are released, and the LRU is trimmed.
-func (c *cache) complete(key cacheKey, fl *flight, g *ir.Graph, res core.Result, events []pass.Event) {
-	c.mu.Lock()
-	fl.graph, fl.result, fl.events, fl.ok = g, res, events, true
-	delete(c.inflight, key)
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.graph, e.result, e.events = g, res, events
-	} else {
-		c.entries[key] = c.ll.PushFront(&entry{key: key, graph: g, result: res, events: events})
-		if c.maxEntries > 0 {
-			for len(c.entries) > c.maxEntries {
-				oldest := c.ll.Back()
-				c.ll.Remove(oldest)
-				delete(c.entries, oldest.Value.(*entry).key)
-			}
+	if e, ok := c.entries[key]; ok {
+		if e.el != nil {
+			c.ll.MoveToFront(e.el)
 		}
+		return e, false
 	}
-	c.mu.Unlock()
-	close(fl.done)
+	e = &entry{key: key, done: make(chan struct{})}
+	c.entries[key] = e
+	return e, true
 }
 
-// abandon releases followers after a failed leader without caching.
-func (c *cache) abandon(key cacheKey, fl *flight) {
+// complete stores a leader's successful outcome in its pending entry (the
+// cache takes ownership of g, so the caller must pass a private clone),
+// releases the waiters, and trims the LRU.
+func (c *cache) complete(e *entry, g *ir.Graph, res core.Result, events []pass.Event) {
 	c.mu.Lock()
-	delete(c.inflight, key)
+	e.graph, e.result, e.events, e.ok = g, res, events, true
+	e.el = c.ll.PushFront(e)
+	for c.maxEntries > 0 && c.ll.Len() > c.maxEntries {
+		delete(c.entries, c.ll.Remove(c.ll.Back()).(*entry).key)
+	}
 	c.mu.Unlock()
-	close(fl.done)
+	close(e.done)
+}
+
+// release ends a leader's claim on e unless complete stored a result: the
+// entry leaves the cache and its waiters compute for themselves. Leaders
+// defer it right after get, so every exit — an error, a degraded result,
+// a panic in the backend, in decoding or in Clone — frees the key.
+func (c *cache) release(e *entry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !e.ok {
+		delete(c.entries, e.key)
+		close(e.done)
+	}
 }
 
 func (c *cache) stats() CacheStats {
 	c.mu.Lock()
-	n := len(c.entries)
+	n := c.ll.Len()
 	c.mu.Unlock()
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }

@@ -476,34 +476,9 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 		budget:   e.opts.Budget,
 	}
 	r.Fingerprint = key.fp.String()
-	if hit, ok := e.cache.lookup(key); ok {
-		out := hit.graph
-		out.Name = g.Name // fingerprints ignore names; keep the caller's
-		r.Graph, r.Result, r.Passes, r.CacheHit, r.CacheTier = out, hit.result, hit.events, true, "memory"
-		r.Outcome = OutcomeOptimized
-		return r
-	}
-	leader, fl := e.cache.claim(key)
-	if !leader {
-		select {
-		case <-fl.done:
-			if fl.ok {
-				e.cache.hits.Add(1)
-				out := fl.graph.Clone()
-				out.Name = g.Name
-				r.Graph, r.Result, r.Passes, r.CacheHit, r.CacheTier = out, fl.result, fl.events, true, "memory"
-				r.Outcome = OutcomeOptimized
-				return r
-			}
-			// The leader failed; fall through and compute for ourselves
-			// (deterministic failures will fail here too, transient ones
-			// — a timeout under load — get their honest retry).
-		case <-ctx.Done():
-			r.Err = ctx.Err()
-			return r
-		}
-	}
+	ent, leader := e.cache.get(key)
 	if leader {
+		defer e.cache.release(ent)
 		// The persistent tier answers memory misses: a daemon restarted
 		// with a warm cache directory serves previously seen programs
 		// without running a single pass. Only the single-flight leader
@@ -511,26 +486,38 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 		if pg, pres, pevents, ok := e.backendGet(key); ok {
 			out := pg.Clone()
 			out.Name = g.Name
-			e.cache.complete(key, fl, pg, pres, pevents)
+			e.cache.complete(ent, pg, pres, pevents)
 			r.Graph, r.Result, r.Passes, r.CacheHit, r.CacheTier = out, pres, pevents, true, "disk"
 			r.Outcome = OutcomeOptimized
 			return r
 		}
+	} else {
+		if err := ent.wait(ctx); err != nil {
+			r.Err = err
+			return r
+		}
+		if ent.ok {
+			e.cache.hits.Add(1)
+			out := ent.graph.Clone()
+			out.Name = g.Name // fingerprints ignore names; keep the caller's
+			r.Graph, r.Result, r.Passes, r.CacheHit, r.CacheTier = out, ent.result, ent.events, true, "memory"
+			r.Outcome = OutcomeOptimized
+			return r
+		}
+		// The leader failed; compute for ourselves (deterministic
+		// failures will fail here too, transient ones — a timeout under
+		// load — get their honest retry).
 	}
 	e.cache.misses.Add(1)
 	c := e.compute(ctx, g)
 	r.Result, r.Passes, r.Timings = c.res, c.events, c.tm
-	if leader {
-		if c.err != nil || len(c.failures) > 0 {
-			// Never store a degraded (rolled-back / pass-skipped) result
-			// under the clean content-addressed key: a later identical
-			// graph must get the full optimization, not the leftovers of
-			// this job's recovery.
-			e.cache.abandon(key, fl)
-		} else {
-			e.cache.complete(key, fl, c.g.Clone(), c.res, c.events)
-			e.backendPut(key, c.g, c.res, c.events)
-		}
+	// Never store a degraded (rolled-back / pass-skipped) result under the
+	// clean content-addressed key: a later identical graph must get the
+	// full optimization, not the leftovers of this job's recovery. The
+	// deferred release frees the key instead.
+	if leader && c.err == nil && len(c.failures) == 0 {
+		e.cache.complete(ent, c.g.Clone(), c.res, c.events)
+		e.backendPut(key, c.g, c.res, c.events)
 	}
 	r.Graph, r.Err = c.g, c.err
 	r.Failures = c.failures
@@ -584,7 +571,7 @@ func (e *Engine) compute(ctx context.Context, g *ir.Graph) computation {
 		clone := g.Clone()
 
 		// One analysis session for the whole pipeline: every pass shares
-		// the pooled arena and the block orders.
+		// the pooled arena.
 		s := analysis.NewSession()
 		defer s.Close()
 

@@ -190,5 +190,4 @@ func (in *Injector) decide(graph string, index int, passName string) (Kind, bool
 // invariant — without risking a panic of its own.
 func corrupt(g *ir.Graph) {
 	g.EntryBlock().Instrs = nil
-	g.MarkModified()
 }

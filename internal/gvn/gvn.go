@@ -355,9 +355,8 @@ func literalsOf(g *ir.Graph) []int64 {
 
 // Run applies global value numbering to g in place and returns the number
 // of rewritten instructions and of fixpoint sweeps over the block order.
-// The block iteration order comes from session s's cache and the analysis
-// work is tallied into the session's solver counters for per-pass
-// reporting. Each analysis sweep honours the session's budget and
+// The analysis work is tallied into session s's solver counters for
+// per-pass reporting. Each analysis sweep honours the session's budget and
 // cancellation context, and a fixpoint overrun surfaces as
 // fault.ErrNoFixpoint instead of spinning. On error the graph is unchanged
 // (the rewrite happens only after the analysis converges).
@@ -379,7 +378,7 @@ func Run(g *ir.Graph, s *analysis.Session) (replaced, sweeps int, err error) {
 // the same unit the bit-vector solver reports.
 func analyze(g *ir.Graph, s *analysis.Session) (ins []*state, sweeps, visits int, err error) {
 	n := len(g.Blocks)
-	view := s.Blocks(g)
+	view := analysis.NewBlockView(g)
 	literals := literalsOf(g)
 
 	ins = make([]*state, n)

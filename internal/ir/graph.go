@@ -42,32 +42,7 @@ type Graph struct {
 	exprByTemp map[Var]Term // temporary -> expression pattern
 	nextTemp   int
 	nextSynth  int
-
-	// version counts graph mutations; structVersion counts only the
-	// structural ones (blocks and edges). See Version.
-	version       uint64
-	structVersion uint64
 }
-
-// Version returns a counter bumped by every mutating graph operation:
-// block and edge insertion, edge splitting, temp registration, Normalize,
-// and Tidy. Analyses use it to revalidate caches (pattern universes,
-// iteration orders) instead of re-deriving them from scratch. Code that
-// rewrites Block.Instrs directly must call Normalize afterwards — which
-// the no-empty-blocks invariant demands anyway — so instruction-level
-// mutations are always accompanied by a bump.
-func (g *Graph) Version() uint64 { return g.version }
-
-// StructVersion returns a counter bumped only when the node/edge structure
-// changes (AddBlock, AddEdge, SplitCriticalEdges, Tidy). Instruction-level
-// rewrites leave it untouched, so per-graph iteration orders stay valid
-// across the rounds of a motion fixpoint.
-func (g *Graph) StructVersion() uint64 { return g.structVersion }
-
-// MarkModified bumps the mutation counter. Passes that rewrite the graph
-// through means the Graph cannot observe (direct Block.Instrs writes
-// without a Normalize) can use it to keep Version honest.
-func (g *Graph) MarkModified() { g.version++ }
 
 // NewGraph returns an empty graph with the given name.
 func NewGraph(name string) *Graph {
@@ -88,8 +63,6 @@ func (g *Graph) AddBlock(name string) *Block {
 	}
 	b := &Block{ID: NodeID(len(g.Blocks)), Name: name}
 	g.Blocks = append(g.Blocks, b)
-	g.version++
-	g.structVersion++
 	return b
 }
 
@@ -111,8 +84,6 @@ func (g *Graph) BlockByName(name string) *Block {
 func (g *Graph) AddEdge(from, to NodeID) {
 	g.Block(from).Succs = append(g.Block(from).Succs, to)
 	g.Block(to).Preds = append(g.Block(to).Preds, from)
-	g.version++
-	g.structVersion++
 }
 
 // EntryBlock returns the start node s.
@@ -135,7 +106,6 @@ func (g *Graph) TempFor(expr Term) Var {
 	g.nextTemp++
 	g.tempByExpr[expr] = h
 	g.exprByTemp[h] = expr
-	g.version++
 	return h
 }
 
@@ -187,7 +157,6 @@ func (g *Graph) RegisterTemp(h Var, expr Term) {
 	}
 	g.exprByTemp[h] = expr
 	g.tempByExpr[expr] = h
-	g.version++
 	if IsTempName(h) && tempNum(h) >= g.nextTemp {
 		g.nextTemp = tempNum(h) + 1
 	}
@@ -233,7 +202,6 @@ func (g *Graph) SourceVars() []Var {
 // block carries at least one instruction. The instruction-level analyses
 // rely on this invariant. It returns g for chaining.
 func (g *Graph) Normalize() *Graph {
-	g.version++
 	for _, b := range g.Blocks {
 		// Compact in place, copying an instruction only once a skip has
 		// opened a gap before it.
@@ -304,15 +272,13 @@ func appendBlocksCanon(buf []byte, blocks []*Block, appendName func([]byte, Node
 // while any block still points into it.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		Name:          g.Name,
-		Entry:         g.Entry,
-		Exit:          g.Exit,
-		tempByExpr:    make(map[Term]Var, len(g.tempByExpr)),
-		exprByTemp:    make(map[Var]Term, len(g.exprByTemp)),
-		nextTemp:      g.nextTemp,
-		nextSynth:     g.nextSynth,
-		version:       g.version,
-		structVersion: g.structVersion,
+		Name:       g.Name,
+		Entry:      g.Entry,
+		Exit:       g.Exit,
+		tempByExpr: make(map[Term]Var, len(g.tempByExpr)),
+		exprByTemp: make(map[Var]Term, len(g.exprByTemp)),
+		nextTemp:   g.nextTemp,
+		nextSynth:  g.nextSynth,
 	}
 	nInstrs, nEdges := 0, 0
 	for _, b := range g.Blocks {
@@ -364,15 +330,13 @@ type Edge struct{ From, To NodeID }
 // exit. It adopts the blocks slice and reads only each block's Name and
 // Instrs: block i gets ID i, and its Succs and Preds list the edges that
 // leave and enter it in the order edges gives them — what one AddEdge
-// call per edge would build, version counters included. All edge lists
-// are carved from one slab, as Clone carves them. Every edge must name
-// blocks of blocks. Assemble neither normalizes nor validates; the
-// parser and Builder.Finish do both.
+// call per edge would build. All edge lists are carved from one slab, as
+// Clone carves them. Every edge must name blocks of blocks. Assemble
+// neither normalizes nor validates; the parser and Builder.Finish do
+// both.
 func Assemble(name string, blocks []Block, edges []Edge, entry, exit NodeID) *Graph {
 	g := NewGraph(name)
 	g.Entry, g.Exit = entry, exit
-	g.version = uint64(len(blocks) + len(edges))
-	g.structVersion = g.version
 	// A counting sort, stable in edge order, into lists 2i (block i's
 	// successors) and 2i+1 (its predecessors): count each list, turn the
 	// counts into start offsets, then place every edge at its lists'
@@ -410,20 +374,7 @@ func Assemble(name string, blocks []Block, edges []Edge, entry, exit NodeID) *Gr
 // caller afterwards. It is the rollback half of the pipeline's
 // checkpoint/rollback discipline — the caller holds *g, so recovery must
 // happen in place rather than by returning a different graph.
-//
-// The version counters are advanced past BOTH histories (the snapshot's
-// and whatever the failed pass did to g) and then bumped once more, so
-// any analysis.Session cache keyed on a version either graph ever had is
-// invalidated.
 func (g *Graph) Restore(snapshot *Graph) {
-	if snapshot.version > g.version {
-		g.version = snapshot.version
-	}
-	if snapshot.structVersion > g.structVersion {
-		g.structVersion = snapshot.structVersion
-	}
-	g.version++
-	g.structVersion++
 	g.Name = snapshot.Name
 	g.Blocks = snapshot.Blocks
 	g.Entry, g.Exit = snapshot.Entry, snapshot.Exit

@@ -21,10 +21,6 @@ func (g *Graph) Tidy() int {
 		}
 		removed += n
 	}
-	if removed > 0 {
-		g.version++
-		g.structVersion++
-	}
 	return removed
 }
 

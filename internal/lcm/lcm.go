@@ -57,12 +57,11 @@ type Stats struct {
 
 // Run applies lazy code motion to g in place against session s, so a
 // caller driving several passes (the pass pipeline, the §6 EM/CP
-// interleaving) shares one arena and the block orders across all of
-// them. The hoist+eliminate rounds are the AM phase's loop (am.Fixpoint)
-// restricted to the initialization patterns, on one encoding of the
-// graph, with its error contract: on error the graph is the valid,
-// semantics-preserved program of the last completed round, not yet
-// flushed.
+// interleaving) shares one arena across all of them. The hoist+eliminate
+// rounds are the AM phase's loop (am.Fixpoint) restricted to the
+// initialization patterns, on one encoding of the graph, with its error
+// contract: on error the graph is the valid, semantics-preserved program
+// of the last completed round, not yet flushed.
 func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	g.SplitCriticalEdges()

@@ -84,12 +84,14 @@ type locals struct {
 	antloc []bitvec.Vec // upward-exposed computation
 	comp   []bitvec.Vec // downward-exposed computation
 	kill   []bitvec.Vec // ¬TRANSP: some operand killed in the block
+
+	killByVar map[ir.Var]bitvec.Vec // expressions with operand v
 }
 
 // Run applies Morel/Renvoise PRE to g in place, tallying its solver work
-// into session s: the three uni-directional systems as three solves on the
-// session's block view, and the PP system as one more solve of one sweep
-// per round.
+// into session s: the three uni-directional systems as three solves on
+// g's block view, and the PP system as one more solve of one sweep per
+// round.
 func Run(g *ir.Graph, s *analysis.Session) Stats {
 	eu := ir.ExprUniverse(g)
 	bits := eu.Len()
@@ -98,9 +100,10 @@ func Run(g *ir.Graph, s *analysis.Session) Stats {
 		return st
 	}
 	loc := computeLocals(g, eu)
+	bv := analysis.NewBlockView(g)
 
-	avout := solve(g, s, dataflow.Forward, dataflow.All, loc.comp, loc.kill).Out
-	antin := solve(g, s, dataflow.Backward, dataflow.All, loc.antloc, loc.kill).Out
+	avout := solve(g, bv, s, dataflow.Forward, dataflow.All, loc.comp, loc.kill).Out
+	antin := solve(g, bv, s, dataflow.Backward, dataflow.All, loc.antloc, loc.kill).Out
 	ppin, ppout := solvePP(g, loc, avout, antin, bits, s.DataflowStats())
 
 	// Placement predicates per block, and the demand's kill INSERT ∨ COMP.
@@ -127,7 +130,7 @@ func Run(g *ir.Graph, s *analysis.Session) Stats {
 
 	// Demand analysis: which blocks must supply h at their exit (NEEDOUT,
 	// the solver's fact at a block's exit).
-	needout := solve(g, s, dataflow.Backward, dataflow.Any, reloads, suppliers).In
+	needout := solve(g, bv, s, dataflow.Backward, dataflow.Any, reloads, suppliers).In
 
 	// Transformation. All expressions are transformed in one pass; the
 	// per-expression transformations are independent (each has its own
@@ -136,17 +139,16 @@ func Run(g *ir.Graph, s *analysis.Session) Stats {
 	for i, b := range g.Blocks {
 		save := loc.comp[i].Copy()
 		save.And(needout[i])
-		st.apply(g, b, eu, inserts[i], reloads[i], save)
+		st.apply(g, b, eu, loc.killByVar, inserts[i], reloads[i], save)
 	}
 	g.Normalize()
 	return st
 }
 
 // solve runs one of MR's uni-directional block systems, out = gen ∨ (in ∧
-// ¬kill), on s's block view with its work tallied into s. The flow-entry
-// block (the entry forward, the exit backward) starts from ∅.
-func solve(g *ir.Graph, s *analysis.Session, dir dataflow.Direction, meet dataflow.Meet, gen, kill []bitvec.Vec) dataflow.Result {
-	bv := s.Blocks(g)
+// ¬kill), on g's block view bv with its work tallied into s. The
+// flow-entry block (the entry forward, the exit backward) starts from ∅.
+func solve(g *ir.Graph, bv analysis.BlockView, s *analysis.Session, dir dataflow.Direction, meet dataflow.Meet, gen, kill []bitvec.Vec) dataflow.Result {
 	order, boundary := bv.FwdOrder, int(g.Entry)
 	if dir == dataflow.Backward {
 		order, boundary = bv.BwdOrder, int(g.Exit)
@@ -166,13 +168,13 @@ func solve(g *ir.Graph, s *analysis.Session, dir dataflow.Direction, meet datafl
 
 func computeLocals(g *ir.Graph, eu *ir.ExprSet) *locals {
 	n, bits := len(g.Blocks), eu.Len()
-	loc := &locals{
-		antloc: make([]bitvec.Vec, n),
-		comp:   make([]bitvec.Vec, n),
-		kill:   make([]bitvec.Vec, n),
-	}
-	// killByVar[v] = expressions with operand v.
 	killByVar := map[ir.Var]bitvec.Vec{}
+	loc := &locals{
+		antloc:    make([]bitvec.Vec, n),
+		comp:      make([]bitvec.Vec, n),
+		kill:      make([]bitvec.Vec, n),
+		killByVar: killByVar,
+	}
 	for id := 0; id < bits; id++ {
 		e := eu.Expr(id)
 		for _, v := range e.Vars(nil) {
@@ -272,8 +274,9 @@ func solvePP(g *ir.Graph, loc *locals, avout, antin []bitvec.Vec, bits int, df *
 	return ppin, ppout
 }
 
-// apply performs the placement in one block.
-func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, insert, reload, save bitvec.Vec) {
+// apply performs the placement in one block; killByVar maps a variable to
+// the expressions it is an operand of.
+func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, killByVar map[ir.Var]bitvec.Vec, insert, reload, save bitvec.Vec) {
 	bits := eu.Len()
 	// Walk the block replacing upward-exposed occurrences (reload) and
 	// extending the downward-exposed occurrence (save). A reload that
@@ -316,11 +319,9 @@ func (st *Stats) apply(g *ir.Graph, b *ir.Block, eu *ir.ExprSet, insert, reload,
 		if v, ok := rewritten.Defs(); ok {
 			// Kills: operand redefinitions invalidate both the pending
 			// saves' validity tracking and hValid.
-			for id := 0; id < bits; id++ {
-				if eu.Expr(id).UsesVar(v) {
-					killed.Set(id)
-					hValid.Clear(id)
-				}
+			if kv, ok := killByVar[v]; ok {
+				killed.Or(kv)
+				hValid.AndNot(kv)
 			}
 		}
 	}

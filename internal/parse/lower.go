@@ -20,16 +20,6 @@ func ParseFun(src string) (*ir.Graph, error) {
 	return u.Lower()
 }
 
-// MustParseFun is ParseFun that panics on error, with the source position
-// and offending line in the message.
-func MustParseFun(src string) *ir.Graph {
-	g, err := ParseFun(src)
-	if err != nil {
-		panic(mustMessage("parse.MustParseFun", src, err))
-	}
-	return g
-}
-
 // inlineCallBudget bounds the total number of calls inlined for one unit.
 // Nested non-recursive calls can still multiply code size exponentially
 // (f calls g twice, g calls h twice, ...); the budget turns that into a

@@ -10,8 +10,8 @@
 // transformation package registers itself here at init time, so the
 // registry is complete exactly when the facade (or a command) has imported
 // the passes it wants to run. A Pipeline executes a pass sequence over ONE
-// shared analysis.Session — arena and iteration orders are reused
-// end-to-end, not rebuilt per pass — and instruments every step:
+// shared analysis.Session — its arena is reused end-to-end, not rebuilt
+// per pass — and instruments every step:
 // wall time, instruction/block deltas, dataflow solver work
 // (Visits/Sweeps), and arena high-water growth, delivered to an optional
 // event hook and aggregated in the run Report.

@@ -229,9 +229,8 @@ func (pl *Pipeline) Run(g *ir.Graph) (Report, error) {
 }
 
 // RunWith executes the pipeline on g in place, threading ONE session
-// through every pass: the arena and the iteration orders warmed by one
-// pass are reused by the next. The returned Report
-// carries the per-pass instrumentation.
+// through every pass: the arena warmed by one pass is reused by the next.
+// The returned Report carries the per-pass instrumentation.
 //
 // Failure semantics: every pass runs under panic recovery, and with
 // Recovery != Fail (or Debug on) a pre-pass checkpoint of the graph is

@@ -44,7 +44,6 @@ func prependConst(name string, v ir.Var, c int64) pass.Pass {
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
 			b := g.EntryBlock()
 			b.Instrs = append([]ir.Instr{ir.NewAssign(v, ir.ConstTerm(c))}, b.Instrs...)
-			g.MarkModified()
 			return pass.Stats{Changes: 1, Iterations: 1}, nil
 		},
 	}
@@ -159,7 +158,6 @@ func TestFaultInvalidGraphRolledBack(t *testing.T) {
 		Name: "corrupting",
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
 			g.EntryBlock().Instrs = nil // Validate: block is empty
-			g.MarkModified()
 			return pass.Stats{Changes: 1, Iterations: 1}, nil
 		},
 	}
@@ -190,7 +188,6 @@ func TestFaultDebugInvariantRestores(t *testing.T) {
 		RunWith: func(g *ir.Graph, s *analysis.Session) (pass.Stats, error) {
 			// x := a + b becomes x := a - b: structurally valid, trace-visible.
 			g.EntryBlock().Instrs[0] = ir.NewAssign("x", ir.BinTerm(ir.OpSub, ir.VarOp("a"), ir.VarOp("b")))
-			g.MarkModified()
 			return pass.Stats{Changes: 1, Iterations: 1}, nil
 		},
 	}

@@ -69,12 +69,13 @@ type sinkInfo struct {
 	occ *analysis.Occurrences
 }
 
-// analyze computes the sinkability analysis and insertion points for g,
-// with the solver work tallied into session s and all vectors carved from
-// its arena: the result must be consumed before the arena is released.
-// Sinking inserts instances in universe order, which is first occurrence
-// in g (analysis.NewUniverse), so the output depends on the program alone.
-func analyze(g *ir.Graph, s *analysis.Session) *sinkInfo {
+// analyze computes the sinkability analysis and insertion points for g on
+// its block view bv, with the solver work tallied into session s and all
+// vectors carved from its arena: the result must be consumed before the
+// arena is released. Sinking inserts instances in universe order, which is
+// first occurrence in g (analysis.NewUniverse), so the output depends on
+// the program alone.
+func analyze(g *ir.Graph, bv analysis.BlockView, s *analysis.Session) *sinkInfo {
 	u, px, occ := analysis.NewUniverse(g)
 	ar := s.Arena()
 	n, bits := len(g.Blocks), u.Len()
@@ -89,7 +90,6 @@ func analyze(g *ir.Graph, s *analysis.Session) *sinkInfo {
 	}
 
 	entry := int(g.Entry)
-	bv := s.Blocks(g)
 	res := dataflow.Solve(dataflow.Problem{
 		N: n, Bits: bits, Dir: dataflow.Forward, Meet: dataflow.All,
 		Preds: bv.Preds,
@@ -139,13 +139,13 @@ func analyze(g *ir.Graph, s *analysis.Session) *sinkInfo {
 // sink performs one sinking step on g: it inserts instances at all
 // insertion points and removes every sinking candidate. Critical edges
 // must be split (X-INSERT at a branch node is realized at the entries of
-// its successors). The analysis storage comes from s's arena, rewound
-// before returning.
-func sink(g *ir.Graph, s *analysis.Session) {
+// its successors), and bv is g's block view. The analysis storage comes
+// from s's arena, rewound before returning.
+func sink(g *ir.Graph, bv analysis.BlockView, s *analysis.Session) {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
-	info := analyze(g, s)
+	info := analyze(g, bv, s)
 
 	prepend := make([][]ir.Instr, len(g.Blocks))
 	appendAtEnd := make([][]ir.Instr, len(g.Blocks))
@@ -207,6 +207,9 @@ type Stats struct {
 func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
 	var st Stats
 	g.SplitCriticalEdges()
+	// Rounds only insert and remove assignments: the block view of the
+	// split graph holds for the whole run.
+	bv := analysis.NewBlockView(g)
 	limit := analysis.RoundLimit(g)
 	for {
 		st.Iterations++
@@ -219,7 +222,7 @@ func Run(g *ir.Graph, s *analysis.Session) (Stats, error) {
 			return st, err
 		}
 		before := g.Encode()
-		sink(g, s)
+		sink(g, bv, s)
 		removed, _, err := dce.Run(g, s)
 		st.Removed += removed
 		if err != nil {

@@ -47,7 +47,7 @@ func sinkStep(g *ir.Graph) bool {
 	s := analysis.NewSession()
 	defer s.Close()
 	before := g.Encode()
-	sink(g, s)
+	sink(g, analysis.NewBlockView(g), s)
 	return g.Encode() != before
 }
 

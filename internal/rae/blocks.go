@@ -36,7 +36,7 @@ func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
 	ar := s.Arena()
 	mark := ar.Mark()
 	defer ar.Release(mark)
-	bv := s.Blocks(c.G)
+	bv := c.View
 
 	gen := ar.Vecs(n)
 	kill := ar.Vecs(n)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -232,7 +233,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		AssignExecs:     resp.After.AssignExecs - resp.Before.AssignExecs,
 		TempAssignExecs: resp.After.TempAssignExecs - resp.Before.TempAssignExecs,
 	}
-	resp.TraceMatch = traceEqual(before.Trace, after.Trace)
+	resp.TraceMatch = slices.Equal(before.Trace, after.Trace)
 	if resp.Trace == nil {
 		resp.Trace = []int64{}
 	}
@@ -275,16 +276,4 @@ func visibleEnv(env map[ir.Var]int64) map[string]int64 {
 		out[string(v)] = x
 	}
 	return out
-}
-
-func traceEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
