@@ -22,6 +22,7 @@
 package cachestore
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -66,7 +67,8 @@ type envelope struct {
 	Data []byte `json:"data"`
 }
 
-// indexEntry is one record of the persisted index, oldest first.
+// indexEntry is one stored file: a record of the persisted index, and the
+// in-memory LRU's element value.
 type indexEntry struct {
 	File string `json:"file"`
 	Size int64  `json:"size"`
@@ -77,14 +79,6 @@ type persistedIndex struct {
 	Order []indexEntry `json:"order"` // LRU order, least recent first
 }
 
-// record is the in-memory index entry for one stored file.
-type record struct {
-	file string
-	size int64
-	prev *record
-	next *record
-}
-
 // Store is a persistent content-addressed cache directory. Construct with
 // Open; the zero value is not usable.
 type Store struct {
@@ -92,10 +86,9 @@ type Store struct {
 	maxBytes int64
 
 	mu    sync.Mutex
-	index map[string]*record // file base name -> record
-	// LRU list: head.next is least recently used, tail.prev most recent.
-	head, tail *record
-	bytes      int64
+	index map[string]*list.Element // file base name -> its *indexEntry in lru
+	lru   list.List                // front = least recently used
+	bytes int64
 
 	hits        int64
 	misses      int64
@@ -115,10 +108,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, index: map[string]*record{}}
-	s.head = &record{}
-	s.tail = &record{}
-	s.head.next, s.tail.prev = s.tail, s.head
+	s := &Store{dir: dir, maxBytes: maxBytes, index: map[string]*list.Element{}}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -176,9 +166,7 @@ func (s *Store) load() error {
 		}
 	}
 	for _, f := range found {
-		r := &record{file: f.file, size: f.size}
-		s.index[f.file] = r
-		s.pushBack(r)
+		s.index[f.file] = s.lru.PushBack(&indexEntry{File: f.file, Size: f.size})
 		s.bytes += f.size
 	}
 	s.evictLocked()
@@ -212,9 +200,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	s.mu.Lock()
 	s.hits++
-	if r, ok := s.index[file]; ok {
-		s.unlink(r)
-		s.pushBack(r)
+	if el, ok := s.index[file]; ok {
+		s.lru.MoveToBack(el)
 	}
 	s.mu.Unlock()
 	// Best-effort mtime touch so the LRU order survives a restart even
@@ -234,10 +221,9 @@ func (s *Store) discardCorrupt(file string) {
 	s.mu.Lock()
 	s.corruptions++
 	s.misses++
-	if r, ok := s.index[file]; ok {
-		s.unlink(r)
+	if el, ok := s.index[file]; ok {
 		delete(s.index, file)
-		s.bytes -= r.size
+		s.bytes -= s.lru.Remove(el).(*indexEntry).Size
 	}
 	s.mu.Unlock()
 	os.Remove(filepath.Join(s.dir, file))
@@ -258,36 +244,20 @@ func (s *Store) Put(key string, data []byte) error {
 		return nil
 	}
 	file := fileFor(key)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, file)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: %w", err)
+	if err := s.writeAtomic(file, blob); err != nil {
+		return err
 	}
 
 	s.mu.Lock()
 	s.puts++
-	if r, ok := s.index[file]; ok {
-		s.bytes += int64(len(blob)) - r.size
-		r.size = int64(len(blob))
-		s.unlink(r)
-		s.pushBack(r)
+	if el, ok := s.index[file]; ok {
+		e := el.Value.(*indexEntry)
+		s.bytes += int64(len(blob)) - e.Size
+		e.Size = int64(len(blob))
+		s.lru.MoveToBack(el)
 	} else {
-		r := &record{file: file, size: int64(len(blob))}
-		s.index[file] = r
-		s.pushBack(r)
-		s.bytes += r.size
+		s.index[file] = s.lru.PushBack(&indexEntry{File: file, Size: int64(len(blob))})
+		s.bytes += int64(len(blob))
 	}
 	s.evictLocked()
 	s.mu.Unlock()
@@ -300,13 +270,12 @@ func (s *Store) evictLocked() {
 	if s.maxBytes <= 0 {
 		return
 	}
-	for s.bytes > s.maxBytes && s.head.next != s.tail {
-		r := s.head.next
-		s.unlink(r)
-		delete(s.index, r.file)
-		s.bytes -= r.size
+	for s.bytes > s.maxBytes && s.lru.Len() > 0 {
+		e := s.lru.Remove(s.lru.Front()).(*indexEntry)
+		delete(s.index, e.File)
+		s.bytes -= e.Size
 		s.evictions++
-		os.Remove(filepath.Join(s.dir, r.file))
+		os.Remove(filepath.Join(s.dir, e.File))
 	}
 }
 
@@ -334,25 +303,30 @@ func (s *Store) Stats() Stats {
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	idx := persistedIndex{}
-	for r := s.head.next; r != s.tail; r = r.next {
-		idx.Order = append(idx.Order, indexEntry{File: r.file, Size: r.size})
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		idx.Order = append(idx.Order, *el.Value.(*indexEntry))
 	}
 	s.mu.Unlock()
 	blob, err := json.Marshal(idx)
 	if err != nil {
 		return fmt.Errorf("cachestore: %w", err)
 	}
+	return s.writeAtomic(indexFile, blob)
+}
+
+// writeAtomic writes blob to name in the store directory through a temp
+// file there and a rename, so no reader ever sees a half-written file.
+func (s *Store) writeAtomic(name string, blob []byte) error {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cachestore: %w", err)
 	}
 	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	if err := errors.Join(werr, tmp.Close()); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("cachestore: flush: %w", errors.Join(werr, cerr))
+		return fmt.Errorf("cachestore: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, indexFile)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cachestore: %w", err)
 	}
@@ -362,18 +336,3 @@ func (s *Store) Flush() error {
 // Close flushes the index. The store holds no other resources (every
 // read/write opens and closes its own file).
 func (s *Store) Close() error { return s.Flush() }
-
-// unlink removes r from the LRU list. Caller holds s.mu.
-func (s *Store) unlink(r *record) {
-	r.prev.next = r.next
-	r.next.prev = r.prev
-	r.prev, r.next = nil, nil
-}
-
-// pushBack appends r at the most-recently-used end. Caller holds s.mu.
-func (s *Store) pushBack(r *record) {
-	r.prev = s.tail.prev
-	r.next = s.tail
-	s.tail.prev.next = r
-	s.tail.prev = r
-}

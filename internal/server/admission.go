@@ -27,13 +27,9 @@ type admission struct {
 	waiting    atomic.Int64
 }
 
+// newAdmission takes Config.fill's values: workers and queueDepth are
+// both at least 1.
 func newAdmission(workers, queueDepth int) *admission {
-	if workers <= 0 {
-		workers = 1
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
 	return &admission{sem: make(chan struct{}, workers), queueLimit: int64(queueDepth)}
 }
 
@@ -80,9 +76,7 @@ func (a *admission) release() { <-a.sem }
 // overloaded reports whether the wait queue is full right now — the
 // up-front shed check for batch requests, taken before the response
 // stream starts (a 429 cannot be sent once bytes are on the wire).
-func (a *admission) overloaded() bool {
-	return a.waiting.Load() >= a.queueLimit && a.queueLimit > 0 || a.queueLimit == 0 && len(a.sem) == cap(a.sem)
-}
+func (a *admission) overloaded() bool { return a.waiting.Load() >= a.queueLimit }
 
 // queued reports the current wait-queue depth (for the metrics gauge).
 func (a *admission) queued() int64 { return a.waiting.Load() }

@@ -4,11 +4,12 @@ package server
 //
 // Jobs route by graph fingerprint. When the route names a healthy peer,
 // the request forwards there (with retries and hedging inside
-// cluster.Forward) and the peer's response is relayed — the forwarded
-// request carries the X-Amoptd-Forwarded header, so the receiving node
-// always computes locally and forwards never chain. When the route says
-// local, or every candidate peer is unusable and local fallback is
-// allowed, the job runs through the ordinary single-node path. With
+// cluster.Forward) under what is left of the request's deadline, and the
+// peer's response is relayed — the forwarded request carries the
+// X-Amoptd-Forwarded header, so the receiving node always computes
+// locally and forwards never chain. When the route says local, or every
+// candidate peer is unusable and local fallback is allowed, the job runs
+// through the ordinary single-node path on the same deadline. With
 // NoLocalFallback set, unroutable jobs answer typed 503/502 through the
 // fault taxonomy instead.
 //
@@ -26,7 +27,6 @@ import (
 	"time"
 
 	"assignmentmotion/internal/cluster"
-	"assignmentmotion/internal/engine"
 	"assignmentmotion/internal/fault"
 	"assignmentmotion/internal/ir"
 )
@@ -43,146 +43,54 @@ func (nullStore) Put(string, []byte) error  { return nil }
 // it to reach routing and metrics.
 func (s *Server) Node() *cluster.Node { return s.node }
 
-// noPeerErr is the typed failure for "the cluster owns this job but no
+// errNoPeer is the typed failure for "the cluster owns this job but no
 // member of the cluster can take it".
-func noPeerErr() error {
-	return &fault.PeerError{
-		Unreachable: true,
-		Err:         errors.New("no healthy peer owns this graph and local fallback is disabled"),
-	}
+var errNoPeer error = &fault.PeerError{
+	Unreachable: true,
+	Err:         errors.New("no healthy peer owns this graph and local fallback is disabled"),
 }
 
-// maybeForwardOptimize routes one single-optimize request. It reports
-// served=true when it wrote the response (forwarded, or answered a typed
-// peer failure); served=false means the caller runs the job locally —
-// either this node owns it, or its peer is gone and the job redistributes
-// here.
-func (s *Server) maybeForwardOptimize(w http.ResponseWriter, r *http.Request, req *OptimizeRequest, g *ir.Graph) (served bool, outcome string) {
+// forward offers one program to its owning peer, for a single request
+// and for a batch job alike. It returns the peer's answer, or nil with a
+// nil error when the program is computed here: this node owns it, the
+// request arrived forwarded, or no peer could take it and local fallback
+// is allowed (counted as a redistribution when a forward failed). With
+// NoLocalFallback an unroutable program is a typed peer error instead.
+// When into is non-nil the answer must decode into it as an optimize
+// response; a peer that answered anything else counts as failed.
+func (s *Server) forward(ctx context.Context, r *http.Request, req *OptimizeRequest, g *ir.Graph, into *OptimizeResponse) (*cluster.ForwardResult, error) {
 	if s.node == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
-		return false, ""
+		return nil, nil
 	}
 	route := s.node.Route(g.Fingerprint().String())
 	if route.Local {
-		return false, ""
+		return nil, nil
 	}
-	if len(route.Peers) == 0 {
-		if !s.cfg.NoLocalFallback {
-			return false, ""
+	err := errNoPeer
+	if len(route.Peers) > 0 {
+		// The peer gets what is left of the caller's budget (ctx always
+		// carries the request's deadline), so it cannot stretch it, and
+		// the forward itself ends with ctx.
+		fwd := *req
+		dl, _ := ctx.Deadline()
+		fwd.DeadlineMs = max(time.Until(dl).Milliseconds(), 1)
+		body, _ := json.Marshal(fwd) // strings, numbers and slices: cannot fail
+		var res *cluster.ForwardResult
+		if res, err = s.node.Forward(ctx, route.Peers, "/v1/optimize", body); err == nil {
+			if into == nil || json.Unmarshal(res.Body, into) == nil && into.Outcome != "" {
+				return res, nil
+			}
+			// Not an optimize response: a proxy error page, a truncated body.
+			err = &fault.PeerError{Peer: res.Peer, Attempts: 1, Err: fmt.Errorf("undecodable response (status %d)", res.Status)}
 		}
-		err := noPeerErr()
-		writeJSON(w, fault.HTTPStatus(err), errorBody{Error: err.Error(), ErrorKind: fault.Name(err)})
-		return true, fault.Name(err)
 	}
-
-	// The forwarded request carries the already-clamped deadline, so the
-	// peer cannot stretch the caller's budget, and the forward itself is
-	// bounded by the same budget.
-	d := s.deadline(req.DeadlineMs)
-	fwd := *req
-	fwd.DeadlineMs = d.Milliseconds()
-	body, err := json.Marshal(fwd)
-	if err != nil {
-		return false, ""
+	if s.cfg.NoLocalFallback {
+		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	res, ferr := s.node.Forward(ctx, route.Peers, "/v1/optimize", body)
-	if ferr != nil {
-		if s.cfg.NoLocalFallback {
-			writeJSON(w, fault.HTTPStatus(ferr), errorBody{Error: ferr.Error(), ErrorKind: fault.Name(ferr)})
-			return true, fault.Name(ferr)
-		}
-		// The owner and every replica are gone: the job redistributes to
-		// this node's own engine.
+	if len(route.Peers) > 0 {
 		s.node.Metrics().Redistributed()
-		return false, ""
 	}
-	ct := res.ContentType
-	if ct == "" {
-		ct = "application/json"
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(res.Status)
-	w.Write(res.Body)
-	return true, "forwarded"
-}
-
-// forwardBatchJob routes one batch job as a single-optimize request to
-// its owning peer and folds the answer back into the stream's response
-// shape. served=false sends the job down the local compute path — the
-// caller's goroutine, which is exactly where a job lands when its peer
-// dies mid-batch (counted as a redistribution).
-func (s *Server) forwardBatchJob(ctx context.Context, req *BatchRequest, i int, g *ir.Graph) (OptimizeResponse, bool) {
-	if s.node == nil {
-		return OptimizeResponse{}, false
-	}
-	route := s.node.Route(g.Fingerprint().String())
-	if route.Local {
-		return OptimizeResponse{}, false
-	}
-
-	// A forwarding failure either redistributes the job to the local
-	// engine (default) or, with NoLocalFallback, becomes this job's typed
-	// failure line in the stream.
-	failed := func(err error) (OptimizeResponse, bool) {
-		if !s.cfg.NoLocalFallback {
-			s.node.Metrics().Redistributed()
-			return OptimizeResponse{}, false
-		}
-		return OptimizeResponse{
-			Index:     i,
-			Name:      g.Name,
-			Outcome:   string(engine.OutcomeFailed),
-			Error:     err.Error(),
-			ErrorKind: fault.Name(err),
-		}, true
-	}
-
-	if len(route.Peers) == 0 {
-		if !s.cfg.NoLocalFallback {
-			return OptimizeResponse{}, false
-		}
-		return failed(noPeerErr())
-	}
-
-	single := OptimizeRequest{
-		Name:    req.Programs[i].Name,
-		Program: req.Programs[i].Program,
-		Dialect: req.Dialect,
-		Passes:  req.Passes,
-		OnError: req.OnError,
-		Budget:  req.Budget,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			single.DeadlineMs = ms
-		}
-	}
-	body, merr := json.Marshal(single)
-	if merr != nil {
-		return OptimizeResponse{}, false
-	}
-	res, err := s.node.Forward(ctx, route.Peers, "/v1/optimize", body)
-	if err != nil {
-		return failed(err)
-	}
-	var resp OptimizeResponse
-	if jerr := json.Unmarshal(res.Body, &resp); jerr != nil || resp.Outcome == "" {
-		// The peer answered something that is not an optimize response
-		// (a proxy error page, a truncated body). Treat it like a peer
-		// failure: redistribute or surface a typed 502.
-		return failed(&fault.PeerError{
-			Peer:     res.Peer,
-			Attempts: 1,
-			Err:      fmt.Errorf("undecodable response (status %d)", res.Status),
-		})
-	}
-	resp.Index = i
-	if resp.Name == "" {
-		resp.Name = g.Name
-	}
-	resp.Passes = nil
-	return resp, true
+	return nil, nil
 }
 
 // handleReadyz is readiness, distinct from /healthz liveness: it reflects

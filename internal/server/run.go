@@ -16,17 +16,12 @@ package server
 // partial trace and counters produced so far.
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
-	"strings"
-	"time"
 
 	"assignmentmotion/internal/bytecode"
-	"assignmentmotion/internal/fault"
+	"assignmentmotion/internal/engine"
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/printer"
@@ -38,8 +33,9 @@ import (
 const defaultMaxRunSteps = 1_000_000
 
 // RunRequest is the body of POST /v1/run. Pipeline selection (Passes,
-// OnError, Budget, DeadlineMs) matches /v1/optimize; the rest configures
-// the two executions.
+// OnError, Budget) and DeadlineMs match /v1/optimize: the deadline bounds
+// the request from its arrival, queue wait included (a run never
+// forwards). The rest configures the two executions.
 type RunRequest struct {
 	Name    string `json:"name,omitempty"`
 	Program string `json:"program"`
@@ -135,67 +131,21 @@ func (s *Server) runMaxSteps(req int) int {
 	return steps
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	outcome := "bad-request"
-	defer func() { s.met.request("run", outcome, time.Since(start)) }()
-
-	if s.isDraining() {
-		outcome = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining", ErrorKind: "draining"})
-		return
-	}
-	var req RunRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error(), ErrorKind: "bad-request"})
-		return
-	}
-	if strings.TrimSpace(req.Program) == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty program", ErrorKind: "bad-request"})
-		return
-	}
-	cfg, err := requestConfig(req.Passes, req.OnError, req.Budget)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
-		return
-	}
-	if err := checkName(req.Name); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
-		return
-	}
-	g, err := parseProgram(req.Dialect, req.Name, req.Program)
-	if err != nil {
-		outcome = "parse-error"
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "parse-error"})
-		return
-	}
-
-	if err := s.adm.tryAcquire(r.Context()); err != nil {
-		if errors.Is(err, errOverloaded) {
-			outcome = "shed"
-			s.met.shed.Add(1)
-			w.Header().Set("Retry-After", s.retryAfter())
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errOverloaded.Error(), ErrorKind: "overloaded"})
-			return
+func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, req *RunRequest) string {
+	one := OptimizeRequest{Name: req.Name, Program: req.Program, Dialect: req.Dialect, Passes: req.Passes, OnError: req.OnError, Budget: req.Budget, DeadlineMs: req.DeadlineMs}
+	return s.serveOne(w, r, &one, false, func(g *ir.Graph, res engine.GraphResult) string {
+		if res.Err != nil {
+			s.refuse(w, res.Err)
+			return string(res.Outcome)
 		}
-		outcome = "canceled"
-		writeJSON(w, fault.HTTPStatus(err), errorBody{Error: err.Error(), ErrorKind: fault.Name(err)})
-		return
-	}
-	defer s.adm.release()
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
+		return s.run(w, req, g, res)
+	})
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMs))
-	defer cancel()
-	res := s.engineFor(cfg).Optimize(ctx, g)
-	if res.Err != nil {
-		outcome = string(res.Outcome)
-		writeJSON(w, fault.HTTPStatus(res.Err), errorBody{Error: res.Err.Error(), ErrorKind: fault.Name(res.Err)})
-		return
-	}
-
+// run executes the source graph g and the optimized graph of res on the
+// request's inputs, still inside the request's worker slot, and answers
+// the trace with the before/after counters.
+func (s *Server) run(w http.ResponseWriter, req *RunRequest, g *ir.Graph, res engine.GraphResult) string {
 	init := make(map[ir.Var]int64, len(req.Inputs))
 	for name, v := range req.Inputs {
 		init[ir.Var(name)] = v
@@ -204,16 +154,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	opts := interp.Options{TrapOnDivZero: req.TrapDivZero}
 
 	before, err := bytecode.Execute(g, init, maxSteps, opts)
-	if err != nil {
-		outcome = "internal-error"
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), ErrorKind: "internal-error"})
-		return
+	var after interp.Result
+	if err == nil {
+		after, err = bytecode.Execute(res.Graph, init, maxSteps, opts)
 	}
-	after, err := bytecode.Execute(res.Graph, init, maxSteps, opts)
 	if err != nil {
-		outcome = "internal-error"
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), ErrorKind: "internal-error"})
-		return
+		return s.refuse(w, &refusal{http.StatusInternalServerError, "internal-error", err.Error()})
 	}
 
 	resp := RunResponse{
@@ -238,31 +184,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = []int64{}
 	}
 
+	status := http.StatusOK
 	switch {
 	case before.Trapped || after.Trapped:
-		outcome = "trapped"
-		resp.Outcome = "trapped"
-		resp.Error = "execution trapped on division or remainder by zero"
-		resp.ErrorKind = "trapped"
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
+		status, resp.Outcome, resp.Error = http.StatusUnprocessableEntity, "trapped", "execution trapped on division or remainder by zero"
 	case before.Truncated || after.Truncated:
-		outcome = "truncated"
-		resp.Outcome = "truncated"
-		resp.Error = fmt.Sprintf("execution exceeded the %d-step budget", maxSteps)
-		resp.ErrorKind = "truncated"
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
+		status, resp.Outcome, resp.Error = http.StatusUnprocessableEntity, "truncated", fmt.Sprintf("execution exceeded the %d-step budget", maxSteps)
 	case !resp.TraceMatch:
 		// Admissible motion preserves traces; a mismatch is an optimizer
 		// bug and must never masquerade as a successful run.
-		outcome = "trace-mismatch"
-		resp.Outcome = "trace-mismatch"
-		resp.Error = "optimized program produced a different trace than the source program"
-		resp.ErrorKind = "trace-mismatch"
-		writeJSON(w, http.StatusInternalServerError, resp)
-	default:
-		outcome = "ran"
-		writeJSON(w, http.StatusOK, resp)
+		status, resp.Outcome, resp.Error = http.StatusInternalServerError, "trace-mismatch", "optimized program produced a different trace than the source program"
 	}
+	if status != http.StatusOK {
+		resp.ErrorKind = resp.Outcome
+	}
+	writeJSON(w, status, resp)
+	return resp.Outcome
 }
 
 // visibleEnv strips compiler temporaries from a final environment and

@@ -19,6 +19,14 @@
 //	GET  /healthz            liveness + drain state
 //	GET  /metrics            Prometheus text format
 //
+// The three POST endpoints share one request path: endpoint records the
+// metrics and decodes the body, refuse answers every request-level
+// failure, and serveOne takes a single program through validation,
+// parse, the cluster route (forward), the admission queue and the engine
+// (compute) under one deadline counted from arrival, which queue wait, a
+// forward and a local fallback after it all spend. Batch jobs go through
+// the same forward and compute under the batch's deadline.
+//
 // Requests are served from a two-tier result cache: every engine's
 // in-memory fingerprint cache fronts one shared persistent
 // internal/cachestore directory, so a restarted daemon answers
@@ -265,9 +273,9 @@ func (s *Server) engineFor(cfg engineConfig) *engine.Engine {
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	mux.HandleFunc("POST /v1/optimize/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/run", s.handleRun)
+	mux.HandleFunc("POST /v1/optimize", endpoint(s, "optimize", s.serveOptimize))
+	mux.HandleFunc("POST /v1/optimize/batch", endpoint(s, "batch", s.serveBatch))
+	mux.HandleFunc("POST /v1/run", endpoint(s, "run", s.serveRun))
 	mux.HandleFunc("GET /v1/passes", s.handlePasses)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -316,8 +324,9 @@ type OptimizeRequest struct {
 	OnError string `json:"onError,omitempty"`
 	// Budget caps per-pass resources; violations answer 422.
 	Budget *BudgetSpec `json:"budget,omitempty"`
-	// DeadlineMs bounds the whole request (capped by the server's
-	// MaxDeadline); expiry answers 504.
+	// DeadlineMs bounds the whole request from its arrival (capped by the
+	// server's MaxDeadline): queue wait, a forward to the owning peer and a
+	// local fallback all spend it. Expiry answers 504 canceled.
 	DeadlineMs int64 `json:"deadlineMs,omitempty"`
 }
 
@@ -362,15 +371,76 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// checkName rejects a request name that the .fg grammar cannot print
-// back. The name replaces the parsed graph's and is written verbatim into
-// "graph <name> {", so the served program, and the disk-tier entry stored
-// from it, must parse again.
-func checkName(name string) error {
-	if name != "" && !parse.IsGraphName(name) {
-		return fmt.Errorf("name %q is not an identifier (a letter or '_', then letters, digits or '_') or is a keyword", name)
+// refusal is a request-level failure, answered with an errorBody: its
+// kind is both the errorKind and the metrics outcome label.
+type refusal struct {
+	status int
+	kind   string
+	msg    string
+}
+
+func (e *refusal) Error() string { return e.msg }
+
+var errDraining = &refusal{http.StatusServiceUnavailable, "draining", "server is draining"}
+
+func badRequest(msg string) error { return &refusal{http.StatusBadRequest, "bad-request", msg} }
+
+// refuse answers err with an errorBody and returns the request's metrics
+// outcome label. A refusal carries its status and kind; a full queue
+// sheds with 429 and Retry-After; any other error is a typed fault,
+// answered with the fault taxonomy's status and name.
+func (s *Server) refuse(w http.ResponseWriter, err error) string {
+	status, kind := fault.HTTPStatus(err), fault.Name(err)
+	label := kind
+	var rf *refusal
+	switch {
+	case errors.As(err, &rf):
+		status, kind, label = rf.status, rf.kind, rf.kind
+	case errors.Is(err, errOverloaded):
+		s.met.shed.Add(1)
+		w.Header().Set("Retry-After", s.retryAfter())
+		status, kind, label = http.StatusTooManyRequests, "overloaded", "shed"
 	}
-	return nil
+	writeJSON(w, status, errorBody{Error: err.Error(), ErrorKind: kind})
+	return label
+}
+
+// endpoint is the front of every POST endpoint: it records the request's
+// metrics in one deferred place and runs the decode gate (no new work
+// while the server drains, then the size-bounded body into a fresh T)
+// before serve, which answers and returns the outcome label.
+func endpoint[T any](s *Server, name string, serve func(http.ResponseWriter, *http.Request, *T) string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		outcome := "bad-request"
+		defer func() { s.met.request(name, outcome, time.Since(start)) }()
+		if s.isDraining() {
+			outcome = s.refuse(w, errDraining)
+			return
+		}
+		var req T
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+			outcome = s.refuse(w, badRequest("bad request body: "+err.Error()))
+			return
+		}
+		outcome = serve(w, r, &req)
+	}
+}
+
+// program is the per-program gate of every endpoint. A request name
+// replaces the parsed graph's and is written verbatim into
+// "graph <name> {", so the served program, and the disk-tier entry
+// stored from it, parse again only if the name is one the .fg grammar
+// reads back (400 bad-request). The source must parse (400 parse-error).
+func program(dialect, name, src string) (*ir.Graph, error) {
+	if name != "" && !parse.IsGraphName(name) {
+		return nil, badRequest(fmt.Sprintf("name %q is not an identifier (a letter or '_', then letters, digits or '_') or is a keyword", name))
+	}
+	g, err := parseProgram(dialect, name, src)
+	if err != nil {
+		return nil, &refusal{http.StatusBadRequest, "parse-error", err.Error()}
+	}
+	return g, nil
 }
 
 // parseProgram parses one program in the requested dialect.
@@ -398,7 +468,7 @@ func parseProgram(dialect, name, src string) (*ir.Graph, error) {
 
 // requestConfig resolves the pipeline configuration of a request:
 // registry-validated passes, recovery policy, budget. A nil error means
-// the configuration is servable.
+// the configuration is servable; any other is a 400 bad-request.
 func requestConfig(passes []string, onError string, budget *BudgetSpec) (engineConfig, error) {
 	names := make([]string, 0, len(passes))
 	for _, p := range passes {
@@ -413,7 +483,7 @@ func requestConfig(passes []string, onError string, budget *BudgetSpec) (engineC
 	}
 	if len(names) > 0 {
 		if _, err := pass.Resolve(names...); err != nil {
-			return engineConfig{}, err
+			return engineConfig{}, badRequest(err.Error())
 		}
 	}
 	policy := pass.Fail
@@ -421,7 +491,7 @@ func requestConfig(passes []string, onError string, budget *BudgetSpec) (engineC
 		var err error
 		policy, err = pass.ParseRecoveryPolicy(onError)
 		if err != nil {
-			return engineConfig{}, err
+			return engineConfig{}, badRequest(err.Error())
 		}
 	}
 	return engineConfig{
@@ -471,69 +541,76 @@ func respond(idx int, name string, r engine.GraphResult) OptimizeResponse {
 	return resp
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	outcome := "bad-request"
-	defer func() { s.met.request("optimize", outcome, time.Since(start)) }()
+// answerFunc answers one engine result while its worker slot is still
+// held and returns the metrics outcome label.
+type answerFunc func(g *ir.Graph, res engine.GraphResult) string
 
-	if s.isDraining() {
-		outcome = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining", ErrorKind: "draining"})
-		return
-	}
-	var req OptimizeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error(), ErrorKind: "bad-request"})
-		return
-	}
+// serveOne takes one program through the single-request path: validation,
+// parse, the cluster route (when forward is set), the admission queue and
+// the engine, all under one deadline that starts on arrival. Queue wait,
+// the forward hop and a local fallback after a failed forward spend that
+// same budget. It returns the metrics outcome label.
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, req *OptimizeRequest, forward bool, answer answerFunc) string {
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMs))
+	defer cancel()
 	if strings.TrimSpace(req.Program) == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty program", ErrorKind: "bad-request"})
-		return
+		return s.refuse(w, badRequest("empty program"))
 	}
 	cfg, err := requestConfig(req.Passes, req.OnError, req.Budget)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
-		return
+		return s.refuse(w, err)
 	}
-	if err := checkName(req.Name); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
-		return
-	}
-	g, err := parseProgram(req.Dialect, req.Name, req.Program)
+	g, err := program(req.Dialect, req.Name, req.Program)
 	if err != nil {
-		outcome = "parse-error"
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "parse-error"})
-		return
+		return s.refuse(w, err)
 	}
-
-	if served, out := s.maybeForwardOptimize(w, r, &req, g); served {
-		outcome = out
-		return
-	}
-
-	if err := s.adm.tryAcquire(r.Context()); err != nil {
-		if errors.Is(err, errOverloaded) {
-			outcome = "shed"
-			s.met.shed.Add(1)
-			w.Header().Set("Retry-After", s.retryAfter())
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errOverloaded.Error(), ErrorKind: "overloaded"})
-			return
+	if forward {
+		res, err := s.forward(ctx, r, req, g, nil)
+		if err != nil {
+			return s.refuse(w, err)
 		}
-		outcome = "canceled"
-		writeJSON(w, fault.HTTPStatus(err), errorBody{Error: err.Error(), ErrorKind: fault.Name(err)})
-		return
+		if res != nil {
+			ct := res.ContentType
+			if ct == "" {
+				ct = "application/json"
+			}
+			w.Header().Set("Content-Type", ct)
+			w.WriteHeader(res.Status)
+			w.Write(res.Body)
+			return "forwarded"
+		}
+	}
+	outcome, err := s.compute(ctx, cfg, g, true, answer)
+	if err != nil {
+		return s.refuse(w, err)
+	}
+	return outcome
+}
+
+// compute is the engine step of every endpoint: it takes a worker slot
+// under ctx, runs g through the engine of cfg and answers while it holds
+// the slot. A single request sheds (errOverloaded) rather than join a
+// full queue; a batch job waits, since its stream can no longer answer
+// 429.
+func (s *Server) compute(ctx context.Context, cfg engineConfig, g *ir.Graph, shed bool, answer answerFunc) (string, error) {
+	admit := s.adm.acquire
+	if shed {
+		admit = s.adm.tryAcquire
+	}
+	if err := admit(ctx); err != nil {
+		return "", err
 	}
 	defer s.adm.release()
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
+	return answer(g, s.engineFor(cfg).Optimize(ctx, g)), nil
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMs))
-	defer cancel()
-	res := s.engineFor(cfg).Optimize(ctx, g)
-	outcome = string(res.Outcome)
-	resp := respond(0, g.Name, res)
-	writeJSON(w, fault.HTTPStatus(res.Err), resp)
+func (s *Server) serveOptimize(w http.ResponseWriter, r *http.Request, req *OptimizeRequest) string {
+	return s.serveOne(w, r, req, true, func(g *ir.Graph, res engine.GraphResult) string {
+		writeJSON(w, fault.HTTPStatus(res.Err), respond(0, g.Name, res))
+		return string(res.Outcome)
+	})
 }
 
 // BatchProgram is one named program of a batch request.
@@ -544,7 +621,9 @@ type BatchProgram struct {
 
 // BatchRequest is the body of POST /v1/optimize/batch. Pipeline,
 // recovery, budget, and deadline are shared by every program of the
-// batch.
+// batch: DeadlineMs bounds the whole stream from the moment every program
+// has parsed, including each job's wait for a worker slot and its
+// forward.
 type BatchRequest struct {
 	Programs   []BatchProgram `json:"programs"`
 	Dialect    string         `json:"dialect,omitempty"`
@@ -565,57 +644,23 @@ type BatchSummary struct {
 	Wall        string `json:"wall"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRequest) string {
 	start := time.Now()
-	outcome := "bad-request"
-	defer func() { s.met.request("batch", outcome, time.Since(start)) }()
-
-	if s.isDraining() {
-		outcome = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining", ErrorKind: "draining"})
-		return
-	}
-	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error(), ErrorKind: "bad-request"})
-		return
-	}
 	if len(req.Programs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch", ErrorKind: "bad-request"})
-		return
+		return s.refuse(w, badRequest("empty batch"))
 	}
 	if len(req.Programs) > s.cfg.MaxBatch {
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error:     fmt.Sprintf("batch of %d exceeds the %d-program limit", len(req.Programs), s.cfg.MaxBatch),
-			ErrorKind: "bad-request",
-		})
-		return
+		return s.refuse(w, badRequest(fmt.Sprintf("batch of %d exceeds the %d-program limit", len(req.Programs), s.cfg.MaxBatch)))
 	}
 	cfg, err := requestConfig(req.Passes, req.OnError, req.Budget)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), ErrorKind: "bad-request"})
-		return
+		return s.refuse(w, err)
 	}
 	graphs := make([]*ir.Graph, len(req.Programs))
 	for i, p := range req.Programs {
-		if err := checkName(p.Name); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error:     fmt.Sprintf("program %d: %v", i, err),
-				ErrorKind: "bad-request",
-			})
-			return
+		if graphs[i], err = program(req.Dialect, p.Name, p.Program); err != nil {
+			return s.refuse(w, fmt.Errorf("program %d (%s): %w", i, p.Name, err))
 		}
-		g, err := parseProgram(req.Dialect, p.Name, p.Program)
-		if err != nil {
-			outcome = "parse-error"
-			writeJSON(w, http.StatusBadRequest, errorBody{
-				Error:     fmt.Sprintf("program %d (%s): %v", i, p.Name, err),
-				ErrorKind: "parse-error",
-			})
-			return
-		}
-		graphs[i] = g
 	}
 
 	// One up-front shed check, before the stream starts: once bytes are
@@ -623,16 +668,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// the whole batch here and per-graph jobs below wait (bounded by the
 	// deadline) instead of shedding.
 	if s.adm.overloaded() {
-		outcome = "shed"
-		s.met.shed.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter())
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errOverloaded.Error(), ErrorKind: "overloaded"})
-		return
+		return s.refuse(w, errOverloaded)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMs))
 	defer cancel()
-	eng := s.engineFor(cfg)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -640,34 +680,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	results := make(chan OptimizeResponse)
 	var wg sync.WaitGroup
-	alreadyForwarded := r.Header.Get(cluster.ForwardedHeader) != ""
-	for i := range graphs {
+	for i, g := range graphs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if !alreadyForwarded {
-				// Cluster mode: jobs owned by a healthy peer forward there
-				// (consuming that peer's worker budget, not ours) and their
-				// response lines drop into the same stream. A job whose peer
-				// dies mid-batch falls through to the local path below — the
-				// mid-batch redistribution that keeps one response flowing.
-				if resp, served := s.forwardBatchJob(ctx, &req, i, graphs[i]); served {
-					results <- resp
-					return
-				}
-			}
-			if err := s.adm.acquire(ctx); err != nil {
-				results <- respond(i, graphs[i].Name, engine.GraphResult{
-					Index: i, Outcome: engine.OutcomeFailed,
-					Err: &fault.CanceledError{Err: err},
-				})
-				return
-			}
-			defer s.adm.release()
-			s.met.inflight.Add(1)
-			defer s.met.inflight.Add(-1)
-			results <- respond(i, graphs[i].Name, eng.Optimize(ctx, graphs[i]))
-		}(i)
+			results <- s.batchJob(ctx, r, req, i, g, cfg)
+		}()
 	}
 	go func() { wg.Wait(); close(results) }()
 
@@ -702,12 +720,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case summary.Failed > 0:
-		outcome = "failed"
+		return "failed"
 	case summary.Degraded > 0:
-		outcome = "degraded"
-	default:
-		outcome = "optimized"
+		return "degraded"
 	}
+	return "optimized"
+}
+
+// batchJob answers program i of a batch under the batch's deadline: by
+// its owning peer through the same forwarder as a single request (a job
+// whose peer dies mid-batch lands back here), or by this node's engine in
+// a worker slot it waits for.
+func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchRequest, i int, g *ir.Graph, cfg engineConfig) OptimizeResponse {
+	p := req.Programs[i]
+	one := OptimizeRequest{Name: p.Name, Program: p.Program, Dialect: req.Dialect, Passes: req.Passes, OnError: req.OnError, Budget: req.Budget}
+	var resp OptimizeResponse
+	fwd, err := s.forward(ctx, r, &one, g, &resp)
+	switch {
+	case err != nil:
+		return OptimizeResponse{Index: i, Name: g.Name, Outcome: string(engine.OutcomeFailed), Error: err.Error(), ErrorKind: fault.Name(err)}
+	case fwd != nil:
+		resp.Index = i
+		if resp.Name == "" {
+			resp.Name = g.Name
+		}
+		return resp
+	}
+	if _, err := s.compute(ctx, cfg, g, false, func(g *ir.Graph, res engine.GraphResult) string {
+		resp = respond(i, g.Name, res)
+		return string(res.Outcome)
+	}); err != nil {
+		return respond(i, g.Name, engine.GraphResult{Outcome: engine.OutcomeFailed, Err: &fault.CanceledError{Err: err}})
+	}
+	return resp
 }
 
 // handlePasses serves the pass registry: names, descriptions, and paper
