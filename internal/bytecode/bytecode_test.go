@@ -14,6 +14,7 @@ import (
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
 	"assignmentmotion/internal/pass"
+	"assignmentmotion/internal/typeinference"
 )
 
 // requireSame is the differential oracle: every observable of the two
@@ -181,7 +182,7 @@ func TestDifferentialTypedPrograms(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for name, src := range srcs {
-		g, err := parse.ParseFun(src)
+		g, _, err := typeinference.Compile(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

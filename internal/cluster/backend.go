@@ -104,7 +104,7 @@ func (b *remoteBackend) Put(key string, data []byte) error {
 
 // fetchEntry GETs one cache entry from a peer. Any failure is a miss.
 func (n *Node) fetchEntry(peer, key string) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.fetchTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 	defer cancel()
 	u := peer + CachePath + "?key=" + url.QueryEscape(key)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)

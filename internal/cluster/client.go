@@ -184,7 +184,7 @@ func (n *Node) Forward(ctx context.Context, peers []string, path string, body []
 			if out.err != nil {
 				lastErr = out.err
 				n.met.forwardFailure(out.att.peer)
-				n.health.markDown(out.att.peer, out.err.Error())
+				n.health.markDown(out.att.peer)
 			} else {
 				lastErr = fmt.Errorf("peer %s answered %d", out.att.peer, out.res.Status)
 			}

@@ -64,6 +64,12 @@ func ParseMode(s string) (Mode, error) {
 // member without making ring construction or the shares gauge heavy.
 const defaultVirtualNodes = 64
 
+const (
+	probeTimeout = time.Second            // bounds one health probe
+	fetchTimeout = 250 * time.Millisecond // bounds one remote cache fetch
+	jitterSeed   = 1                      // seeds the probe and retry jitter
+)
+
 // Config describes one node's view of the cluster. Membership is static
 // configuration: every node must be started with the same overall member
 // set (its own URL in Self, the rest in Peers) for the rings to agree.
@@ -76,13 +82,9 @@ type Config struct {
 	Peers []string
 	// Mode selects worker (default) or coordinator.
 	Mode Mode
-	// VirtualNodes per ring member (0 = 64).
-	VirtualNodes int
 	// ProbeInterval is the health-probe cadence while a peer is up
 	// (0 = 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (0 = 1s).
-	ProbeTimeout time.Duration
 	// DownBackoff is the first re-probe delay after a peer goes down; it
 	// doubles per consecutive failure up to MaxDownBackoff
 	// (0 = ProbeInterval, capped at 10 × ProbeInterval).
@@ -98,13 +100,6 @@ type Config struct {
 	// RetryBackoff is the base delay between retry cycles, doubled per
 	// cycle with jitter (0 = 25ms).
 	RetryBackoff time.Duration
-	// FetchTimeout bounds one remote cache fetch (0 = 250ms).
-	FetchTimeout time.Duration
-	// Seed fixes the jitter stream for deterministic tests (0 = 1).
-	Seed int64
-	// Transport overrides the HTTP transport (tests). Nil uses a
-	// dedicated transport with sane per-peer connection reuse.
-	Transport http.RoundTripper
 }
 
 func (c Config) probeInterval() time.Duration {
@@ -112,13 +107,6 @@ func (c Config) probeInterval() time.Duration {
 		return time.Second
 	}
 	return c.ProbeInterval
-}
-
-func (c Config) probeTimeout() time.Duration {
-	if c.ProbeTimeout <= 0 {
-		return time.Second
-	}
-	return c.ProbeTimeout
 }
 
 func (c Config) downBackoff() time.Duration {
@@ -157,20 +145,6 @@ func (c Config) retryBackoff() time.Duration {
 		return 25 * time.Millisecond
 	}
 	return c.RetryBackoff
-}
-
-func (c Config) fetchTimeout() time.Duration {
-	if c.FetchTimeout <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.FetchTimeout
-}
-
-func (c Config) seed() int64 {
-	if c.Seed == 0 {
-		return 1
-	}
-	return c.Seed
 }
 
 // Route is the health-aware answer to "who should run this key?".
@@ -227,18 +201,15 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: coordinator mode needs at least one peer")
 	}
 
-	transport := cfg.Transport
-	if transport == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = 32
-		transport = t
-	}
+	// A dedicated transport, with per-peer connection reuse.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = 32
 	client := &http.Client{Transport: transport}
 
 	met := newMetrics()
 	return &Node{
 		cfg:    cfg,
-		ring:   newRing(members, cfg.VirtualNodes),
+		ring:   newRing(members, defaultVirtualNodes),
 		health: newHealth(cfg, client, met),
 		met:    met,
 		client: client,
@@ -300,7 +271,7 @@ func (n *Node) HealthyPeerCount() int {
 
 // MarkDown records an externally observed peer failure (used by the
 // forwarding layer on transport errors; tests use it to force routing).
-func (n *Node) MarkDown(peer string) { n.health.markDown(peer, "marked down by forwarder") }
+func (n *Node) MarkDown(peer string) { n.health.markDown(peer) }
 
 // Ready reports whether this node can meaningfully serve cluster
 // traffic: workers are ready as ring members; a coordinator is ready

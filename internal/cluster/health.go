@@ -22,11 +22,8 @@ import (
 
 // peerState is the health record of one peer.
 type peerState struct {
-	up           bool
-	failures     int           // consecutive probe failures
-	backoff      time.Duration // current re-probe delay while down
-	lastChange   time.Time
-	lastProbeErr string
+	up      bool
+	backoff time.Duration // current re-probe delay while down
 }
 
 // health owns the probe loops and the up/down map.
@@ -49,7 +46,7 @@ func newHealth(cfg Config, client *http.Client, met *Metrics) *health {
 		client: client,
 		met:    met,
 		peers:  map[string]*peerState{},
-		rng:    rand.New(rand.NewSource(cfg.seed())),
+		rng:    rand.New(rand.NewSource(jitterSeed)),
 		stop:   make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
@@ -86,7 +83,7 @@ func (h *health) healthy(peer string) bool {
 // markDown records an externally observed failure (a forward that died
 // on the wire). The prober owns recovery: the peer stays down until a
 // probe succeeds.
-func (h *health) markDown(peer string, reason string) {
+func (h *health) markDown(peer string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st, ok := h.peers[peer]
@@ -94,10 +91,7 @@ func (h *health) markDown(peer string, reason string) {
 		return
 	}
 	st.up = false
-	st.failures++
-	st.lastChange = time.Now()
-	st.lastProbeErr = reason
-	h.met.peerDown(peer)
+	h.met.peerDown()
 }
 
 // snapshot returns the current up/down view for metrics and /readyz.
@@ -123,34 +117,31 @@ func (h *health) probeLoop(peer string) {
 			return
 		case <-timer.C:
 		}
-		ok, reason := h.probe(peer)
-		timer.Reset(h.record(peer, ok, reason))
+		timer.Reset(h.record(peer, h.probe(peer)))
 	}
 }
 
-// probe GETs the peer's liveness endpoint once.
-func (h *health) probe(peer string) (ok bool, reason string) {
+// probe GETs the peer's liveness endpoint once and reports whether it
+// answered 200.
+func (h *health) probe(peer string) bool {
 	h.met.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), h.cfg.probeTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
 	if err != nil {
-		return false, err.Error()
+		return false
 	}
 	resp, err := h.client.Do(req)
 	if err != nil {
-		return false, err.Error()
+		return false
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, resp.Status
-	}
-	return true, ""
+	return resp.StatusCode == http.StatusOK
 }
 
 // record folds one probe outcome into the peer's state and returns the
 // delay before the next probe.
-func (h *health) record(peer string, ok bool, reason string) time.Duration {
+func (h *health) record(peer string, ok bool) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.peers[peer]
@@ -160,22 +151,16 @@ func (h *health) record(peer string, ok bool, reason string) time.Duration {
 	if ok {
 		if !st.up {
 			st.up = true
-			st.lastChange = time.Now()
-			h.met.peerUp(peer)
+			h.met.peerUp()
 		}
-		st.failures = 0
 		st.backoff = h.cfg.downBackoff()
-		st.lastProbeErr = ""
 		return h.jitterLocked(h.cfg.probeInterval())
 	}
 	h.met.probeFailures.Add(1)
 	if st.up {
 		st.up = false
-		st.lastChange = time.Now()
-		h.met.peerDown(peer)
+		h.met.peerDown()
 	}
-	st.failures++
-	st.lastProbeErr = reason
 	delay := st.backoff
 	st.backoff *= 2
 	if limit := h.cfg.maxDownBackoff(); st.backoff > limit {

@@ -88,10 +88,10 @@ func TestHealthBackoffGrowsAndResets(t *testing.T) {
 	within := func(d, base time.Duration) bool {
 		return d >= base*3/4 && d <= base*5/4
 	}
-	d1 := h.record("http://peer.test:1", false, "boom")
-	d2 := h.record("http://peer.test:1", false, "boom")
-	d3 := h.record("http://peer.test:1", false, "boom")
-	d4 := h.record("http://peer.test:1", false, "boom")
+	d1 := h.record("http://peer.test:1", false)
+	d2 := h.record("http://peer.test:1", false)
+	d3 := h.record("http://peer.test:1", false)
+	d4 := h.record("http://peer.test:1", false)
 	if !within(d1, 20*time.Millisecond) || !within(d2, 40*time.Millisecond) || !within(d3, 80*time.Millisecond) {
 		t.Fatalf("backoff sequence %v %v %v, want ~20ms ~40ms ~80ms", d1, d2, d3)
 	}
@@ -99,11 +99,11 @@ func TestHealthBackoffGrowsAndResets(t *testing.T) {
 		t.Fatalf("backoff %v exceeded cap ~80ms", d4)
 	}
 
-	dUp := h.record("http://peer.test:1", true, "")
+	dUp := h.record("http://peer.test:1", true)
 	if !within(dUp, 100*time.Millisecond) {
 		t.Fatalf("recovered delay %v, want ~probe interval", dUp)
 	}
-	dDownAgain := h.record("http://peer.test:1", false, "boom")
+	dDownAgain := h.record("http://peer.test:1", false)
 	if !within(dDownAgain, 20*time.Millisecond) {
 		t.Fatalf("backoff after recovery %v, want reset to ~20ms", dDownAgain)
 	}

@@ -54,8 +54,8 @@ func (m *Metrics) forwardFailure(peer string) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) peerDown(string) { m.downEvents.Add(1) }
-func (m *Metrics) peerUp(string)   { m.upEvents.Add(1) }
+func (m *Metrics) peerDown() { m.downEvents.Add(1) }
+func (m *Metrics) peerUp()   { m.upEvents.Add(1) }
 
 // Redistributed counts one job that lost its owning peer mid-flight and
 // was re-enqueued elsewhere (a surviving replica or the local engine).

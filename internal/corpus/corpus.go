@@ -12,6 +12,7 @@ import (
 
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/typeinference"
 )
 
 //go:embed fg/*.fg
@@ -81,10 +82,10 @@ func FunSource(name string) string {
 	return string(data)
 }
 
-// LoadFun parses and lowers the named typed front-end program into a
-// fresh flow graph (calls inlined, expressions decomposed).
+// LoadFun compiles the named typed front-end program into a fresh flow
+// graph (calls inlined, expressions decomposed) with typeinference.Compile.
 func LoadFun(name string) *ir.Graph {
-	g, err := parse.ParseFun(FunSource(name))
+	g, _, err := typeinference.Compile(FunSource(name))
 	if err != nil {
 		panic("corpus: " + name + ": " + err.Error())
 	}

@@ -121,7 +121,9 @@ func (b *Builder) Finish(entry, exit string) (*Graph, error) {
 	return g, nil
 }
 
-// MustFinish is Finish that panics on error, for tests and examples.
+// MustFinish is Finish that panics on error, for graphs valid by
+// construction: tests, examples, and the typed dialect's lowering of a
+// checked unit.
 func (b *Builder) MustFinish(entry, exit string) *Graph {
 	g, err := b.Finish(entry, exit)
 	if err != nil {

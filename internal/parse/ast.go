@@ -5,9 +5,10 @@ import "assignmentmotion/internal/ir"
 // This file defines the syntax tree of the typed dialect ("fun" dialect):
 // the structured mini-language extended with function definitions, typed
 // "let" declarations, calls, and booleans. ParseUnit (typed.go) produces a
-// *Unit; internal/typeinference checks it; Unit.Lower (lower.go) inlines
-// calls and desugars the result into a plain ir.Graph so every downstream
-// pass works unchanged.
+// *Unit, internal/typeinference checks it, and Unit.Lower (lower.go), which
+// trusts that check, inlines calls and desugars the result into a plain
+// ir.Graph so every downstream pass works unchanged.
+// typeinference.Compile runs all three.
 
 // Pos is a source position (1-based line and column).
 type Pos struct {
@@ -27,6 +28,12 @@ const (
 type Unit struct {
 	Funcs []*FuncDecl
 	Prog  *ProgDecl
+
+	// idents holds every identifier token of the source, and tempPrefix
+	// the decomposition prefix none of them clashes with: the names the
+	// lowering generates avoid both.
+	idents     map[string]bool
+	tempPrefix string
 }
 
 // FuncDecl is "fn name(params): result { body }". Result is "" when the
@@ -145,7 +152,9 @@ func (*ReturnStmt) stmtNode()   {}
 // Expr is an expression node.
 type Expr interface {
 	ExprPos() Pos
-	exprNode()
+	// nesting is the number of operators and calls on the deepest path
+	// down from the node, its own included.
+	nesting() int
 }
 
 // IntLit is an integer literal; unary minus is folded in by the parser.
@@ -173,6 +182,8 @@ type BinExpr struct {
 	Op  ir.Op
 	L   Expr
 	R   Expr
+
+	depth int // nesting()
 }
 
 // CallExpr calls a function defined in the same unit.
@@ -180,6 +191,8 @@ type CallExpr struct {
 	Pos  Pos
 	Name string
 	Args []Expr
+
+	depth int // nesting()
 }
 
 func (e *IntLit) ExprPos() Pos   { return e.Pos }
@@ -188,8 +201,8 @@ func (e *VarRef) ExprPos() Pos   { return e.Pos }
 func (e *BinExpr) ExprPos() Pos  { return e.Pos }
 func (e *CallExpr) ExprPos() Pos { return e.Pos }
 
-func (*IntLit) exprNode()   {}
-func (*BoolLit) exprNode()  {}
-func (*VarRef) exprNode()   {}
-func (*BinExpr) exprNode()  {}
-func (*CallExpr) exprNode() {}
+func (*IntLit) nesting() int     { return 0 }
+func (*BoolLit) nesting() int    { return 0 }
+func (*VarRef) nesting() int     { return 0 }
+func (e *BinExpr) nesting() int  { return e.depth }
+func (e *CallExpr) nesting() int { return e.depth }

@@ -43,6 +43,10 @@ var (
 // Outside ASCII the two differ by design — the reference read UTF-8 byte
 // by byte as Latin-1 letters — so on such a source only a program the
 // parser accepts must be one the reference accepts with the same graph.
+// The reference has no nesting cap either: a source the parser refuses
+// for nesting deeper than parse.MaxNesting is exempt, provided it holds
+// more parentheses or operators than the cap, which such nesting needs
+// (TestNestingCap pins the cap itself).
 func matchReference(t testing.TB, name string, m parseMode, src string) {
 	t.Helper()
 	got, err := m.parse(src)
@@ -53,6 +57,17 @@ func matchReference(t testing.TB, name string, m parseMode, src string) {
 	}
 	switch {
 	case err != nil && !ascii:
+		return
+	case err != nil && strings.Contains(err.Error(), "nesting deeper than"):
+		parens, ops := strings.Count(src, "("), 0
+		for i := 0; i < len(src); i++ {
+			if strings.IndexByte("+-*/%", src[i]) >= 0 {
+				ops++
+			}
+		}
+		if parens <= parse.MaxNesting && ops <= parse.MaxNesting {
+			t.Fatalf("%s (%s): %v with %d parentheses and %d operators\n%s", name, m.name, err, parens, ops, src)
+		}
 		return
 	case (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error():
 		t.Fatalf("%s (%s): error %v, reference %v\n%s", name, m.name, err, werr, src)
@@ -225,6 +240,37 @@ func FuzzParseMatchesReference(f *testing.F) {
 			matchReference(t, "fuzz", m, src)
 		}
 	})
+}
+
+// TestNestingCap: ParseNested reads parentheses and operator chains
+// parse.MaxNesting levels deep into the graph the uncapped reference
+// builds, and refuses one level more at the parenthesis or operator that
+// opens it, with a positioned error, where the reference parses on.
+func TestNestingCap(t *testing.T) {
+	const prefix = "graph g { entry a exit a block a { x := "
+	for _, shape := range []struct {
+		name, open, leaf, close string
+		at                      int // offset in open of the token that nests
+	}{
+		{"parentheses", "(", "b", ")", 0},
+		{"operators", "b + ", "b", "", 2},
+	} {
+		src := func(levels int) string {
+			return prefix + strings.Repeat(shape.open, levels) + shape.leaf +
+				strings.Repeat(shape.close, levels) + " out(x) } }"
+		}
+		matchReference(t, shape.name, nestedMode, src(parse.MaxNesting))
+		deep := src(parse.MaxNesting + 1)
+		col := len(prefix) + parse.MaxNesting*len(shape.open) + shape.at + 1
+		want := fmt.Sprintf("1:%d: nesting deeper than %d levels", col, parse.MaxNesting)
+		if _, err := parse.ParseNested(deep); err == nil || err.Error() != want {
+			t.Errorf("%s: ParseNested error %v, want %q", shape.name, err, want)
+		}
+		if _, err := refParseNested(deep); err != nil {
+			t.Errorf("%s: reference parser: %v", shape.name, err)
+		}
+		matchReference(t, shape.name+" past the cap", nestedMode, deep)
+	}
 }
 
 // TestParseAllocs pins Parse's allocations with a bound that holds for

@@ -101,50 +101,3 @@ func FuzzParseNested(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFun does the same for the typed front-end: the parser and lowerer
-// must never panic, every accepted unit lowers to a valid graph, and the
-// optimizer plus the compiled executor must agree with the tree-walking
-// interpreter on it.
-func FuzzFun(f *testing.F) {
-	seeds := []string{
-		`prog p { let a = 1 out(a) }`,
-		`fn square(x: int): int { return x * x }
-prog p { let a = square(n) let b = square(n) out(a, b) }`,
-		`fn even(x: int): bool { return x % 2 == 0 }
-prog p {
-	let i = 0
-	let hits = 0
-	while i < 10 {
-		if even(i + k) { hits := hits + 1 }
-		i := i + 1
-	}
-	out(hits)
-}`,
-		`prog p {
-	let i = 0
-	do { i := i + 1 if i > 3 { break } } while true
-	out(i)
-}`,
-		`fn f(x: int) { return -x }
-prog p { out(f(1) < 2, f(f(m))) }`,
-		`prog p { let x: bool = 1 < 2 if x { out(1) } else { out(0) } }`,
-		"fn", "prog p {", "", `prog p { return 1 }`, `prog p { let h1 = 1 }`,
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ParseFun(src)
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("accepted invalid graph: %v\n%s", verr, src)
-		}
-		optimize(g)
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("optimizer produced invalid graph: %v\n%s", verr, src)
-		}
-	})
-}

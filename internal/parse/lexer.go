@@ -22,9 +22,11 @@
 // Two more front ends share the lexer. ParseNested accepts nested
 // expressions in .fg blocks and decomposes them into 3-address form (§6).
 // ParseUnit reads the typed dialect, and Unit.Lower lowers its structured
-// statements (if, while, do … while, break, continue) to blocks. A source
-// of the structured mini-language ("prog") is a typed unit without
-// functions, so it takes the same path.
+// statements (if, while, do … while, break, continue) to blocks once
+// internal/typeinference has checked the unit; typeinference.Compile runs
+// the three. A source of the structured mini-language ("prog") is a typed
+// unit without functions, so it takes the same path. Both nesting front
+// ends refuse a source nested deeper than maxNesting.
 package parse
 
 import (

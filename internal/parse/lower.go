@@ -1,30 +1,25 @@
 package parse
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
 	"assignmentmotion/internal/ir"
 )
 
-// ParseFun parses a typed-dialect source file and lowers it to a flow
-// graph, inlining every call. It performs only the scope checks needed for
-// a sound lowering; internal/typeinference.Compile is the fully checked
-// entry point (types, reachability, diagnostics).
-func ParseFun(src string) (*ir.Graph, error) {
-	u, err := ParseUnit(src)
-	if err != nil {
-		return nil, err
-	}
-	return u.Lower()
-}
-
 // inlineCallBudget bounds the total number of calls inlined for one unit.
 // Nested non-recursive calls can still multiply code size exponentially
 // (f calls g twice, g calls h twice, ...); the budget turns that into a
 // clean error instead of an effectively unbounded graph.
 const inlineCallBudget = 10_000
+
+// maxLoweringDepth bounds the lowering's recursion: statements and
+// operands, counted across inlined calls. The parser caps each
+// function's own nesting at maxNesting, but an inlined body nests inside
+// its call site, so a chain of calls reaches depths no single function
+// has, and a Go stack overflow is fatal rather than a panic. A program
+// without calls stays below about 2 × maxNesting.
+const maxLoweringDepth = 10_000
 
 // Lower desugars the unit into a single flow graph. Functions disappear:
 // every call site is inlined, with the callee's parameters and locals
@@ -35,42 +30,34 @@ const inlineCallBudget = 10_000
 // remove. Booleans lower to 0/1 integers; a relational expression in value
 // position materializes through a two-way branch.
 //
-// Lower checks what it needs for soundness — function scope, arity,
-// recursion, the inline budget, return coverage, loop context — but not
-// types; ill-typed programs lower by the same 0/1 encoding.
+// Precondition: u comes from ParseUnit and has passed
+// internal/typeinference's Check, which
+// rejects every program the lowering could not lower soundly (undefined
+// or duplicate functions, recursion, arity, names outside a function's
+// scope, missing returns, break, continue and return out of context).
+// typeinference.Compile is the entry point that guarantees it. Lower
+// itself fails only when inlining exceeds inlineCallBudget calls or
+// maxLoweringDepth levels; the budget also bounds the recursion of a
+// unit that was never checked.
 func (u *Unit) Lower() (*ir.Graph, error) {
-	if u.Prog == nil {
-		return nil, errors.New("parse: unit has no prog declaration")
-	}
 	l := &lowerer{
 		b:       ir.NewBuilder(u.Prog.Name),
+		ns:      &nestedState{prefix: u.tempPrefix},
 		funcs:   map[string]*FuncDecl{},
 		mangles: map[string]map[string]ir.Var{},
-		taken:   collectIdents(u),
+		idents:  u.idents,
+		taken:   map[string]bool{},
 	}
-	l.ns = &nestedState{prefix: freshPrefixFrom(l.taken)}
 	for _, fn := range u.Funcs {
-		if l.funcs[fn.Name] != nil {
-			return nil, fmt.Errorf("%d:%d: duplicate function %q", fn.Pos.Line, fn.Pos.Col, fn.Name)
-		}
 		l.funcs[fn.Name] = fn
 	}
 	entry := l.newBlock()
 	l.b.Block(entry) // an empty body still has its entry block
 	l.cur = entry
-	terminated, err := l.lowerStmts(u.Prog.Body, &loweringFrame{})
-	if err != nil {
+	if _, err := l.lowerStmts(u.Prog.Body, &loweringFrame{}); err != nil {
 		return nil, err
 	}
-	if terminated {
-		return nil, fmt.Errorf("%d:%d: program %q ends in break or continue",
-			u.Prog.Pos.Line, u.Prog.Pos.Col, u.Prog.Name)
-	}
-	g, err := l.b.Finish(entry, l.cur)
-	if err != nil {
-		return nil, fmt.Errorf("prog %q: %w", u.Prog.Name, err)
-	}
-	return g, nil
+	return l.b.MustFinish(entry, l.cur), nil
 }
 
 // lowerer carries the state of one Unit.Lower run.
@@ -84,9 +71,10 @@ type lowerer struct {
 	// mangles memoizes the per-function rename table: the same instance
 	// variables serve every call site of a function.
 	mangles map[string]map[string]ir.Var
-	taken   map[string]bool // identifiers in use; freshVar extends it
-	stack   []string        // functions currently being inlined (recursion guard)
+	idents  map[string]bool // the source's identifiers (Unit.idents)
+	taken   map[string]bool // names freshVar has generated
 	calls   int             // inlined calls so far, against inlineCallBudget
+	depth   int             // current recursion, against maxLoweringDepth
 	rets    int             // per-call-site result variable counter
 }
 
@@ -98,24 +86,30 @@ type typedLoop struct {
 }
 
 // loweringFrame is one inlining context: nil rename means program scope
-// (names lower as themselves), a function frame renames through its table
-// and rejects anything outside it.
+// (names lower as themselves), a function frame renames through its
+// table, which holds every name the checker let the function use.
 type loweringFrame struct {
-	fn     *FuncDecl
 	rename map[string]ir.Var
 	retVar ir.Var
 	retTo  string
 }
 
-func (l *lowerer) resolve(fr *loweringFrame, name string, at Pos) (ir.Var, error) {
+func (fr *loweringFrame) resolve(name string) ir.Var {
 	if fr.rename == nil {
-		return ir.Var(name), nil
+		return ir.Var(name)
 	}
-	if v, ok := fr.rename[name]; ok {
-		return v, nil
+	return fr.rename[name]
+}
+
+// nest enters one level of the lowering's recursion, for the statement
+// or operand at at, failing past maxLoweringDepth; the caller leaves it
+// with l.depth--.
+func (l *lowerer) nest(at Pos) error {
+	if l.depth++; l.depth > maxLoweringDepth {
+		return fmt.Errorf("%d:%d: nesting deeper than %d levels after inlining",
+			at.Line, at.Col, maxLoweringDepth)
 	}
-	return "", fmt.Errorf("%d:%d: variable %q is not a parameter or local of function %q",
-		at.Line, at.Col, name, fr.fn.Name)
+	return nil
 }
 
 func (l *lowerer) newBlock() string {
@@ -132,7 +126,7 @@ func (l *lowerer) emit(in ir.Instr) {
 // spelling.
 func (l *lowerer) freshVar(base string) ir.Var {
 	name := base
-	for i := 1; l.taken[name] || ir.IsTempName(ir.Var(name)); i++ {
+	for i := 1; l.idents[name] || l.taken[name] || ir.IsTempName(ir.Var(name)); i++ {
 		name = base + "_" + strconv.Itoa(i)
 	}
 	l.taken[name] = true
@@ -177,11 +171,15 @@ func (l *lowerer) lowerStmts(stmts []Stmt, fr *loweringFrame) (bool, error) {
 }
 
 func (l *lowerer) lowerStmt(s Stmt, fr *loweringFrame) (bool, error) {
+	if err := l.nest(s.StmtPos()); err != nil {
+		return false, err
+	}
+	defer func() { l.depth-- }()
 	switch s := s.(type) {
 	case *LetStmt:
-		return false, l.lowerAssign(fr, s.Name, s.Pos, s.Init)
+		return false, l.lowerValueInto(fr.resolve(s.Name), s.Init, fr)
 	case *AssignStmt:
-		return false, l.lowerAssign(fr, s.Name, s.Pos, s.Value)
+		return false, l.lowerValueInto(fr.resolve(s.Name), s.Value, fr)
 	case *OutStmt:
 		args := make([]ir.Operand, len(s.Args))
 		for i, a := range s.Args {
@@ -203,14 +201,6 @@ func (l *lowerer) lowerStmt(s Stmt, fr *loweringFrame) (bool, error) {
 	case *DoWhileStmt:
 		return l.lowerDoWhile(s, fr)
 	case *BreakStmt, *ContinueStmt:
-		at := s.StmtPos()
-		if len(l.loops) == 0 {
-			kw := "break"
-			if _, ok := s.(*ContinueStmt); ok {
-				kw = "continue"
-			}
-			return false, fmt.Errorf("%d:%d: %s outside a loop", at.Line, at.Col, kw)
-		}
 		top := l.loops[len(l.loops)-1]
 		target := top.breakTo
 		if _, ok := s.(*ContinueStmt); ok {
@@ -222,28 +212,13 @@ func (l *lowerer) lowerStmt(s Stmt, fr *loweringFrame) (bool, error) {
 		l.b.Edge(l.cur, target)
 		return true, nil
 	case *ReturnStmt:
-		if fr.retVar == "" {
-			at := s.StmtPos()
-			return false, fmt.Errorf("%d:%d: return outside a function", at.Line, at.Col)
-		}
 		if err := l.lowerValueInto(fr.retVar, s.Value, fr); err != nil {
 			return false, err
 		}
 		l.b.Edge(l.cur, fr.retTo)
 		return true, nil
 	}
-	at := s.StmtPos()
-	return false, fmt.Errorf("%d:%d: unsupported statement %T", at.Line, at.Col, s)
-}
-
-// lowerAssign lowers "name := value" (and let, which is the same after
-// scope checking) in fr.
-func (l *lowerer) lowerAssign(fr *loweringFrame, name string, at Pos, value Expr) error {
-	v, err := l.resolve(fr, name, at)
-	if err != nil {
-		return err
-	}
-	return l.lowerValueInto(v, value, fr)
+	panic(fmt.Sprintf("parse: cannot lower statement %T", s))
 }
 
 // lowerValueInto assigns value to dst. A direct call lands its result in
@@ -419,6 +394,10 @@ func (l *lowerer) lowerTermExpr(e Expr, fr *loweringFrame) (ir.Term, error) {
 // lowerOperand reduces e to a single operand, introducing decomposition
 // temporaries, bool materialization, or call inlining as needed.
 func (l *lowerer) lowerOperand(e Expr, fr *loweringFrame) (ir.Operand, error) {
+	if err := l.nest(e.ExprPos()); err != nil {
+		return ir.Operand{}, err
+	}
+	defer func() { l.depth-- }()
 	switch e := e.(type) {
 	case *IntLit:
 		return ir.ConstOp(e.Value), nil
@@ -428,11 +407,7 @@ func (l *lowerer) lowerOperand(e Expr, fr *loweringFrame) (ir.Operand, error) {
 		}
 		return ir.ConstOp(0), nil
 	case *VarRef:
-		v, err := l.resolve(fr, e.Name, e.Pos)
-		if err != nil {
-			return ir.Operand{}, err
-		}
-		return ir.VarOp(v), nil
+		return ir.VarOp(fr.resolve(e.Name)), nil
 	case *CallExpr:
 		return l.lowerCall(e, fr, "")
 	case *BinExpr:
@@ -447,8 +422,7 @@ func (l *lowerer) lowerOperand(e Expr, fr *loweringFrame) (ir.Operand, error) {
 		}
 		return l.materializeBool(e, fr)
 	}
-	at := e.ExprPos()
-	return ir.Operand{}, fmt.Errorf("%d:%d: unsupported expression %T", at.Line, at.Col, e)
+	panic(fmt.Sprintf("parse: cannot lower expression %T", e))
 }
 
 // materializeBool turns a relational expression in value position into a
@@ -487,20 +461,6 @@ func (l *lowerer) materializeBool(e *BinExpr, fr *loweringFrame) (ir.Operand, er
 // continuation block.
 func (l *lowerer) lowerCall(e *CallExpr, fr *loweringFrame, dst ir.Var) (ir.Operand, error) {
 	fn := l.funcs[e.Name]
-	if fn == nil {
-		return ir.Operand{}, fmt.Errorf("%d:%d: call to undefined function %q",
-			e.Pos.Line, e.Pos.Col, e.Name)
-	}
-	for _, active := range l.stack {
-		if active == e.Name {
-			return ir.Operand{}, fmt.Errorf("%d:%d: recursive call to %q (functions must not recurse)",
-				e.Pos.Line, e.Pos.Col, e.Name)
-		}
-	}
-	if len(e.Args) != len(fn.Params) {
-		return ir.Operand{}, fmt.Errorf("%d:%d: %q takes %d argument(s), got %d",
-			e.Pos.Line, e.Pos.Col, e.Name, len(fn.Params), len(e.Args))
-	}
 	l.calls++
 	if l.calls > inlineCallBudget {
 		return ir.Operand{}, fmt.Errorf("%d:%d: inline budget exceeded (more than %d calls after inlining)",
@@ -525,19 +485,13 @@ func (l *lowerer) lowerCall(e *CallExpr, fr *loweringFrame, dst ir.Var) (ir.Oper
 		ret = l.freshVar(e.Name + "_ret" + strconv.Itoa(l.rets))
 	}
 	cont := l.newBlock()
-	nfr := &loweringFrame{fn: fn, rename: rename, retVar: ret, retTo: cont}
-	l.stack = append(l.stack, e.Name)
+	nfr := &loweringFrame{rename: rename, retVar: ret, retTo: cont}
 	savedLoops := l.loops
 	l.loops = nil // the callee must not see the caller's loops
-	terminated, err := l.lowerStmts(fn.Body, nfr)
+	_, err := l.lowerStmts(fn.Body, nfr)
 	l.loops = savedLoops
-	l.stack = l.stack[:len(l.stack)-1]
 	if err != nil {
 		return ir.Operand{}, err
-	}
-	if !terminated {
-		return ir.Operand{}, fmt.Errorf("%d:%d: function %q does not return on every path",
-			fn.Pos.Line, fn.Pos.Col, fn.Name)
 	}
 	l.cur = cont
 	return ir.VarOp(ret), nil
@@ -558,66 +512,4 @@ func collectLets(stmts []Stmt, f func(string)) {
 			collectLets(s.Body, f)
 		}
 	}
-}
-
-// collectIdents gathers every identifier spelled anywhere in the unit, the
-// seed set for collision-free generated names.
-func collectIdents(u *Unit) map[string]bool {
-	used := map[string]bool{}
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch e := e.(type) {
-		case *VarRef:
-			used[e.Name] = true
-		case *BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *CallExpr:
-			used[e.Name] = true
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	var walkStmts func([]Stmt)
-	walkStmts = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *LetStmt:
-				used[s.Name] = true
-				walkExpr(s.Init)
-			case *AssignStmt:
-				used[s.Name] = true
-				walkExpr(s.Value)
-			case *OutStmt:
-				for _, a := range s.Args {
-					walkExpr(a)
-				}
-			case *IfStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Then)
-				walkStmts(s.Else)
-			case *WhileStmt:
-				walkExpr(s.Cond)
-				walkStmts(s.Body)
-			case *DoWhileStmt:
-				walkStmts(s.Body)
-				walkExpr(s.Cond)
-			case *ReturnStmt:
-				walkExpr(s.Value)
-			}
-		}
-	}
-	for _, fn := range u.Funcs {
-		used[fn.Name] = true
-		for _, p := range fn.Params {
-			used[p.Name] = true
-		}
-		walkStmts(fn.Body)
-	}
-	if u.Prog != nil {
-		used[u.Prog.Name] = true
-		walkStmts(u.Prog.Body)
-	}
-	return used
 }

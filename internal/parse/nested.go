@@ -138,16 +138,6 @@ func freshPrefix(src string, toks []token) string {
 	return pickPrefix(clashes)
 }
 
-// freshPrefixFrom is freshPrefix over a pre-collected identifier set; the
-// typed dialect's lowering works from the syntax tree, not the tokens.
-func freshPrefixFrom(used map[string]bool) string {
-	var clashes uint8
-	for id := range used {
-		clashes |= prefixClashes(id)
-	}
-	return pickPrefix(clashes)
-}
-
 func allDigits(s string) bool {
 	for _, r := range s {
 		if r < '0' || r > '9' {
@@ -158,17 +148,29 @@ func allDigits(s string) bool {
 }
 
 // expr is a parse-time expression node in p.exprs: a leaf operand (op
-// empty) or op applied to the nodes at indices l and r.
+// empty) or op applied to the nodes at indices l and r, depth operators
+// deep.
 type expr struct {
-	leaf ir.Operand
-	op   ir.Op
-	l, r int32
+	leaf  ir.Operand
+	op    ir.Op
+	l, r  int32
+	depth int32
 }
 
 // node appends x to p.exprs and returns its index.
 func (p *parser) node(x expr) int32 {
 	p.exprs = append(p.exprs, x)
 	return int32(len(p.exprs) - 1)
+}
+
+// binary appends "l op r" at t, refusing an expression more than
+// maxNesting operators deep.
+func (p *parser) binary(t token, op ir.Op, l, r int32) (int32, error) {
+	d := max(p.exprs[l].depth, p.exprs[r].depth) + 1
+	if d > maxNesting {
+		return 0, p.tooDeep(t)
+	}
+	return p.node(expr{op: op, l: l, r: r, depth: d}), nil
 }
 
 // parseExpr parses a full-precedence expression (nested mode only) into
@@ -196,7 +198,9 @@ func (p *parser) parseSum() (int32, error) {
 			if err != nil {
 				return 0, err
 			}
-			e = p.node(expr{op: op, l: e, r: r})
+			if e, err = p.binary(t, op, e, r); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		return e, nil
@@ -216,7 +220,9 @@ func (p *parser) parseMul() (int32, error) {
 			if err != nil {
 				return 0, err
 			}
-			e = p.node(expr{op: op, l: e, r: r})
+			if e, err = p.binary(t, op, e, r); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		return e, nil
@@ -224,7 +230,10 @@ func (p *parser) parseMul() (int32, error) {
 }
 
 func (p *parser) parseAtom() (int32, error) {
-	if p.cur().kind == tokLParen {
+	if t := p.cur(); t.kind == tokLParen {
+		if err := p.nest(t); err != nil {
+			return 0, err
+		}
 		p.advance()
 		e, err := p.parseSum()
 		if err != nil {
@@ -233,6 +242,7 @@ func (p *parser) parseAtom() (int32, error) {
 		if _, err := p.expect(tokRParen, ")"); err != nil {
 			return 0, err
 		}
+		p.depth--
 		return e, nil
 	}
 	o, err := p.parseOperand()

@@ -104,6 +104,14 @@ func errorPosition(err error) (line, col int, ok bool) {
 	return line, col, true
 }
 
+// maxNesting caps how deeply a source nests: parentheses, calls and
+// unary minus around an expression, the operators on its deepest path,
+// and the typed dialect's blocks and else-ifs. The parser, the checker
+// and the lowerings recurse along that nesting, and a Go stack overflow
+// is fatal rather than a panic, so a deeper source is a parse error.
+// Real programs nest a few levels.
+const maxNesting = 1000
+
 // parser reads the token stream of one source. The .fg parser appends
 // every block's instructions to one slab and every out(...) operand to
 // another, both sized from the lexer's tally, and assembles the graph with
@@ -118,6 +126,7 @@ type parser struct {
 	// grammar with canonical 3-address decomposition (see ParseNested).
 	nested *nestedState
 	exprs  []expr // nested mode: the expression being parsed
+	depth  int    // constructs open around the current token (nest)
 
 	decls  []blockDecl
 	ids    map[string]ir.NodeID // block name -> index into decls
@@ -167,6 +176,20 @@ func (p *parser) expectKeyword(kw string) error {
 	}
 	p.advance()
 	return nil
+}
+
+// nest opens one level of nesting at t, refusing more than maxNesting;
+// the caller closes it with p.depth--.
+func (p *parser) nest(t token) error {
+	if p.depth++; p.depth > maxNesting {
+		return p.tooDeep(t)
+	}
+	return nil
+}
+
+// tooDeep is the error of a source that nests deeper than maxNesting at t.
+func (p *parser) tooDeep(t token) error {
+	return p.errorf(t, "nesting deeper than %d levels", maxNesting)
 }
 
 func (p *parser) ident(what string) (token, error) {

@@ -32,15 +32,27 @@ import (
 //	atom    = INT | "true" | "false" | IDENT | IDENT "(" [ expr { "," expr } ] ")"
 //	        | "(" expr ")"
 //
-// ParseUnit reports only syntax errors; name, type, and reachability
-// checking is internal/typeinference's job, and lowering to an ir.Graph is
-// Unit.Lower's. ParseFun runs all three.
+// ParseUnit reports only syntax errors, and a source nested deeper than
+// maxNesting; name, type, and reachability checking is
+// internal/typeinference's job, and lowering to an ir.Graph is
+// Unit.Lower's. typeinference.Compile runs all three.
 func ParseUnit(src string) (*Unit, error) {
 	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	return (&typedParser{p}).parseUnit()
+	u, err := (&typedParser{p}).parseUnit()
+	if err != nil {
+		return nil, err
+	}
+	u.idents = map[string]bool{}
+	for _, t := range p.toks {
+		if t.kind == tokIdent {
+			u.idents[p.text(t)] = true
+		}
+	}
+	u.tempPrefix = freshPrefix(src, p.toks)
+	return u, nil
 }
 
 type typedParser struct {
@@ -282,9 +294,13 @@ func (p *typedParser) stmt() (Stmt, error) {
 	}
 }
 
-// braced parses "{ stmt* }".
+// braced parses "{ stmt* }", a nested block.
 func (p *typedParser) braced() ([]Stmt, error) {
-	if _, err := p.expect(tokLBrace, "{"); err != nil {
+	t, err := p.expect(tokLBrace, "{")
+	if err != nil {
+		return nil, err
+	}
+	if err := p.nest(t); err != nil {
 		return nil, err
 	}
 	list, err := p.stmts()
@@ -294,6 +310,7 @@ func (p *typedParser) braced() ([]Stmt, error) {
 	if _, err := p.expect(tokRBrace, "}"); err != nil {
 		return nil, err
 	}
+	p.depth--
 	return list, nil
 }
 
@@ -312,10 +329,14 @@ func (p *typedParser) parseTypedIf() (Stmt, error) {
 	if p.at("else") {
 		p.advance()
 		if p.at("if") {
+			if err := p.nest(p.cur()); err != nil {
+				return nil, err
+			}
 			elif, err := p.parseTypedIf()
 			if err != nil {
 				return nil, err
 			}
+			p.depth--
 			s.Else = []Stmt{elif}
 		} else {
 			s.Else, err = p.braced()
@@ -341,9 +362,19 @@ func (p *typedParser) parseTypedExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: l, R: r}, nil
+		return p.binary(t, l, r)
 	}
 	return l, nil
+}
+
+// binary builds "l op r" for the operator token t, refusing an
+// expression more than maxNesting operators deep.
+func (p *typedParser) binary(t token, l, r Expr) (Expr, error) {
+	d := max(l.nesting(), r.nesting()) + 1
+	if d > maxNesting {
+		return nil, p.tooDeep(t)
+	}
+	return &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: l, R: r, depth: d}, nil
 }
 
 func (p *typedParser) parseSum() (Expr, error) {
@@ -361,7 +392,9 @@ func (p *typedParser) parseSum() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e = &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: e, R: r}
+		if e, err = p.binary(t, e, r); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -380,7 +413,9 @@ func (p *typedParser) parseTypedMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e = &BinExpr{Pos: pos(t), Op: ir.Op(p.text(t)), L: e, R: r}
+		if e, err = p.binary(t, e, r); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -398,15 +433,19 @@ func (p *typedParser) parseUnary() (Expr, error) {
 			}
 			return &IntLit{Pos: pos(t), Value: n}, nil
 		}
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		if lit, ok := e.(*IntLit); ok {
 			return &IntLit{Pos: pos(t), Value: -lit.Value}, nil
 		}
 		// General unary minus desugars to 0 - e.
-		return &BinExpr{Pos: pos(t), Op: ir.OpSub, L: &IntLit{Pos: pos(t)}, R: e}, nil
+		return p.binary(t, &IntLit{Pos: pos(t)}, e)
 	}
 	return p.parseTypedAtom()
 }
@@ -422,6 +461,9 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 		}
 		return &IntLit{Pos: pos(t), Value: n}, nil
 	case t.kind == tokLParen:
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		p.advance()
 		e, err := p.parseTypedExpr()
 		if err != nil {
@@ -430,6 +472,7 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 		if _, err := p.expect(tokRParen, ")"); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return e, nil
 	case p.at("true") || p.at("false"):
 		p.advance()
@@ -442,8 +485,11 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 		if p.cur().kind != tokLParen {
 			return &VarRef{Pos: pos(nameTok), Name: p.text(nameTok)}, nil
 		}
+		if err := p.nest(p.cur()); err != nil {
+			return nil, err
+		}
 		p.advance() // (
-		call := &CallExpr{Pos: pos(nameTok), Name: p.text(nameTok)}
+		call := &CallExpr{Pos: pos(nameTok), Name: p.text(nameTok), depth: 1}
 		if p.cur().kind != tokRParen {
 			for {
 				a, err := p.parseTypedExpr()
@@ -451,6 +497,7 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 					return nil, err
 				}
 				call.Args = append(call.Args, a)
+				call.depth = max(call.depth, a.nesting()+1)
 				if p.cur().kind != tokComma {
 					break
 				}
@@ -460,6 +507,10 @@ func (p *typedParser) parseTypedAtom() (Expr, error) {
 		if _, err := p.expect(tokRParen, ")"); err != nil {
 			return nil, err
 		}
+		if call.depth > maxNesting {
+			return nil, p.tooDeep(nameTok)
+		}
+		p.depth--
 		return call, nil
 	}
 	return nil, p.errorf(t, "expected expression, found %s", p.spell(t))

@@ -1,19 +1,28 @@
-package parse
+package parse_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"assignmentmotion/internal/interp"
 	"assignmentmotion/internal/ir"
+	"assignmentmotion/internal/parse"
+	"assignmentmotion/internal/typeinference"
 )
+
+// compileFun is typeinference.Compile without its Result.
+func compileFun(src string) (*ir.Graph, error) {
+	g, _, err := typeinference.Compile(src)
+	return g, err
+}
 
 func runFun(t *testing.T, src string, init map[ir.Var]int64) interp.Result {
 	t.Helper()
-	g, err := ParseFun(src)
+	g, err := compileFun(src)
 	if err != nil {
-		t.Fatalf("ParseFun: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("lowered graph invalid: %v", err)
@@ -51,7 +60,7 @@ func TestFunSimpleCall(t *testing.T) {
 }
 
 func TestFunRepeatedCallSharesInstances(t *testing.T) {
-	g, err := ParseFun(`
+	g, err := compileFun(`
 		fn square(x: int): int {
 			return x * x
 		}
@@ -62,7 +71,7 @@ func TestFunRepeatedCallSharesInstances(t *testing.T) {
 		}
 	`)
 	if err != nil {
-		t.Fatalf("ParseFun: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
 	// Both inlines must use the same parameter instance, so the motion
 	// passes see the repeated pattern square_x := n / a := square_x * square_x.
@@ -209,9 +218,9 @@ func TestFunErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseFun(tc.src)
+			_, err := compileFun(tc.src)
 			if err == nil {
-				t.Fatalf("ParseFun succeeded, want error containing %q", tc.want)
+				t.Fatalf("Compile succeeded, want error containing %q", tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
@@ -231,15 +240,15 @@ func TestFunMinInt64Literal(t *testing.T) {
 		}
 	`, map[ir.Var]int64{"a": 1})
 	wantTrace(t, res, math.MinInt64, math.MinInt64, 5)
-	if _, err := ParseFun(`prog p { x := -9223372036854775809 }`); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := compileFun(`prog p { x := -9223372036854775809 }`); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("-9223372036854775809: err = %v, want out of range", err)
 	}
 }
 
 func TestFunEmptyProgram(t *testing.T) {
-	g, err := ParseFun(`prog p { }`)
+	g, err := compileFun(`prog p { }`)
 	if err != nil {
-		t.Fatalf("ParseFun: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
 	if len(g.Blocks) != 1 || g.Entry != g.Exit {
 		t.Fatalf("want one block that is entry and exit, got %d blocks", len(g.Blocks))
@@ -295,4 +304,98 @@ func TestFunElseIfChain(t *testing.T) {
 		`, map[ir.Var]int64{"n": n})
 		wantTrace(t, res, want)
 	}
+}
+
+// TestFunNestingCap: the typed dialect compiles each nesting construct
+// parse.MaxNesting levels deep and refuses one level more, at the token
+// that opens it, with a positioned error.
+func TestFunNestingCap(t *testing.T) {
+	n := parse.MaxNesting
+	for _, shape := range []struct {
+		name string
+		src  func(levels int) string
+		// nth names the token that opens level n+1: its text and which
+		// occurrence it is.
+		tok string
+		nth int
+	}{
+		{"parentheses", func(k int) string {
+			return "prog p { x := " + strings.Repeat("(", k) + "a" + strings.Repeat(")", k) + " out(x) }"
+		}, "(", n + 1},
+		{"operators", func(k int) string {
+			return "prog p { x := a" + strings.Repeat(" * a", k) + " out(x) }"
+		}, "*", n + 1},
+		{"unary minus", func(k int) string {
+			return "prog p { x := " + strings.Repeat("-", k) + "a out(x) }"
+		}, "-", n + 1},
+		{"calls", func(k int) string {
+			return "fn f(y: int): int { return y } prog p { x := " + strings.Repeat("f(", k) + "a" + strings.Repeat(")", k) + " out(x) }"
+		}, "(", n + 2},
+		{"blocks", func(k int) string {
+			return "prog p { " + strings.Repeat("while a < 1 { ", k) + "out(a)" + strings.Repeat(" }", k) + " }"
+		}, "{", n + 2},
+		{"else-ifs", func(k int) string {
+			return "prog p { if a == 0 { out(0) }" + strings.Repeat(" else if a == 1 { out(1) }", k-1) + " }"
+		}, "{", n + 2},
+	} {
+		if _, err := compileFun(shape.src(n)); err != nil {
+			t.Errorf("%s, %d levels: %v", shape.name, n, err)
+		}
+		deep := shape.src(n + 1)
+		col := 0
+		for i := 0; i < shape.nth; i++ {
+			col += strings.Index(deep[col:], shape.tok) + 1
+		}
+		want := fmt.Sprintf("1:%d: nesting deeper than %d levels", col, n)
+		if _, err := compileFun(deep); err == nil || err.Error() != want {
+			t.Errorf("%s, %d levels: error %v, want %q", shape.name, n+1, err, want)
+		}
+	}
+}
+
+// FuzzFun fuzzes the typed front end through typeinference.Compile, the
+// one entry point that turns a fun source into a graph: it must never
+// panic, every program it accepts lowers to a valid graph, and the
+// optimizer keeps that graph valid.
+func FuzzFun(f *testing.F) {
+	seeds := []string{
+		`prog p { let a = 1 out(a) }`,
+		`fn square(x: int): int { return x * x }
+prog p { let a = square(n) let b = square(n) out(a, b) }`,
+		`fn even(x: int): bool { return x % 2 == 0 }
+prog p {
+	let i = 0
+	let hits = 0
+	while i < 10 {
+		if even(i + k) { hits := hits + 1 }
+		i := i + 1
+	}
+	out(hits)
+}`,
+		`prog p {
+	let i = 0
+	do { i := i + 1 if i > 3 { break } } while true
+	out(i)
+}`,
+		`fn f(x: int) { return -x }
+prog p { out(f(1) < 2, f(f(m))) }`,
+		`prog p { let x: bool = 1 < 2 if x { out(1) } else { out(0) } }`,
+		"fn", "prog p {", "", `prog p { return 1 }`, `prog p { let h1 = 1 }`,
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := compileFun(src)
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("accepted invalid graph: %v\n%s", verr, src)
+		}
+		optimize(g)
+		if verr := g.Validate(); verr != nil {
+			t.Fatalf("optimizer produced invalid graph: %v\n%s", verr, src)
+		}
+	})
 }

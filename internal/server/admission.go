@@ -6,8 +6,9 @@ package server
 // Retry-After, which keeps latency bounded for the requests that ARE
 // admitted and tells well-behaved clients exactly what to do. Batch
 // requests pass one up-front depth check and then share the same worker
-// semaphore per graph, so a batch can never starve singles of more than
-// the slots it is actively using.
+// semaphore per graph, queueing one job at a time behind their batch's
+// ticket, so a batch can never starve singles of more than the slots it
+// is actively using plus one place in the queue.
 
 import (
 	"context"
@@ -58,7 +59,7 @@ func (a *admission) tryAcquire(ctx context.Context) error {
 
 // acquire takes a worker slot, waiting as long as ctx allows. Used by the
 // per-graph jobs of an already-admitted batch, which must not be shed
-// mid-stream.
+// mid-stream, through acquireInBatch.
 func (a *admission) acquire(ctx context.Context) error {
 	a.waiting.Add(1)
 	defer a.waiting.Add(-1)
@@ -68,6 +69,20 @@ func (a *admission) acquire(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// acquireInBatch is acquire for one job of a batch. The job joins the
+// queue only while it holds its batch's ticket (a channel of capacity
+// one), which it hands on once it has a slot: a draining batch counts one
+// waiter, not one per job, so single requests are not shed for its sake.
+func (a *admission) acquireInBatch(ctx context.Context, ticket chan struct{}) error {
+	select {
+	case ticket <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-ticket }()
+	return a.acquire(ctx)
 }
 
 // release returns a worker slot.

@@ -6,6 +6,9 @@ package server
 // finish and no goroutines are left behind.
 
 import (
+	"bufio"
+	"encoding/json"
+	"io"
 	"net/http"
 	"runtime"
 	"testing"
@@ -138,4 +141,68 @@ func TestAdmissionLeavesNoGoroutines(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+3
 	})
+}
+
+// TestBatchKeepsOneJobQueued: a draining batch holds one place in the
+// wait queue however many jobs it has left, so a single request that
+// arrives meanwhile queues and is answered instead of being shed, and
+// the batch still streams every line.
+func TestBatchKeepsOneJobQueued(t *testing.T) {
+	gate := make(chan struct{})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Inject: gateInject(gate)})
+
+	programs := make([]BatchProgram, 10)
+	for i := range programs {
+		programs[i] = BatchProgram{Program: distinctProgram(200 + i)}
+	}
+	batchBody, singleBody := postBody(t, BatchRequest{Programs: programs}), postBody(t, OptimizeRequest{Program: distinctProgram(0)})
+	post := func(path string, body io.Reader, answer chan<- *http.Response) {
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Errorf("POST %s: %v", path, err)
+		}
+		answer <- resp
+	}
+	batch, single := make(chan *http.Response, 1), make(chan *http.Response, 1)
+	go post("/v1/optimize/batch", batchBody, batch)
+	waitFor(t, "a batch job in the slot and another queued", func() bool {
+		return srv.met.inflight.Load() == 1 && srv.adm.queued() >= 1
+	})
+	go post("/v1/optimize", singleBody, single)
+	waitFor(t, "the single request queued or answered", func() bool {
+		return srv.adm.queued() >= 2 || len(single) == 1
+	})
+	if got := srv.adm.queued(); got > 2 {
+		t.Errorf("queued = %d with one batch and one single waiting; want 2", got)
+	}
+	close(gate)
+
+	sresp, bresp := <-single, <-batch
+	if sresp == nil || bresp == nil {
+		t.FailNow()
+	}
+	defer bresp.Body.Close()
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Errorf("single request during a batch: status %d; want 200", sresp.StatusCode)
+	}
+	var outcomes []string
+	var summary *BatchSummary
+	for sc := bufio.NewScanner(bresp.Body); sc.Scan(); {
+		var line struct {
+			Outcome string
+			Summary *BatchSummary
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Bytes(), err)
+		}
+		if line.Summary != nil {
+			summary = line.Summary
+		} else {
+			outcomes = append(outcomes, line.Outcome)
+		}
+	}
+	if len(outcomes) != len(programs) || summary == nil || summary.Optimized != len(programs) {
+		t.Errorf("batch streamed %v and summary %+v; want %d optimized lines and their summary", outcomes, summary, len(programs))
+	}
 }

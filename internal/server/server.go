@@ -580,7 +580,7 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, req *OptimizeR
 			return "forwarded"
 		}
 	}
-	outcome, err := s.compute(ctx, cfg, g, true, answer)
+	outcome, err := s.compute(ctx, cfg, g, nil, answer)
 	if err != nil {
 		return s.refuse(w, err)
 	}
@@ -589,15 +589,17 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, req *OptimizeR
 
 // compute is the engine step of every endpoint: it takes a worker slot
 // under ctx, runs g through the engine of cfg and answers while it holds
-// the slot. A single request sheds (errOverloaded) rather than join a
-// full queue; a batch job waits, since its stream can no longer answer
-// 429.
-func (s *Server) compute(ctx context.Context, cfg engineConfig, g *ir.Graph, shed bool, answer answerFunc) (string, error) {
-	admit := s.adm.acquire
-	if shed {
-		admit = s.adm.tryAcquire
+// the slot. A single request (nil ticket) sheds (errOverloaded) rather
+// than join a full queue; a batch job waits behind its batch's ticket,
+// since its stream can no longer answer 429.
+func (s *Server) compute(ctx context.Context, cfg engineConfig, g *ir.Graph, ticket chan struct{}, answer answerFunc) (string, error) {
+	var err error
+	if ticket == nil {
+		err = s.adm.tryAcquire(ctx)
+	} else {
+		err = s.adm.acquireInBatch(ctx, ticket)
 	}
-	if err := admit(ctx); err != nil {
+	if err != nil {
 		return "", err
 	}
 	defer s.adm.release()
@@ -679,12 +681,13 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 	flusher, _ := w.(http.Flusher)
 
 	results := make(chan OptimizeResponse)
+	ticket := make(chan struct{}, 1) // the batch's one place in the queue
 	var wg sync.WaitGroup
 	for i, g := range graphs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results <- s.batchJob(ctx, r, req, i, g, cfg)
+			results <- s.batchJob(ctx, r, req, i, g, cfg, ticket)
 		}()
 	}
 	go func() { wg.Wait(); close(results) }()
@@ -730,8 +733,8 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 // batchJob answers program i of a batch under the batch's deadline: by
 // its owning peer through the same forwarder as a single request (a job
 // whose peer dies mid-batch lands back here), or by this node's engine in
-// a worker slot it waits for.
-func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchRequest, i int, g *ir.Graph, cfg engineConfig) OptimizeResponse {
+// a worker slot it waits for behind the batch's ticket.
+func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchRequest, i int, g *ir.Graph, cfg engineConfig, ticket chan struct{}) OptimizeResponse {
 	p := req.Programs[i]
 	one := OptimizeRequest{Name: p.Name, Program: p.Program, Dialect: req.Dialect, Passes: req.Passes, OnError: req.OnError, Budget: req.Budget}
 	var resp OptimizeResponse
@@ -746,7 +749,7 @@ func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchReques
 		}
 		return resp
 	}
-	if _, err := s.compute(ctx, cfg, g, false, func(g *ir.Graph, res engine.GraphResult) string {
+	if _, err := s.compute(ctx, cfg, g, ticket, func(g *ir.Graph, res engine.GraphResult) string {
 		resp = respond(i, g.Name, res)
 		return string(res.Outcome)
 	}); err != nil {

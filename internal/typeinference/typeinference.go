@@ -158,8 +158,11 @@ func Inspect(src string) (*Result, error) {
 	return Check(u, Options{InspectMode: true})
 }
 
-// Compile is the strict front door: parse, check, lower. The Result is
-// returned even when checking fails, for error reporting with types.
+// Compile is the strict front door and the only way a fun source becomes
+// a graph: parse, check, lower. The lowering trusts the check that runs
+// before it, so past the checker it fails only on its inline budget or
+// its depth bound. The Result is returned even when checking fails, for
+// error reporting with types.
 func Compile(src string) (*ir.Graph, *Result, error) {
 	u, err := parse.ParseUnit(src)
 	if err != nil {
