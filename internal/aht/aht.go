@@ -56,6 +56,9 @@ func init() {
 
 // Info holds the analysis result, indexed by block ID. The vectors live
 // in the session's arena and are only valid until the caller releases it.
+// LocHoistable and LocBlocked are the encoding's own per-block local
+// predicates (analysis.Code.Locals): read-only, and valid only until the
+// next step rewrites the encoding.
 type Info struct {
 	U *ir.PatternSet
 
@@ -92,14 +95,14 @@ func analyze(c *analysis.Code, s *analysis.Session) *Info {
 	g := c.G
 	ar := s.Arena()
 	bv := c.View
-	n, bits := len(c.Blocks), c.U.Len()
+	n, bits := len(g.Blocks), c.U.Len()
 	info := &Info{
 		U:            c.U,
 		LocHoistable: ar.Vecs(n),
 		LocBlocked:   ar.Vecs(n),
 	}
-	for i := range c.Blocks {
-		info.LocHoistable[i], info.LocBlocked[i] = c.Locals(i, ar)
+	for i := range n {
+		info.LocHoistable[i], info.LocBlocked[i] = c.Locals(i)
 	}
 
 	info.occRank = ar.Ints(bits)
@@ -107,8 +110,8 @@ func analyze(c *analysis.Code, s *analysis.Session) *Info {
 		info.occRank[id] = -1
 	}
 	next := 0
-	for _, ids := range c.Blocks {
-		for _, id := range ids {
+	for i := range n {
+		for _, id := range c.Block(i) {
 			if id >= 0 && info.occRank[id] < 0 {
 				info.occRank[id] = next
 				next++
@@ -163,8 +166,7 @@ func analyze(c *analysis.Code, s *analysis.Session) *Info {
 		info.NInsert[i] = ni
 
 		xi := ar.Vec(bits)
-		xi.CopyFrom(info.XHoistable[i])
-		xi.And(info.LocBlocked[i])
+		xi.CopyAnd(info.XHoistable[i], info.LocBlocked[i])
 		info.XInsert[i] = xi
 	}
 	return info
@@ -187,16 +189,21 @@ func analyze(c *analysis.Code, s *analysis.Session) *Info {
 // A round may remove a candidate and re-insert the same pattern at the
 // same point (a candidate already at its earliest position); comparing
 // each block's ID sequence with its previous one reports such a round as
-// unchanged, so the fixpoint loops terminate.
+// unchanged, so the fixpoint loops terminate. Only a changed block is
+// written back (analysis.Code.SetBlock), so only its local predicates are
+// recomputed by the next analysis.
 func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) bool {
 	ar := s.Arena()
 	m := ar.Mark()
 	defer ar.Release(m)
 
 	info := analyze(c, s)
+	// LocHoistable is the encoding's own storage, so keep masks a scratch
+	// copy of each block's vector where the candidates are removed.
+	var masked bitvec.Vec
 	if keep.Len() > 0 {
-		for i := range c.Blocks {
-			info.LocHoistable[i].And(keep)
+		masked = ar.Vec(keep.Len())
+		for i := range c.G.Blocks {
 			info.NInsert[i].And(keep)
 			info.XInsert[i].And(keep)
 		}
@@ -227,11 +234,15 @@ func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) bool {
 			tail = info.XInsert[i]
 		}
 		head, loc := info.NInsert[i], info.LocHoistable[i]
-		// Untouched block: nothing to insert, no candidate to remove.
-		if !edge.Any() && !head.Any() && !tail.Any() && !loc.Any() {
+		if keep.Len() > 0 {
+			masked.CopyAnd(loc, keep)
+			loc = masked
+		}
+		// Untouched block: no candidate to remove, nothing to insert.
+		if !loc.Any() && !head.Any() && !edge.Any() && !tail.Any() {
 			continue
 		}
-		ids := c.Blocks[i]
+		ids := c.Block(i)
 		// Remove hoisting candidates (at most one per pattern per block).
 		drop := analysis.Candidates(ids, loc, false, ar)
 		next := ar.Ints(len(ids) + edge.PopCount() + head.PopCount() + tail.PopCount())[:0]
@@ -245,7 +256,7 @@ func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) bool {
 		next = info.appendRanked(next, tail)
 		if !slices.Equal(next, ids) {
 			changed = true
-			c.Blocks[i] = append(ids[:0], next...)
+			c.SetBlock(i, next)
 		}
 	}
 	return changed

@@ -13,9 +13,14 @@
 // Every loop encodes its graph once (analysis.Encode): each block
 // becomes the pattern IDs of its assignments plus references to its out
 // and branch instructions, which aht and rae never move. All rounds run
-// aht.Step and rae.Step on that encoding, rewriting blocks in place, and
-// Block.Instrs is written back once, followed by one Normalize — on every
-// return path, so an error leaves the graph at the last completed round.
+// aht.Step and rae.Step on that encoding, and Block.Instrs is written
+// back once, followed by one Normalize — on every return path, so an
+// error leaves the graph at the last completed round. The encoding keeps
+// each block's Table 1 and Table 2 local predicates for the whole loop; a
+// step rewrites a block only through analysis.Code.SetBlock, which marks
+// it, so each round recomputes only the blocks the steps before it
+// rewrote. RunRestricted's trial copy (analysis.Code.Copy) carries its own
+// copy of them.
 // Fixpoint is the one aht/rae loop: Run drives it over every pattern, and
 // lazy code motion (internal/lcm) over the initialization patterns.
 //
@@ -223,8 +228,8 @@ func profitableSet(c *analysis.Code, s *analysis.Session, prof bitvec.Vec) {
 // storage carved from ar.
 func countIDs(c *analysis.Code, ar *arena.Arena) []int {
 	counts := ar.Ints(c.U.Len())
-	for _, ids := range c.Blocks {
-		for _, id := range ids {
+	for i := range c.G.Blocks {
+		for _, id := range c.Block(i) {
 			if id >= 0 {
 				counts[id]++
 			}

@@ -58,33 +58,44 @@ func nodeInts(ids []ir.NodeID) []int {
 // The AM phase encodes its graph once (NewCode), runs every round on the
 // encoding, and writes Block.Instrs back once (WriteBack).
 //
-// Each pattern's kill and use-block vectors are resolved from the
+// Each pattern's kill and blocked vectors are resolved from the
 // PatternIndex at encode time, so the local predicates of Tables 1 and 2
-// (Locals, Transfer) cost no map lookup. Skips are not encoded: they have
-// no effect on any predicate, and WriteBack's Normalize restores them in
-// empty blocks. The rounds only insert and remove assignments, so G's
-// block structure, and with it View, stays fixed for the phase.
+// (Locals, Transfer) cost no map lookup. A block's local predicates are a
+// function of its entries and of those vectors alone, so the Code keeps
+// them for the whole phase, in storage carved at encode time: a step
+// rewrites a block only through SetBlock, which marks it, and Locals and
+// Transfer recompute a block only when it was marked since they last ran.
+// Skips are not encoded: they have no effect on any predicate, and
+// WriteBack's Normalize restores them in empty blocks. The rounds only
+// insert and remove assignments, so G's block structure, and with it View,
+// stays fixed for the phase.
 type Code struct {
 	G    *ir.Graph
 	U    *ir.PatternSet
 	View BlockView
-	// Blocks[i] encodes G.Blocks[i]: the pattern ID of each assignment,
+
+	// blocks[i] encodes G.Blocks[i]: the pattern ID of each assignment,
 	// or ^k for entry k of the side table, which holds the out and branch
 	// instructions — aht and rae never move them.
-	Blocks [][]int
+	blocks [][]int
+	// Per block: Table 1's LOC-HOISTABLE and LOC-BLOCKED and Table 2's
+	// block gen/kill, current for block i when fresh has bit i.
+	locHoistable, locBlocked, gen, genKill []bitvec.Vec
+	fresh                                  bitvec.Vec
 
 	side        []ir.Instr
 	sideBlocked []bitvec.Vec // per side entry: the patterns it blocks
 	kill        []bitvec.Vec // per pattern: the patterns an occurrence kills
-	use         []bitvec.Vec // per pattern, two entries: the patterns blocked by each RHS operand read, zero when none
+	blocked     []bitvec.Vec // per pattern: the patterns an occurrence blocks, its kills and its operand reads
 	selfRef     bitvec.Vec
 }
 
 // NewCode encodes g over its universe (NewUniverse) and records its block
-// geometry (NewBlockView). The resolved vectors and the block storage are
-// carved from s's arena, so the Code is valid until the caller releases
-// the arena below the point where it was built. Each block gets room to
-// grow; a block that outgrows it moves to the heap.
+// geometry (NewBlockView). The resolved vectors, the block storage and the
+// per-block local predicates are carved from s's arena, so the Code is
+// valid until the caller releases the arena below the point where it was
+// built. Each block gets room to grow; a block that outgrows it moves to
+// the heap.
 func NewCode(g *ir.Graph, s *Session) *Code {
 	u, px, occ := NewUniverse(g)
 	ar := s.Arena()
@@ -93,18 +104,17 @@ func NewCode(g *ir.Graph, s *Session) *Code {
 		G:       g,
 		U:       u,
 		View:    NewBlockView(g),
-		Blocks:  make([][]int, len(g.Blocks)),
+		blocks:  make([][]int, len(g.Blocks)),
 		kill:    ar.Vecs(bits),
-		use:     ar.Vecs(2 * bits),
+		blocked: ar.Vecs(bits),
 		selfRef: px.selfRef,
 	}
 	for id := range bits {
 		p := u.PatternAt(id)
 		c.kill[id] = px.killByDef[p.LHS]
-		c.use[2*id] = px.useBlocks(p.RHS.Args[0])
-		if !p.RHS.Trivial() {
-			c.use[2*id+1] = px.useBlocks(p.RHS.Args[1])
-		}
+		in := ir.Instr{Kind: ir.KindAssign, LHS: p.LHS, RHS: p.RHS}
+		c.blocked[id] = ar.Vec(bits)
+		px.OrBlocked(&in, c.blocked[id])
 	}
 	sides := 0
 	for _, b := range g.Blocks {
@@ -133,9 +143,23 @@ func NewCode(g *ir.Graph, s *Session) *Code {
 				c.side = append(c.side, *in)
 			}
 		}
-		c.Blocks[i] = enc
+		c.blocks[i] = enc
 	}
+	c.carveLocals(ar)
 	return c
+}
+
+// carveLocals carves the per-block local predicates from ar, all of them
+// to be computed on first use.
+func (c *Code) carveLocals(ar *arena.Arena) {
+	n, bits := len(c.blocks), c.U.Len()
+	c.fresh = ar.Vec(n)
+	c.locHoistable, c.locBlocked = ar.Vecs(n), ar.Vecs(n)
+	c.gen, c.genKill = ar.Vecs(n), ar.Vecs(n)
+	for i := range n {
+		c.locHoistable[i], c.locBlocked[i] = ar.Vec(bits), ar.Vec(bits)
+		c.gen[i], c.genKill[i] = ar.Vec(bits), ar.Vec(bits)
+	}
 }
 
 // Encode is NewCode bracketed by s's arena: done writes the encoding back
@@ -158,7 +182,7 @@ func Encode(g *ir.Graph, s *Session) (c *Code, done func()) {
 func (c *Code) WriteBack() {
 	grown := 0
 	for i, b := range c.G.Blocks {
-		if n := len(c.Blocks[i]); n > cap(b.Instrs) {
+		if n := len(c.blocks[i]); n > cap(b.Instrs) {
 			grown += n
 		}
 	}
@@ -168,10 +192,10 @@ func (c *Code) WriteBack() {
 	}
 	for i, b := range c.G.Blocks {
 		ins := b.Instrs[:0]
-		if n := len(c.Blocks[i]); n > cap(ins) {
+		if n := len(c.blocks[i]); n > cap(ins) {
 			ins, slab = slab[:0:n], slab[n:]
 		}
-		for _, e := range c.Blocks[i] {
+		for _, e := range c.blocks[i] {
 			if e < 0 {
 				ins = append(ins, c.side[^e])
 				continue
@@ -184,21 +208,42 @@ func (c *Code) WriteBack() {
 	c.G.Normalize()
 }
 
-// Copy returns a scratch copy of c whose blocks live in ar, sharing the
-// resolved vectors: steps may rewrite it without touching c. A copy is
-// never written back.
+// Copy returns a scratch copy of c whose blocks and local predicates live
+// in ar, sharing the resolved vectors: steps may rewrite it without
+// touching c. The copy starts with c's local predicates. A copy is never
+// written back.
 func (c *Code) Copy(ar *arena.Arena) *Code {
 	t := *c
-	t.Blocks = make([][]int, len(c.Blocks))
-	for i, ids := range c.Blocks {
-		t.Blocks[i] = append(ar.Ints(cap(ids))[:0], ids...)
+	t.blocks = make([][]int, len(c.blocks))
+	for i, ids := range c.blocks {
+		t.blocks[i] = append(ar.Ints(cap(ids))[:0], ids...)
+	}
+	t.carveLocals(ar)
+	t.fresh.CopyFrom(c.fresh)
+	for i := range c.blocks {
+		t.locHoistable[i].CopyFrom(c.locHoistable[i])
+		t.locBlocked[i].CopyFrom(c.locBlocked[i])
+		t.gen[i].CopyFrom(c.gen[i])
+		t.genKill[i].CopyFrom(c.genKill[i])
 	}
 	return &t
 }
 
+// Block returns the entries of block i. The slice is the Code's own
+// storage: read-only, and valid until the next SetBlock(i).
+func (c *Code) Block(i int) []int { return c.blocks[i] }
+
+// SetBlock replaces the entries of block i with ids, copied into the
+// block's storage, and marks the block so that Locals and Transfer
+// recompute it. It is the one way a step rewrites the encoding.
+func (c *Code) SetBlock(i int, ids []int) {
+	c.blocks[i] = append(c.blocks[i][:0], ids...)
+	c.fresh.Clear(i)
+}
+
 // Branch reports whether block i ends in a branch condition.
 func (c *Code) Branch(i int) bool {
-	ids := c.Blocks[i]
+	ids := c.blocks[i]
 	return len(ids) > 0 && ids[len(ids)-1] < 0 && c.side[^ids[len(ids)-1]].Kind == ir.KindCond
 }
 
@@ -210,44 +255,50 @@ func (c *Code) Kill(id int) bitvec.Vec { return c.kill[id] }
 // generate (Table 2's side condition). Shared index state: read-only.
 func (c *Code) SelfRef() bitvec.Vec { return c.selfRef }
 
-// Locals computes Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors for
-// block i in one forward walk, with storage from ar (heap when nil). A
-// pattern is LOC-HOISTABLE when its first occurrence is not preceded by a
-// blocker; Candidates recovers the candidate positions.
-func (c *Code) Locals(i int, ar *arena.Arena) (locHoistable, locBlocked bitvec.Vec) {
-	bits := c.U.Len()
-	locHoistable = ar.Vec(bits)
-	locBlocked = ar.Vec(bits)
-	for _, e := range c.Blocks[i] {
+// Locals returns Table 1's LOC-HOISTABLE and LOC-BLOCKED vectors of block
+// i. A pattern is LOC-HOISTABLE when its first occurrence is not preceded
+// by a blocker; Candidates recovers the candidate positions. The vectors
+// are the Code's own storage: read-only, and valid until the next step
+// rewrites block i.
+func (c *Code) Locals(i int) (locHoistable, locBlocked bitvec.Vec) {
+	c.refresh(i)
+	return c.locHoistable[i], c.locBlocked[i]
+}
+
+// Transfer returns the block-level gen/kill form of Table 2 for block i:
+// GEN holds the patterns whose association some occurrence establishes
+// and no later instruction of the block destroys, KILL those destroyed and
+// not re-established. Self-referential occurrences never generate. The
+// vectors are the Code's own storage: read-only, and valid until the next
+// step rewrites block i.
+func (c *Code) Transfer(i int) (gen, kill bitvec.Vec) {
+	c.refresh(i)
+	return c.gen[i], c.genKill[i]
+}
+
+// refresh recomputes the local predicates of block i in one forward walk
+// unless they are current.
+func (c *Code) refresh(i int) {
+	if c.fresh.Get(i) {
+		return
+	}
+	c.fresh.Set(i)
+	locH, locB, gen, kill := c.locHoistable[i], c.locBlocked[i], c.gen[i], c.genKill[i]
+	locH.ClearAll()
+	locB.ClearAll()
+	gen.ClearAll()
+	kill.ClearAll()
+	for _, e := range c.blocks[i] {
 		if e < 0 {
-			locBlocked.Or(c.sideBlocked[^e])
+			locB.Or(c.sideBlocked[^e])
 			continue
 		}
 		// An occurrence blocks its own pattern, so every later occurrence
-		// already finds its bit in locBlocked.
-		if !locBlocked.Get(e) {
-			locHoistable.Set(e)
+		// already finds its bit in locB.
+		if !locB.Get(e) {
+			locH.Set(e)
 		}
-		locBlocked.Or(c.kill[e])
-		for _, use := range c.use[2*e : 2*e+2] {
-			if use.Len() > 0 {
-				locBlocked.Or(use)
-			}
-		}
-	}
-	return locHoistable, locBlocked
-}
-
-// Transfer computes into gen and kill, which must start empty, the
-// block-level gen/kill form of Table 2 for block i: GEN holds the
-// patterns whose association some occurrence establishes and no later
-// instruction of the block destroys, KILL those destroyed and not
-// re-established. Self-referential occurrences never generate.
-func (c *Code) Transfer(i int, gen, kill bitvec.Vec) {
-	for _, e := range c.Blocks[i] {
-		if e < 0 {
-			continue
-		}
+		locB.Or(c.blocked[e])
 		gen.AndNot(c.kill[e])
 		kill.Or(c.kill[e])
 		if !c.selfRef.Get(e) {

@@ -144,16 +144,6 @@ func (px *PatternIndex) orUseBlocks(t *ir.Term, dst bitvec.Vec) {
 	}
 }
 
-// useBlocks returns the patterns blocked by a read of operand o: those
-// whose left-hand side o names. It returns the zero Vec for a constant or
-// a variable no pattern assigns.
-func (px *PatternIndex) useBlocks(o ir.Operand) bitvec.Vec {
-	if o.IsConst {
-		return bitvec.Vec{}
-	}
-	return px.blockByUse[o.Var]
-}
-
 // BlockLocalsReverse computes the sinking mirror of Table 1's local
 // predicates for block b in one backward walk, given the pattern IDs of
 // b's instructions (Occurrences.Block): a pattern is LOC-SINKABLE when its

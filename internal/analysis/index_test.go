@@ -55,8 +55,8 @@ func TestIndexMatchesPredicates(t *testing.T) {
 			// Code.Locals vs LocHoistable/LocBlocked/CandidateIndex. The
 			// generated blocks hold no skips, so encoded positions are
 			// instruction positions.
-			locH, locB := code.Locals(i, nil)
-			cands := Candidates(code.Blocks[i], locH, false, nil)
+			locH, locB := code.Locals(i)
+			cands := Candidates(code.Block(i), locH, false, nil)
 			for id := 0; id < bits; id++ {
 				p := u.PatternAt(id)
 				if locH.Get(id) != LocHoistable(b, p) {

@@ -48,10 +48,11 @@ func (k cacheKey) String() string {
 // entry is one key's record in the cache. Until done closes it is the
 // single-flight promise of the leader computing the key; then it holds
 // the stored outcome (ok) or has left the cache (release), and its
-// waiters compute for themselves: errors are never cached, so a transient
-// timeout cannot poison a key. complete writes the outcome before done
-// closes, so a reader that saw done closed reads it without the lock. The
-// stored graph is private to the cache; readers receive clones.
+// waiters re-enter get once (optimizeJob): errors are never cached, so a
+// transient timeout cannot poison a key. complete writes the outcome
+// before done closes, so a reader that saw done closed reads it without
+// the lock. The stored graph is private to the cache; readers receive
+// clones.
 type entry struct {
 	key  cacheKey
 	done chan struct{}
@@ -129,9 +130,10 @@ func (c *cache) complete(e *entry, g *ir.Graph, res core.Result, events []pass.E
 }
 
 // release ends a leader's claim on e unless complete stored a result: the
-// entry leaves the cache and its waiters compute for themselves. Leaders
-// defer it right after get, so every exit — an error, a degraded result,
-// a panic in the backend, in decoding or in Clone — frees the key.
+// entry leaves the cache, and the first of its waiters to re-enter get
+// leads the next computation. Leaders defer it right after get, so every
+// exit — an error, a degraded result, a panic in the backend, in decoding
+// or in Clone — frees the key.
 func (c *cache) release(e *entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -476,7 +476,39 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 		budget:   e.opts.Budget,
 	}
 	r.Fingerprint = key.fp.String()
+	// await waits for the leader of ent and reports whether that answered
+	// r: with the stored result, or with ctx's error.
+	await := func(ent *entry) bool {
+		if err := ent.wait(ctx); err != nil {
+			r.Err = err
+			return true
+		}
+		if !ent.ok {
+			return false
+		}
+		e.cache.hits.Add(1)
+		out := ent.graph.Clone()
+		out.Name = g.Name // fingerprints ignore names; keep the caller's
+		r.Graph, r.Result, r.Passes, r.CacheHit, r.CacheTier = out, ent.result, ent.events, true, "memory"
+		r.Outcome = OutcomeOptimized
+		return true
+	}
 	ent, leader := e.cache.get(key)
+	if !leader {
+		if await(ent) {
+			return r
+		}
+		// The leader failed, and failures are never stored. Its waiters
+		// re-enter get once: the first one back leads a second
+		// computation, whose clean result is stored, and the others wait
+		// on it. If that one fails too, the rest compute for themselves,
+		// so a deterministic failure costs them one more computation of
+		// latency, and a transient one (a client gone, a deadline
+		// passed) costs one computation instead of one per waiter.
+		if ent, leader = e.cache.get(key); !leader && await(ent) {
+			return r
+		}
+	}
 	if leader {
 		defer e.cache.release(ent)
 		// The persistent tier answers memory misses: a daemon restarted
@@ -491,22 +523,6 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 			r.Outcome = OutcomeOptimized
 			return r
 		}
-	} else {
-		if err := ent.wait(ctx); err != nil {
-			r.Err = err
-			return r
-		}
-		if ent.ok {
-			e.cache.hits.Add(1)
-			out := ent.graph.Clone()
-			out.Name = g.Name // fingerprints ignore names; keep the caller's
-			r.Graph, r.Result, r.Passes, r.CacheHit, r.CacheTier = out, ent.result, ent.events, true, "memory"
-			r.Outcome = OutcomeOptimized
-			return r
-		}
-		// The leader failed; compute for ourselves (deterministic
-		// failures will fail here too, transient ones — a timeout under
-		// load — get their honest retry).
 	}
 	e.cache.misses.Add(1)
 	c := e.compute(ctx, g)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"assignmentmotion/internal/cfggen"
+	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
 	"assignmentmotion/internal/printer"
 )
@@ -66,8 +67,9 @@ func (c *doneProbe) Done() <-chan struct{} {
 }
 
 // TestSingleFlightComputesOnce: concurrent requests for one key share one
-// computation, and waiters on a leader that fails compute for themselves
-// without inheriting its error or storing a result.
+// computation. When the leader fails, its waiters re-enter the cache once:
+// one of them computes in its place and the others wait on it, and only
+// when that computation fails too do they compute for themselves.
 func TestSingleFlightComputesOnce(t *testing.T) {
 	t.Run("one computation", func(t *testing.T) {
 		var mu sync.Mutex
@@ -119,9 +121,14 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 		}
 	})
 
-	t.Run("failed leader", func(t *testing.T) {
-		// The first pass the leader runs blocks until every follower waits
-		// on it, then panics; every later pass runs as is.
+	// herd runs a leader and followers requests for one key. The first
+	// pass the leader runs blocks until every follower waits on it, then
+	// panics; every later pass panics too when failAll is set, and runs as
+	// is otherwise. It returns the engine and graph for later requests,
+	// and the results of the leader and of the followers.
+	const followers = 15
+	herd := func(t *testing.T, failAll bool) (*Engine, *ir.Graph, GraphResult, []GraphResult) {
+		t.Helper()
 		entered, proceed := make(chan struct{}), make(chan struct{})
 		var wraps atomic.Int32
 		e := New(Options{Inject: func(_ int, p pass.Pass) pass.Pass {
@@ -130,6 +137,9 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 				<-proceed
 				panic("inject: the leader fails")
 			}
+			if failAll {
+				panic("inject: every computation fails")
+			}
 			return p
 		}})
 		g := cfggen.Structured(41, cfggen.Config{Size: 12})
@@ -137,7 +147,6 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 		go func() { lead <- e.Optimize(context.Background(), g) }()
 		<-entered
 
-		const followers = 15
 		waiting := make(chan struct{}, followers)
 		results := make(chan GraphResult, followers)
 		for i := 0; i < followers; i++ {
@@ -149,23 +158,62 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 		}
 		close(proceed)
 
-		var pe *PanicError
-		if r := <-lead; !errors.As(r.Err, &pe) {
-			t.Fatalf("leader: err = %v, want the injected panic", r.Err)
-		}
+		leader := <-lead
+		var got []GraphResult
 		for i := 0; i < followers; i++ {
-			if r := <-results; r.Err != nil || r.CacheHit {
-				t.Errorf("follower: err=%v hit=%v; want its own clean computation", r.Err, r.CacheHit)
+			select {
+			case r := <-results:
+				got = append(got, r)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d followers still blocked after 10s", followers-i, followers)
 			}
 		}
-		if r := e.Optimize(context.Background(), g); r.Err != nil || r.CacheHit {
-			t.Fatalf("later run: err=%v hit=%v; want a computation, since failures are never stored", r.Err, r.CacheHit)
+		return e, g, leader, got
+	}
+
+	t.Run("failed leader", func(t *testing.T) {
+		e, g, leader, results := herd(t, false)
+		var pe *PanicError
+		if !errors.As(leader.Err, &pe) {
+			t.Fatalf("leader: err = %v, want the injected panic", leader.Err)
+		}
+		computed := 0
+		for _, r := range results {
+			switch {
+			case r.Err != nil:
+				t.Errorf("follower: err = %v; want a clean result", r.Err)
+			case !r.CacheHit:
+				computed++
+			case r.CacheTier != "memory":
+				t.Errorf("follower served by tier %q, want memory", r.CacheTier)
+			}
+		}
+		if computed != 1 {
+			t.Errorf("%d followers computed; want 1, in the failed leader's place", computed)
 		}
 		if r := e.Optimize(context.Background(), g); !r.CacheHit || r.CacheTier != "memory" {
-			t.Fatalf("last run: hit=%v tier=%q; want a memory hit", r.CacheHit, r.CacheTier)
+			t.Fatalf("later run: hit=%v tier=%q; want a memory hit", r.CacheHit, r.CacheTier)
 		}
-		if st := e.CacheStats(); st.Misses != followers+2 || st.Hits != 1 {
-			t.Errorf("cache stats %+v; want %d misses and 1 hit", st, followers+2)
+		if st := e.CacheStats(); st.Misses != 2 || st.Hits != followers {
+			t.Errorf("cache stats %+v; want 2 misses and %d hits", st, followers)
+		}
+	})
+
+	t.Run("every computation fails", func(t *testing.T) {
+		e, _, leader, results := herd(t, true)
+		var pe *PanicError
+		if !errors.As(leader.Err, &pe) {
+			t.Fatalf("leader: err = %v, want the injected panic", leader.Err)
+		}
+		for _, r := range results {
+			if !errors.As(r.Err, &pe) || r.CacheHit {
+				t.Errorf("follower: err=%v hit=%v; want its own computation's panic", r.Err, r.CacheHit)
+			}
+		}
+		// The leader, the follower in its place, and every other follower
+		// on its own: one computation per request, none stored.
+		if st := e.CacheStats(); st.Misses != followers+1 || st.Hits != 0 || st.Entries != 0 {
+			t.Errorf("cache stats %+v; want %d misses, no hit and no entry", st, followers+1)
 		}
 	})
 }

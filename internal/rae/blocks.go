@@ -26,10 +26,13 @@ import (
 // property tests); per-application counts may differ on in-block chains.
 //
 // keep restricts the removals to the patterns it holds, as in aht.Step:
-// the zero Vec keeps every pattern. Analysis storage comes from s's arena
-// and is released before returning.
+// the zero Vec keeps every pattern. The block gen/kill vectors are the
+// encoding's own (analysis.Code.Transfer), recomputed only for the blocks
+// a step rewrote since; a block this step removes from is rewritten with
+// SetBlock, which marks it. Analysis storage comes from s's arena and is
+// released before returning.
 func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
-	n, bits := len(c.Blocks), c.U.Len()
+	n, bits := len(c.G.Blocks), c.U.Len()
 	if bits == 0 {
 		return 0
 	}
@@ -40,10 +43,8 @@ func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
 
 	gen := ar.Vecs(n)
 	kill := ar.Vecs(n)
-	for i := range c.Blocks {
-		gen[i] = ar.Vec(bits)
-		kill[i] = ar.Vec(bits)
-		c.Transfer(i, gen[i], kill[i])
+	for i := range n {
+		gen[i], kill[i] = c.Transfer(i)
 	}
 
 	entry := int(c.G.Entry)
@@ -71,13 +72,13 @@ func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
 	avail := ar.Vec(bits)
 	selfRef := c.SelfRef()
 	all := keep.Len() == 0
-	for i, ids := range c.Blocks {
+	for i := range n {
+		ids := c.Block(i)
 		avail.CopyFrom(res.In[i])
-		kept := ids[:0]
+		kept := ar.Ints(len(ids))[:0]
 		for _, id := range ids {
 			if id >= 0 {
 				if avail.Get(id) && (all || keep.Get(id)) {
-					removed++
 					continue
 				}
 				avail.AndNot(c.Kill(id))
@@ -87,7 +88,10 @@ func Step(c *analysis.Code, s *analysis.Session, keep bitvec.Vec) int {
 			}
 			kept = append(kept, id)
 		}
-		c.Blocks[i] = kept
+		if len(kept) < len(ids) {
+			removed += len(ids) - len(kept)
+			c.SetBlock(i, kept)
+		}
 	}
 	return removed
 }

@@ -348,7 +348,7 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 
 		// The encoding: one entry per instruction but skips, the pattern
 		// ID of each assignment and a side entry for out and branches.
-		enc := code.Blocks[i]
+		enc := code.Block(i)
 		var pos []int // encoded position -> instruction index
 		for k := range b.Instrs {
 			if b.Instrs[k].Kind != ir.KindSkip {
@@ -370,7 +370,7 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 
 		// Table 1, as aht solves it on the encoding, and the hoisting
 		// candidates at the first occurrence.
-		locH, locB := code.Locals(i, nil)
+		locH, locB := code.Locals(i)
 		cands := bitvec.New(len(b.Instrs))
 		encCands := analysis.Candidates(enc, locH, false, nil)
 		for j := range enc {
@@ -383,8 +383,7 @@ func checkLocalPredicates(t *testing.T, label string, g *ir.Graph) {
 		if !locBR.Equal(locB) {
 			fail("block %s: forward and reverse LOC-BLOCKED differ", b.Name)
 		}
-		gen, kill := bitvec.New(bits), bitvec.New(bits)
-		code.Transfer(i, gen, kill)
+		gen, kill := code.Transfer(i)
 		for id := 0; id < bits; id++ {
 			p := u.PatternAt(id)
 			if locB.Get(id) != analysis.LocBlocked(b, p) {
