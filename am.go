@@ -126,8 +126,12 @@ func Optimize(g *Graph) (Result, error) {
 }
 
 // BatchOptions tune OptimizeBatch: worker parallelism (default
-// GOMAXPROCS), a per-graph timeout, and the result cache size.
+// GOMAXPROCS), a per-graph timeout, the cache size, and the pipeline.
 type BatchOptions = engine.Options
+
+// BatchPipeline is a batch's pass names (empty = the global algorithm),
+// recovery policy and budget: with the fingerprint, the cache key.
+type BatchPipeline = engine.Pipeline
 
 // BatchReport aggregates one OptimizeBatch run: success/failure counts,
 // cache hits and misses, per-phase wall time, AM iteration totals, and
@@ -185,7 +189,7 @@ func PassOf(err error) (pass string, index int, ok bool) { return fault.PassOf(e
 // RecoveryPolicy selects what a pipeline does when a pass fails: stop with
 // the typed error (RecoverFail), restore the last-good checkpoint and stop
 // (RecoverRollback), or restore, skip the pass, and continue
-// (RecoverSkip). See Pipeline.Recovery and BatchOptions.Recovery.
+// (RecoverSkip). See Pipeline.Recovery and BatchPipeline.Recovery.
 type RecoveryPolicy = pass.RecoveryPolicy
 
 // The recovery policies.
@@ -325,7 +329,7 @@ func passNames(passes []Pass) []string {
 
 // Apply runs the named passes on g, in order. It is a thin wrapper over
 // the pass pipeline: one analysis session is threaded through the whole
-// sequence, so consecutive passes share the arena and universe caches.
+// sequence, so consecutive passes share its pooled arena.
 func Apply(g *Graph, passes ...Pass) error {
 	_, err := ApplyPipeline(g, passes...)
 	return err
@@ -345,8 +349,8 @@ func ApplyPipeline(g *Graph, passes ...Pass) (PipelineReport, error) {
 }
 
 // NewSession returns an analysis session for callers that drive several
-// pipelines over related graphs and want to share one arena and one set
-// of caches (Pipeline.RunWith). Close it when done.
+// pipelines over related graphs and want to share one pooled arena
+// (Pipeline.RunWith). Close it when done.
 func NewSession() *analysis.Session { return analysis.NewSession() }
 
 // ExecResult is the outcome of interpreting a program.

@@ -157,8 +157,7 @@ func runBatch(files []string, cfg batchConfig, out io.Writer) error {
 	opts := assignmentmotion.BatchOptions{
 		Parallelism: cfg.parallel,
 		Timeout:     cfg.timeout,
-		Passes:      pipeline,
-		Recovery:    cfg.recovery,
+		Pipeline:    assignmentmotion.BatchPipeline{Passes: pipeline, Recovery: cfg.recovery},
 	}
 	if cfg.trace && !cfg.json {
 		// Workers report concurrently; serialize the trace lines.

@@ -11,8 +11,8 @@
 //	                             only; results then die with the process)
 //	-cache-max-bytes N           on-disk cache cap in bytes
 //	                             (0 = 256 MiB default, -1 = uncapped)
-//	-cache-size N                in-memory cache entries per pipeline
-//	                             configuration (0 = engine default)
+//	-cache-size N                in-memory cache entries, shared by every
+//	                             pipeline configuration (0 = engine default)
 //	-workers N                   concurrent optimization jobs
 //	                             (0 = GOMAXPROCS)
 //	-queue-depth N               jobs allowed to wait for a worker before
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		listen        = fs.String("listen", ":8080", "address to serve on")
 		cacheDir      = fs.String("cache-dir", "", "persistent result cache directory (empty = memory only)")
 		cacheMaxBytes = fs.Int64("cache-max-bytes", 0, "on-disk cache cap in bytes (0 = default, -1 = uncapped)")
-		cacheSize     = fs.Int("cache-size", 0, "in-memory cache entries per pipeline configuration (0 = default)")
+		cacheSize     = fs.Int("cache-size", 0, "in-memory cache entries, shared by every pipeline configuration (0 = default)")
 		workers       = fs.Int("workers", 0, "concurrent optimization jobs (0 = GOMAXPROCS)")
 		queueDepth    = fs.Int("queue-depth", 0, "jobs allowed to wait for a worker (0 = 4*workers)")
 		deadline      = fs.Duration("deadline", 10*time.Second, "default per-request deadline")

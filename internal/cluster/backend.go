@@ -63,7 +63,7 @@ func routableKey(key string) (fp string, ok bool) {
 	return key[:fingerprintHexLen], true
 }
 
-// remoteBackend is the Backend the server hands its engines in cluster
+// remoteBackend is the Backend the server hands its engine in cluster
 // mode.
 type remoteBackend struct {
 	node  *Node

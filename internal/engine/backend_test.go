@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"assignmentmotion/internal/analysis"
 	"assignmentmotion/internal/cachestore"
@@ -98,12 +97,12 @@ func TestCacheKeySeparatesRecoveryPolicy(t *testing.T) {
 	g := cfggen.Structured(11, cfggen.Config{Size: 8})
 	passes := []string{"init", "am", "flush"}
 
-	e1 := New(Options{Backend: backend, Passes: passes, Recovery: pass.Fail})
+	e1 := New(Options{Backend: backend, Pipeline: Pipeline{Passes: passes, Recovery: pass.Fail}})
 	if r := e1.Optimize(context.Background(), g); r.Err != nil || r.CacheHit {
 		t.Fatalf("seed run: err=%v cacheHit=%v", r.Err, r.CacheHit)
 	}
 
-	e2 := New(Options{Backend: backend, Passes: passes, Recovery: pass.SkipAndContinue})
+	e2 := New(Options{Backend: backend, Pipeline: Pipeline{Passes: passes, Recovery: pass.SkipAndContinue}})
 	r := e2.Optimize(context.Background(), g)
 	if r.Err != nil {
 		t.Fatal(r.Err)
@@ -125,7 +124,7 @@ func TestCacheKeySeparatesBudget(t *testing.T) {
 	g := cfggen.Structured(13, cfggen.Config{Size: 8})
 	passes := []string{"init", "am", "flush"}
 
-	e1 := New(Options{Backend: backend, Passes: passes})
+	e1 := New(Options{Backend: backend, Pipeline: Pipeline{Passes: passes}})
 	if r := e1.Optimize(context.Background(), g); r.Err != nil || r.CacheHit {
 		t.Fatalf("seed run: err=%v cacheHit=%v", r.Err, r.CacheHit)
 	}
@@ -134,7 +133,7 @@ func TestCacheKeySeparatesBudget(t *testing.T) {
 	// request would be served the unbudgeted result as a cache hit; with
 	// the fixed key it computes for itself and fails honestly.
 	tight := fault.Budget{MaxAMIterations: 1}
-	e2 := New(Options{Backend: backend, Passes: passes, Budget: tight})
+	e2 := New(Options{Backend: backend, Pipeline: Pipeline{Passes: passes, Budget: tight}})
 	r := e2.Optimize(context.Background(), g)
 	if r.CacheHit {
 		t.Fatalf("engine with a tight budget got a cache hit (tier %q) from the unbudgeted entry", r.CacheTier)
@@ -164,7 +163,7 @@ func TestBackendDegradedNeverPersisted(t *testing.T) {
 		}
 		return p
 	}
-	e := New(Options{Backend: backend, Recovery: pass.SkipAndContinue, Inject: boom})
+	e := New(Options{Backend: backend, Pipeline: Pipeline{Recovery: pass.SkipAndContinue}, Inject: boom})
 	r := e.Optimize(context.Background(), g)
 	if r.Err != nil {
 		t.Fatal(r.Err)
@@ -323,45 +322,5 @@ func TestBackendCorruptEntryVariants(t *testing.T) {
 				t.Fatal("memory tier was poisoned by the corrupt backend entry")
 			}
 		})
-	}
-}
-
-// TestOutcomeHookSeesEveryJob: the hook fires once per job with the final
-// result, for computed, cached, and failed jobs alike.
-func TestOutcomeHookSeesEveryJob(t *testing.T) {
-	var mu sync.Mutex
-	var seen []GraphResult
-	opts := Options{
-		Timeout: 5 * time.Second,
-		OutcomeHook: func(r GraphResult) {
-			mu.Lock()
-			seen = append(seen, r)
-			mu.Unlock()
-		},
-	}
-	e := New(opts)
-	g := cfggen.Structured(23, cfggen.Config{Size: 8})
-	if r := e.Optimize(context.Background(), g); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r := e.Optimize(context.Background(), g); !r.CacheHit {
-		t.Fatal("second run should hit the memory cache")
-	}
-	if r := e.Optimize(context.Background(), nil); r.Err == nil {
-		t.Fatal("nil graph should fail")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 3 {
-		t.Fatalf("hook fired %d times; want 3", len(seen))
-	}
-	if seen[0].CacheHit || seen[0].Err != nil {
-		t.Fatalf("job 0: %+v", seen[0])
-	}
-	if !seen[1].CacheHit || seen[1].CacheTier != "memory" {
-		t.Fatalf("job 1 should be a memory hit: %+v", seen[1])
-	}
-	if seen[2].Err == nil {
-		t.Fatalf("job 2 should carry the nil-graph error: %+v", seen[2])
 	}
 }

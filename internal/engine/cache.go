@@ -13,7 +13,8 @@ import (
 	"assignmentmotion/internal/pass"
 )
 
-// CacheStats reports the cumulative behaviour of one engine's cache.
+// CacheStats reports the cumulative behaviour of one engine's cache,
+// across every pipeline it serves.
 type CacheStats struct {
 	Hits    int64 // lookups answered from a stored result
 	Misses  int64 // lookups that had to optimize
@@ -22,16 +23,16 @@ type CacheStats struct {
 
 // cacheKey addresses one cached outcome: the graph's content fingerprint
 // plus the complete pipeline configuration that produced it — the pass
-// spec, the recovery policy, and the resource budget. Mixing the whole
-// configuration in keeps a shared cache (two engines over one persistent
-// backend, or a future networked tier) from serving an "init,am,flush"
-// result to an "em,copyprop" request, and from serving a result computed
-// under a permissive budget to a request whose tighter budget would have
-// rejected the computation. (Within one engine the configuration is
-// constant, but the persistent backend outlives engines and daemons.)
+// spec, the recovery policy, and the resource budget. One engine serves
+// every configuration from one memory tier and one backend, and the key
+// is all that keeps them apart: it never serves an "init,am,flush" result
+// to an "em,copyprop" request, nor a result computed under a permissive
+// budget to a request whose tighter budget would have rejected the
+// computation. The persistent backend, which outlives engines and
+// daemons, relies on the same separation.
 type cacheKey struct {
 	fp       ir.Fingerprint
-	pipeline string
+	pipeline string // comma-joined pass names; "" = the global algorithm
 	recovery pass.RecoveryPolicy
 	budget   fault.Budget
 }

@@ -2,8 +2,8 @@
 // by default it runs the paper's global algorithm (initialization →
 // exhaustive aht/rae assignment-motion fixpoint → final flush, exactly
 // core.Optimize) over many flow graphs at once on a bounded worker pool,
-// and Options.Passes swaps in any pipeline composed from the pass
-// registry.
+// and a Pipeline swaps in any pass list composed from the pass registry,
+// as the engine's default (Options.Pipeline) or per call (OptimizeWith).
 //
 // The engine is built for heavy, untrusted traffic:
 //
@@ -12,9 +12,10 @@
 //     context.Context, so one pathological graph fails alone instead of
 //     taking the batch down;
 //   - a content-addressed result cache keyed by ir.Graph.Fingerprint plus
-//     the pipeline spec, with single-flight deduplication, so duplicate
-//     graphs are optimized once per engine lifetime — and a cached
-//     "init,am,flush" result is never served to an "em,copyprop" batch;
+//     the pipeline configuration, with single-flight deduplication, so
+//     duplicate graphs are optimized once per engine lifetime — and one
+//     engine serves every pipeline from one cache, never serving a cached
+//     "init,am,flush" result to an "em,copyprop" request;
 //   - per-pass observability: every job runs through an instrumented
 //     pipeline threading ONE analysis session end to end, and its
 //     pass.Events (wall time, instruction deltas, solver visits/sweeps,
@@ -44,7 +45,7 @@ import (
 	"assignmentmotion/internal/ir"
 	"assignmentmotion/internal/pass"
 
-	// The engine resolves Options.Passes against the pass registry, so it
+	// The engine resolves Pipeline.Passes against the pass registry, so it
 	// must link every self-registering pass package — not just the ones it
 	// calls directly. Without these, a binary embedding the engine but not
 	// the root facade (amoptd) silently serves a partial registry: its
@@ -65,6 +66,28 @@ import (
 // DefaultCacheSize bounds the result cache when Options.CacheSize is 0.
 const DefaultCacheSize = 1024
 
+// Pipeline is one pipeline configuration: the passes, the handling of a
+// failing pass, and the per-pass resource caps. With the graph's
+// fingerprint it makes the cache key, so one engine serves any number of
+// pipelines from one set of cache tiers and never mixes their results.
+type Pipeline struct {
+	// Passes names the passes, resolved against the pass registry. Empty
+	// selects the global algorithm (init, am, flush — core.Optimize).
+	// Unknown names fail each job with a did-you-mean error.
+	Passes []string
+	// Recovery selects the per-pass failure handling inside the pipeline:
+	// Fail (default — a failing pass fails the whole graph, reported as a
+	// typed fault error), Rollback (restore the last-good checkpoint,
+	// stop, return the partially optimized graph as a degraded result),
+	// or SkipAndContinue (restore, skip the offending pass, run the
+	// remainder). Degraded results are never cached.
+	Recovery pass.RecoveryPolicy
+	// Budget caps each pass's resources (wall time, solver visits, AM
+	// fixpoint rounds); violations surface as fault.ErrBudgetExceeded and
+	// are subject to Recovery.
+	Budget fault.Budget
+}
+
 // Options tune one Engine.
 type Options struct {
 	// Parallelism is the number of worker goroutines per batch.
@@ -76,30 +99,18 @@ type Options struct {
 	// its abandoned computation finishes in the background and is
 	// discarded.
 	Timeout time.Duration
-	// CacheSize is the maximum number of cached results. 0 selects
-	// DefaultCacheSize; negative disables caching entirely.
+	// CacheSize is the maximum number of cached results, across every
+	// pipeline the engine serves. 0 selects DefaultCacheSize; negative
+	// disables caching entirely.
 	CacheSize int
-	// Passes names the pipeline every job runs, resolved against the pass
-	// registry. Empty selects the global algorithm (init, am, flush —
-	// core.Optimize). Unknown names fail each job with a did-you-mean
-	// error.
-	Passes []string
+	// Pipeline is the configuration Optimize and OptimizeBatch run;
+	// OptimizeWith takes one per call instead.
+	Pipeline Pipeline
 	// Hook, when non-nil, receives one pass.Event per executed pass of
 	// every computed (non-cached) job, tagged with the graph's name. It is
 	// called from worker goroutines, possibly concurrently; the callee
 	// must synchronize.
 	Hook func(graph string, ev pass.Event)
-	// Recovery selects the per-pass failure handling inside every job's
-	// pipeline: Fail (default — a failing pass fails the whole graph,
-	// reported as a typed fault error), Rollback (restore the last-good
-	// checkpoint, stop, return the partially optimized graph as a
-	// degraded result), or SkipAndContinue (restore, skip the offending
-	// pass, run the remainder). Degraded results are never cached.
-	Recovery pass.RecoveryPolicy
-	// Budget caps each job's per-pass resources (wall time, solver
-	// visits, AM fixpoint rounds); violations surface as
-	// fault.ErrBudgetExceeded and are subject to Recovery.
-	Budget fault.Budget
 	// Inject, when non-nil, may replace each pipeline pass immediately
 	// before execution (pass.Pipeline.Wrap). It is a test-only seam for
 	// the fault-injection harness; production callers leave it nil.
@@ -114,11 +125,6 @@ type Options struct {
 	// Incremental is inert: the region tier it enabled was removed, and
 	// the field stays only because the benchmark module still sets it.
 	Incremental bool
-	// OutcomeHook, when non-nil, receives every job's final GraphResult —
-	// computed, cached, or failed — exactly once, from the worker
-	// goroutine that finished it. The daemon's metrics hang off this; the
-	// callee must synchronize.
-	OutcomeHook func(r GraphResult)
 	// SolverWorkers is inert: the parallel solver it bounded was removed,
 	// and the field stays only because the benchmark module still sets it.
 	SolverWorkers int
@@ -130,11 +136,6 @@ func (o Options) parallelism() int {
 	}
 	return o.Parallelism
 }
-
-// pipelineSpec is the cache-key component identifying the pipeline: the
-// default global algorithm is the empty string, everything else the
-// comma-joined pass list.
-func (o Options) pipelineSpec() string { return strings.Join(o.Passes, ",") }
 
 // PanicError is the recovered panic of one optimization job. It is the
 // fault taxonomy's panic error: errors.Is(err, fault.ErrPassPanic)
@@ -199,7 +200,7 @@ type GraphResult struct {
 	Graph *ir.Graph
 	// Result carries the per-phase statistics of the optimization (or of
 	// the cached optimization on a cache hit). It is populated by the
-	// default global pipeline; custom Options.Passes report through
+	// default global pipeline; custom Pipeline.Passes report through
 	// Passes instead.
 	Result core.Result
 	// Passes holds one instrumented event per executed pass, in pipeline
@@ -315,7 +316,7 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.stats()
 }
 
-// OptimizeBatch runs the engine's pipeline over every graph, at most
+// OptimizeBatch runs Options.Pipeline over every graph, at most
 // opts.Parallelism at a time, and returns the aggregated report. Inputs
 // are not mutated. The call honours ctx: once ctx is done, unstarted jobs
 // are skipped and running jobs are abandoned, all reporting ctx's error.
@@ -334,7 +335,7 @@ func (e *Engine) OptimizeBatch(ctx context.Context, graphs []*ir.Graph) Report {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = e.optimizeJob(ctx, i, graphs[i])
+				results[i] = e.optimizeJob(ctx, i, graphs[i], e.opts.Pipeline)
 			}
 		}()
 	}
@@ -417,11 +418,19 @@ func amIterations(r *GraphResult) int {
 	return 0
 }
 
-// Optimize runs a single graph through the engine (pool of one). It is a
-// convenience for callers that want caching, recovery, and timeouts
+// Optimize runs a single graph through Options.Pipeline (pool of one). It
+// is a convenience for callers that want caching, recovery, and timeouts
 // without assembling a slice.
 func (e *Engine) Optimize(ctx context.Context, g *ir.Graph) GraphResult {
-	return e.optimizeJob(ctx, 0, g)
+	return e.optimizeJob(ctx, 0, g, e.opts.Pipeline)
+}
+
+// OptimizeWith is Optimize under pipeline p instead of Options.Pipeline.
+// Every pipeline shares the engine's cache tiers, single-flight
+// deduplication, backend and hooks; the cache key keeps their results
+// apart.
+func (e *Engine) OptimizeWith(ctx context.Context, g *ir.Graph, p Pipeline) GraphResult {
+	return e.optimizeJob(ctx, 0, g, p)
 }
 
 // OptimizeBatch is the one-shot form: a fresh Engine with opts, one batch.
@@ -429,16 +438,10 @@ func OptimizeBatch(ctx context.Context, graphs []*ir.Graph, opts Options) Report
 	return New(opts).OptimizeBatch(ctx, graphs)
 }
 
-// optimizeJob runs one graph with full isolation: fingerprinting, cache
-// lookup, single-flight coordination, and the protected computation.
-func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r GraphResult) {
-	// Registered first so it runs last: the hook observes the final r,
-	// including errors filled in by the panic-recovery defer below.
-	defer func() {
-		if e.opts.OutcomeHook != nil {
-			e.opts.OutcomeHook(r)
-		}
-	}()
+// optimizeJob runs one graph under p with full isolation: fingerprinting,
+// cache lookup, single-flight coordination, and the protected
+// computation.
+func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph, p Pipeline) (r GraphResult) {
 	r = GraphResult{Index: idx, Outcome: OutcomeFailed}
 	if g == nil {
 		r.Err = errors.New("engine: nil graph")
@@ -462,19 +465,14 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 	defer func() { r.Timings.Total = time.Since(start) }()
 
 	if e.cache == nil {
-		c := e.compute(ctx, g)
+		c := e.compute(ctx, g, p)
 		r.Graph, r.Result, r.Passes, r.Timings, r.Err = c.g, c.res, c.events, c.tm, c.err
 		r.Failures = c.failures
 		r.Outcome = c.outcome()
 		return r
 	}
 
-	key := cacheKey{
-		fp:       g.Fingerprint(),
-		pipeline: e.opts.pipelineSpec(),
-		recovery: e.opts.Recovery,
-		budget:   e.opts.Budget,
-	}
+	key := cacheKey{fp: g.Fingerprint(), pipeline: strings.Join(p.Passes, ","), recovery: p.Recovery, budget: p.Budget}
 	r.Fingerprint = key.fp.String()
 	// await waits for the leader of ent and reports whether that answered
 	// r: with the stored result, or with ctx's error.
@@ -525,7 +523,7 @@ func (e *Engine) optimizeJob(ctx context.Context, idx int, g *ir.Graph) (r Graph
 		}
 	}
 	e.cache.misses.Add(1)
-	c := e.compute(ctx, g)
+	c := e.compute(ctx, g, p)
 	r.Result, r.Passes, r.Timings = c.res, c.events, c.tm
 	// Never store a degraded (rolled-back / pass-skipped) result under the
 	// clean content-addressed key: a later identical graph must get the
@@ -561,7 +559,7 @@ func (c *computation) outcome() Outcome {
 	return OutcomeOptimized
 }
 
-// compute runs the engine's pipeline on a private clone of g with ONE
+// compute runs pipeline p on a private clone of g with ONE
 // analysis session threaded through every pass, in a child goroutine so
 // the deadline can abandon it. The context is also threaded INTO the
 // pipeline (and, through the session, into the fixpoint rounds), so a
@@ -570,7 +568,7 @@ func (c *computation) outcome() Outcome {
 // pass, whose abandoned goroutine drains in the background (all passes
 // terminate — the fixpoints are monotone or capped — so abandoned work is
 // garbage-collected, not leaked forever).
-func (e *Engine) compute(ctx context.Context, g *ir.Graph) computation {
+func (e *Engine) compute(ctx context.Context, g *ir.Graph, p Pipeline) computation {
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
@@ -603,19 +601,19 @@ func (e *Engine) compute(ctx context.Context, g *ir.Graph) computation {
 		// custom pass list, so the recovery policy, the budget, and the
 		// cancellation context apply uniformly at every pass boundary.
 		var pl *pass.Pipeline
-		if len(e.opts.Passes) == 0 {
+		if len(p.Passes) == 0 {
 			pl = pass.New(core.Phases(&c.res)...)
 		} else {
 			var err error
-			pl, err = pass.FromNames(e.opts.Passes...)
+			pl, err = pass.FromNames(p.Passes...)
 			if err != nil {
 				ch <- computation{err: fmt.Errorf("engine: %w", err)}
 				return
 			}
 		}
 		pl.Hook = hook
-		pl.Recovery = e.opts.Recovery
-		pl.Budget = e.opts.Budget
+		pl.Recovery = p.Recovery
+		pl.Budget = p.Budget
 		pl.Wrap = e.opts.Inject
 		rep, err := pl.RunWith(ctx, clone, s)
 		c.failures = rep.Failures

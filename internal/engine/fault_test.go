@@ -67,7 +67,7 @@ func TestChaosRollbackByteIdentity(t *testing.T) {
 			k := k
 			e := New(Options{
 				Parallelism: 1,
-				Recovery:    pass.Rollback,
+				Pipeline:    Pipeline{Recovery: pass.Rollback},
 				Inject: func(index int, p pass.Pass) pass.Pass {
 					if index != k {
 						return p
@@ -115,7 +115,7 @@ func TestChaosCacheNeverStoresDegraded(t *testing.T) {
 	inj := inject.New(inject.Config{Seed: 7, Rate: 0.5, Kinds: []inject.Kind{inject.Panic, inject.Corrupt}})
 	e := New(Options{
 		Parallelism: 4,
-		Recovery:    pass.Rollback,
+		Pipeline:    Pipeline{Recovery: pass.Rollback},
 		Inject: func(index int, p pass.Pass) pass.Pass {
 			if !gate.Load() {
 				return p
@@ -162,7 +162,7 @@ func TestChaosGracefulBatchDegradation(t *testing.T) {
 	rep := OptimizeBatch(context.Background(), graphs, Options{
 		Parallelism: 4,
 		CacheSize:   -1,
-		Recovery:    pass.SkipAndContinue,
+		Pipeline:    Pipeline{Recovery: pass.SkipAndContinue},
 		Inject:      inj.Wrap,
 	})
 
@@ -251,7 +251,7 @@ func TestChaosSeededInjectionSweep(t *testing.T) {
 			rep := OptimizeBatch(context.Background(), graphs, Options{
 				Parallelism: 4,
 				CacheSize:   -1,
-				Recovery:    policy,
+				Pipeline:    Pipeline{Recovery: policy},
 				Inject:      inj.Wrap,
 			})
 			fired += len(inj.Fired())
@@ -361,7 +361,7 @@ func TestFaultInjectorDeterminism(t *testing.T) {
 		OptimizeBatch(context.Background(), graphs, Options{
 			Parallelism: parallelism,
 			CacheSize:   -1,
-			Recovery:    pass.SkipAndContinue,
+			Pipeline:    Pipeline{Recovery: pass.SkipAndContinue},
 			Inject:      inj.Wrap,
 		})
 		return inj.Fired()

@@ -114,8 +114,7 @@ func lexAll(src string) ([]token, tally, error) {
 		return nil, n, errors.New("source exceeds 2 GiB")
 	}
 	// Printed .fg programs run about four source bytes to a token, so one
-	// token per three bytes usually fits without regrowing, and it never
-	// exceeds the one token per byte that regrowing could reach.
+	// token per three bytes usually fits without regrowing.
 	toks := make([]token, 0, len(src)/3+1)
 	line, lineStart := 1, 0
 	for i := 0; ; {
@@ -137,6 +136,16 @@ func lexAll(src string) ([]token, tally, error) {
 			default:
 				break space
 			}
+		}
+		if len(toks) == cap(toks) {
+			// The guess is full: grow once, to the most tokens the rest of
+			// the source can hold (one per byte) and tokEOF, not in
+			// append's steps, which sum to several times the final size.
+			// slices.Grow would also allocate a temporary of the added
+			// length in race-instrumented builds.
+			grown := make([]token, len(toks), len(toks)+len(src)-i+1)
+			copy(grown, toks)
+			toks = grown
 		}
 		t := token{off: int32(i), line: int32(line), col: int32(i - lineStart + 1)}
 		if i == len(src) {

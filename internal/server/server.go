@@ -27,13 +27,16 @@
 // forward and a local fallback after it all spend. Batch jobs go through
 // the same forward and compute under the batch's deadline.
 //
-// Requests are served from a two-tier result cache: every engine's
-// in-memory fingerprint cache fronts one shared persistent
+// Requests are served from a two-tier result cache: the server's one
+// engine serves every pipeline configuration from one in-memory tier,
+// bounded by Config.CacheSize, in front of one persistent
 // internal/cachestore directory, so a restarted daemon answers
-// previously seen programs without running a single pass. Admission
-// control bounds concurrency (worker semaphore) and queueing (depth
-// limit, shedding with 429 + Retry-After); SIGTERM drains gracefully —
-// stop accepting, finish in-flight, flush the cache index.
+// previously seen programs without running a single pass. The cache key
+// (fingerprint, passes, recovery policy, budget) keeps configurations
+// apart. Admission control bounds concurrency (worker semaphore) and
+// queueing (depth limit, shedding with 429 + Retry-After); SIGTERM
+// drains gracefully — stop accepting, finish in-flight, flush the cache
+// index.
 package server
 
 import (
@@ -41,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -72,8 +76,8 @@ type Config struct {
 	// CacheMaxBytes caps the persistent store (0 = cachestore default,
 	// < 0 = uncapped).
 	CacheMaxBytes int64
-	// CacheSize is the in-memory entry bound per pipeline configuration
-	// (0 = engine default).
+	// CacheSize bounds the daemon's whole in-memory tier, shared by every
+	// pipeline configuration (0 = engine default).
 	CacheSize int
 	// DefaultDeadline applies when a request sets none; MaxDeadline caps
 	// whatever the request asks for. Zero values select 10s and 60s.
@@ -125,22 +129,11 @@ func (c *Config) fill() {
 	}
 }
 
-// maxEngineConfigs bounds the memoized per-configuration engines. Each
-// distinct (passes, recovery, budget) combination gets its own engine
-// (and in-memory cache tier); the persistent tier is shared by all.
-const maxEngineConfigs = 32
-
-// engineConfig is the memoization key for one pipeline configuration.
-type engineConfig struct {
-	pipeline string // comma-joined pass names; "" = default global algorithm
-	recovery pass.RecoveryPolicy
-	budget   fault.Budget
-}
-
 // Server is the daemon's HTTP subsystem. Construct with New.
 type Server struct {
 	cfg   Config
 	store *cachestore.Store // nil when CacheDir is empty
+	eng   *engine.Engine
 	met   *metrics
 	adm   *admission
 
@@ -149,13 +142,10 @@ type Server struct {
 
 	drainMu  sync.Mutex
 	draining bool
-
-	mu      sync.Mutex
-	engines map[engineConfig]*engine.Engine
 }
 
 // New builds a Server, opening (or creating) the persistent store when
-// cfg.CacheDir is set.
+// cfg.CacheDir is set, and its one engine.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	var store *cachestore.Store
@@ -178,13 +168,33 @@ func New(cfg Config) (*Server, error) {
 		}
 		node.Start()
 	}
+	met := newMetrics(store)
+	opts := engine.Options{
+		CacheSize: cfg.CacheSize,
+		Inject:    cfg.Inject,
+		Hook:      func(_ string, ev pass.Event) { met.passEvent(ev) },
+	}
+	switch {
+	case node != nil:
+		// Cluster mode: cache misses consult the key's owning peer before
+		// computing. The local tier underneath is the persistent store, or
+		// a null store on memory-only nodes (which then still read the
+		// cluster's caches while persisting nothing).
+		var local cluster.Backend = nullStore{}
+		if store != nil {
+			local = store
+		}
+		opts.Backend = node.RemoteBackend(local)
+	case store != nil:
+		opts.Backend = store
+	}
 	return &Server{
-		cfg:     cfg,
-		store:   store,
-		met:     newMetrics(store),
-		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
-		node:    node,
-		engines: map[engineConfig]*engine.Engine{},
+		cfg:   cfg,
+		store: store,
+		eng:   engine.New(opts),
+		met:   met,
+		adm:   newAdmission(cfg.Workers, cfg.QueueDepth),
+		node:  node,
 	}, nil
 }
 
@@ -220,56 +230,6 @@ func (s *Server) Close() error {
 // daemon's tests use it to assert cache cleanliness.
 func (s *Server) Store() *cachestore.Store { return s.store }
 
-// engineFor returns (memoizing) the engine for one pipeline
-// configuration. All engines share the persistent backend and the
-// metrics hooks.
-func (s *Server) engineFor(cfg engineConfig) *engine.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.engines[cfg]; ok {
-		return e
-	}
-	if len(s.engines) >= maxEngineConfigs {
-		for k := range s.engines { // drop one; its persistent entries survive
-			delete(s.engines, k)
-			break
-		}
-	}
-	opts := engine.Options{
-		Parallelism: 1, // concurrency is the server's worker budget, not the engine pool
-		CacheSize:   s.cfg.CacheSize,
-		Recovery:    cfg.recovery,
-		Budget:      cfg.budget,
-		Inject:      s.cfg.Inject,
-		Hook:        func(_ string, ev pass.Event) { s.met.passEvent(ev) },
-		OutcomeHook: func(r engine.GraphResult) {
-			if r.Err == nil {
-				s.met.cacheOutcome(r.CacheHit, r.CacheTier)
-			}
-		},
-	}
-	if cfg.pipeline != "" {
-		opts.Passes = strings.Split(cfg.pipeline, ",")
-	}
-	switch {
-	case s.node != nil:
-		// Cluster mode: cache misses consult the key's owning peer before
-		// computing. The local tier underneath is the persistent store, or
-		// a null store on memory-only nodes (which then still read the
-		// cluster's caches while persisting nothing).
-		var local cluster.Backend = nullStore{}
-		if s.store != nil {
-			local = s.store
-		}
-		opts.Backend = s.node.RemoteBackend(local)
-	case s.store != nil:
-		opts.Backend = s.store
-	}
-	e := engine.New(opts)
-	s.engines[cfg] = e
-	return e
-}
-
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -287,22 +247,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// BudgetSpec is the request form of fault.Budget.
+// BudgetSpec is the request form of fault.Budget. A zero field sets no
+// cap; a negative one, or a wall cap a time.Duration cannot hold, answers
+// 400 bad-request.
 type BudgetSpec struct {
 	MaxPassWallMs   int64 `json:"maxPassWallMs,omitempty"`
 	MaxSolverVisits int   `json:"maxSolverVisits,omitempty"`
 	MaxAMIterations int   `json:"maxAmIterations,omitempty"`
 }
 
-func (b *BudgetSpec) budget() fault.Budget {
-	if b == nil {
-		return fault.Budget{}
+// maxPassWallMs is the largest wall cap, in milliseconds, that a
+// time.Duration holds.
+const maxPassWallMs = int64(math.MaxInt64 / time.Millisecond)
+
+// budget converts b, refusing the caps fault.Budget cannot honour: a
+// negative one, or a wall cap that would overflow a time.Duration.
+func (b *BudgetSpec) budget() (fault.Budget, error) {
+	switch {
+	case b == nil:
+		return fault.Budget{}, nil
+	case b.MaxPassWallMs < 0 || b.MaxSolverVisits < 0 || b.MaxAMIterations < 0:
+		return fault.Budget{}, badRequest("budget caps must not be negative")
+	case b.MaxPassWallMs > maxPassWallMs:
+		return fault.Budget{}, badRequest(fmt.Sprintf("budget maxPassWallMs %d exceeds %d", b.MaxPassWallMs, maxPassWallMs))
 	}
 	return fault.Budget{
 		MaxPassWall:     time.Duration(b.MaxPassWallMs) * time.Millisecond,
 		MaxSolverVisits: b.MaxSolverVisits,
 		MaxAMIterations: b.MaxAMIterations,
-	}
+	}, nil
 }
 
 // OptimizeRequest is the body of POST /v1/optimize.
@@ -469,7 +442,7 @@ func parseProgram(dialect, name, src string) (*ir.Graph, error) {
 // requestConfig resolves the pipeline configuration of a request:
 // registry-validated passes, recovery policy, budget. A nil error means
 // the configuration is servable; any other is a 400 bad-request.
-func requestConfig(passes []string, onError string, budget *BudgetSpec) (engineConfig, error) {
+func requestConfig(passes []string, onError string, budget *BudgetSpec) (engine.Pipeline, error) {
 	names := make([]string, 0, len(passes))
 	for _, p := range passes {
 		p = strings.TrimSpace(p)
@@ -483,7 +456,7 @@ func requestConfig(passes []string, onError string, budget *BudgetSpec) (engineC
 	}
 	if len(names) > 0 {
 		if _, err := pass.Resolve(names...); err != nil {
-			return engineConfig{}, badRequest(err.Error())
+			return engine.Pipeline{}, badRequest(err.Error())
 		}
 	}
 	policy := pass.Fail
@@ -491,14 +464,14 @@ func requestConfig(passes []string, onError string, budget *BudgetSpec) (engineC
 		var err error
 		policy, err = pass.ParseRecoveryPolicy(onError)
 		if err != nil {
-			return engineConfig{}, badRequest(err.Error())
+			return engine.Pipeline{}, badRequest(err.Error())
 		}
 	}
-	return engineConfig{
-		pipeline: strings.Join(names, ","),
-		recovery: policy,
-		budget:   budget.budget(),
-	}, nil
+	b, err := budget.budget()
+	if err != nil {
+		return engine.Pipeline{}, err
+	}
+	return engine.Pipeline{Passes: names, Recovery: policy, Budget: b}, nil
 }
 
 // deadline clamps the request's deadline to the server's bounds.
@@ -556,7 +529,7 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, req *OptimizeR
 	if strings.TrimSpace(req.Program) == "" {
 		return s.refuse(w, badRequest("empty program"))
 	}
-	cfg, err := requestConfig(req.Passes, req.OnError, req.Budget)
+	pl, err := requestConfig(req.Passes, req.OnError, req.Budget)
 	if err != nil {
 		return s.refuse(w, err)
 	}
@@ -580,7 +553,7 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, req *OptimizeR
 			return "forwarded"
 		}
 	}
-	outcome, err := s.compute(ctx, cfg, g, nil, answer)
+	outcome, err := s.compute(ctx, pl, g, nil, answer)
 	if err != nil {
 		return s.refuse(w, err)
 	}
@@ -588,11 +561,12 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, req *OptimizeR
 }
 
 // compute is the engine step of every endpoint: it takes a worker slot
-// under ctx, runs g through the engine of cfg and answers while it holds
-// the slot. A single request (nil ticket) sheds (errOverloaded) rather
-// than join a full queue; a batch job waits behind its batch's ticket,
-// since its stream can no longer answer 429.
-func (s *Server) compute(ctx context.Context, cfg engineConfig, g *ir.Graph, ticket chan struct{}, answer answerFunc) (string, error) {
+// under ctx, runs g through the engine under pipeline pl, records the
+// cache tier of a clean result and answers while it holds the slot. A
+// single request (nil ticket) sheds (errOverloaded) rather than join a
+// full queue; a batch job waits behind its batch's ticket, since its
+// stream can no longer answer 429.
+func (s *Server) compute(ctx context.Context, pl engine.Pipeline, g *ir.Graph, ticket chan struct{}, answer answerFunc) (string, error) {
 	var err error
 	if ticket == nil {
 		err = s.adm.tryAcquire(ctx)
@@ -605,7 +579,11 @@ func (s *Server) compute(ctx context.Context, cfg engineConfig, g *ir.Graph, tic
 	defer s.adm.release()
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
-	return answer(g, s.engineFor(cfg).Optimize(ctx, g)), nil
+	res := s.eng.OptimizeWith(ctx, g, pl)
+	if res.Err == nil {
+		s.met.cacheOutcome(res.CacheHit, res.CacheTier)
+	}
+	return answer(g, res), nil
 }
 
 func (s *Server) serveOptimize(w http.ResponseWriter, r *http.Request, req *OptimizeRequest) string {
@@ -654,7 +632,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 	if len(req.Programs) > s.cfg.MaxBatch {
 		return s.refuse(w, badRequest(fmt.Sprintf("batch of %d exceeds the %d-program limit", len(req.Programs), s.cfg.MaxBatch)))
 	}
-	cfg, err := requestConfig(req.Passes, req.OnError, req.Budget)
+	pl, err := requestConfig(req.Passes, req.OnError, req.Budget)
 	if err != nil {
 		return s.refuse(w, err)
 	}
@@ -687,7 +665,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results <- s.batchJob(ctx, r, req, i, g, cfg, ticket)
+			results <- s.batchJob(ctx, r, req, i, g, pl, ticket)
 		}()
 	}
 	go func() { wg.Wait(); close(results) }()
@@ -734,7 +712,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 // its owning peer through the same forwarder as a single request (a job
 // whose peer dies mid-batch lands back here), or by this node's engine in
 // a worker slot it waits for behind the batch's ticket.
-func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchRequest, i int, g *ir.Graph, cfg engineConfig, ticket chan struct{}) OptimizeResponse {
+func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchRequest, i int, g *ir.Graph, pl engine.Pipeline, ticket chan struct{}) OptimizeResponse {
 	p := req.Programs[i]
 	one := OptimizeRequest{Name: p.Name, Program: p.Program, Dialect: req.Dialect, Passes: req.Passes, OnError: req.OnError, Budget: req.Budget}
 	var resp OptimizeResponse
@@ -749,7 +727,7 @@ func (s *Server) batchJob(ctx context.Context, r *http.Request, req *BatchReques
 		}
 		return resp
 	}
-	if _, err := s.compute(ctx, cfg, g, ticket, func(g *ir.Graph, res engine.GraphResult) string {
+	if _, err := s.compute(ctx, pl, g, ticket, func(g *ir.Graph, res engine.GraphResult) string {
 		resp = respond(i, g.Name, res)
 		return string(res.Outcome)
 	}); err != nil {
